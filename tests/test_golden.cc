@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden-report regression test: a small fixed-scale Figure-8 sweep
- * must serialize to exactly the committed JSON in tests/golden/.
+ * and a small §3 region-study sweep must serialize to exactly the
+ * committed JSON in tests/golden/.
  *
  * Catches silent drift anywhere in the stack — workload builders,
  * the functional simulator, trace record/replay, the OoO timing
@@ -41,6 +42,7 @@ namespace
 constexpr const char *kGoldenFile = "sweep_fig8_small.json";
 constexpr const char *kGoldenSeekFile = "sweep_fig8_v2_seekff.json";
 constexpr const char *kGoldenContendedFile = "sweep_fig8_contended.json";
+constexpr const char *kGoldenRegionFile = "sweep_region_small.json";
 constexpr const char *kTraceFixture = "trace_v2_fixture.arlt";
 
 /** The pinned grid: two int workloads × three Fig-8 configs. */
@@ -61,6 +63,43 @@ goldenSpec()
                     ooo::MachineConfig::nPlusM(3, 3),
                     ooo::MachineConfig::nPlusM(16, 0)};
     spec.jobs = 2;
+    return spec;
+}
+
+/**
+ * The pinned region grid: three registry programs (li_like capped by
+ * studyInsts, go_like and tomcatv_like run to completion) and two
+ * corpus programs, through the Figure-4 schemes plus one limited
+ * 1BIT-HYBRID table (8K entries, 8 GBH + 5 CID bits).
+ */
+sweep::SweepSpec
+goldenRegionSpec()
+{
+    sweep::SweepSpec spec;
+    for (const char *name : {"li_like", "go_like", "tomcatv_like"}) {
+        sweep::WorkloadSpec w;
+        w.name = name;
+        w.scale = 1;
+        if (w.name == "li_like")
+            w.studyInsts = 150000;
+        spec.workloads.push_back(std::move(w));
+    }
+    for (const char *name : {"ptr_list_sum", "rec_fib"}) {
+        sweep::WorkloadSpec w;
+        w.name = name;
+        w.sourcePath = std::string(ARL_CORPUS_DIR) + "/" + name + ".s";
+        spec.workloads.push_back(std::move(w));
+    }
+    spec.schemes = core::toSweepSchemes(core::figure4Schemes());
+    sweep::SchemeSpec limited;
+    limited.name = "1BIT-HYBRID-8K";
+    limited.config.useArpt = true;
+    limited.config.arpt.entries = 8 * 1024;
+    limited.config.arpt.counterBits = 1;
+    limited.config.arpt.context.kind = predict::ContextKind::Hybrid;
+    limited.config.arpt.context.gbhBits = 8;
+    limited.config.arpt.context.cidBits = 5;
+    spec.schemes.push_back(std::move(limited));
     return spec;
 }
 
@@ -308,6 +347,23 @@ TEST(Golden, Fig8ContendedSweepReport)
     }
 
     expectMatchesGolden(serial.str(), kGoldenContendedFile);
+}
+
+TEST(Golden, RegionStudySweepReport)
+{
+    // Region rows must be jobs-deterministic like timing rows: each
+    // pass owns its profilers and predictors, and rows merge in
+    // workload order.
+    sweep::SweepSpec spec = goldenRegionSpec();
+    spec.jobs = 1;
+    std::ostringstream serial;
+    sweep::runSweep(spec).toReport().writeJson(serial);
+    spec.jobs = 8;
+    std::ostringstream parallel;
+    sweep::runSweep(spec).toReport().writeJson(parallel);
+    EXPECT_EQ(serial.str(), parallel.str())
+        << "region sweep output depends on worker count";
+    expectMatchesGolden(serial.str(), kGoldenRegionFile);
 }
 
 TEST(Golden, IdealGoldensCarryNoCpiStackKeys)
