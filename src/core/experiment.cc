@@ -83,43 +83,17 @@ RegionStudyResult
 Experiment::regionStudy(const std::vector<NamedScheme> &schemes,
                         bool use_hints, InstCount max_insts)
 {
-    RegionStudyResult result;
-    result.workload = prog->name;
-
     predict::CompilerHints hints;
     if (use_hints)
         hints = buildHints(max_insts);
-
-    profile::RegionProfiler region_profiler;
-    profile::WindowProfiler win32(32);
-    profile::WindowProfiler win64(64);
-
-    std::vector<std::unique_ptr<predict::RegionPredictor>> predictors;
-    predictors.reserve(schemes.size());
-    for (const NamedScheme &scheme : schemes) {
-        predict::RegionPredictorConfig config = scheme.config;
-        config.useCompilerHints = use_hints;
-        predictors.push_back(std::make_unique<predict::RegionPredictor>(
-            config, use_hints ? &hints : nullptr));
-    }
+    std::vector<sweep::SchemeSpec> specs = toSweepSchemes(schemes);
+    for (sweep::SchemeSpec &spec : specs)
+        spec.config.useCompilerHints = use_hints;
 
     sim::Simulator simulator(prog);
-    result.instructions =
-        simulator.run(max_insts, [&](const sim::StepInfo &step) {
-            region_profiler.observe(step);
-            win32.observe(step);
-            win64.observe(step);
-            for (auto &predictor : predictors)
-                predictor->observe(step);
-        });
-
-    result.profile = region_profiler.profile();
-    result.window32 = win32.stats_summary();
-    result.window64 = win64.stats_summary();
-    for (std::size_t i = 0; i < schemes.size(); ++i)
-        result.schemes.emplace_back(schemes[i].name,
-                                    predictors[i]->report());
-    return result;
+    sim::SimulatorSource source(simulator);
+    return sweep::runRegionPass(prog->name, source, specs, max_insts,
+                                use_hints ? &hints : nullptr);
 }
 
 TimingResult

@@ -31,8 +31,6 @@
 #include "ooo/core.hh"
 #include "predict/compiler_hints.hh"
 #include "predict/region_predictor.hh"
-#include "profile/region_profiler.hh"
-#include "profile/window_profiler.hh"
 #include "sweep/sweep.hh"
 #include "vm/program.hh"
 
@@ -64,18 +62,8 @@ toSweepSchemes(const std::vector<NamedScheme> &schemes);
 /** The 2-bit variants (§3.4.1 footnote: consistently inferior). */
 std::vector<NamedScheme> twoBitSchemes();
 
-/** Results of a region study. */
-struct RegionStudyResult
-{
-    std::string workload;
-    InstCount instructions = 0;
-    profile::RegionProfile profile;
-    profile::WindowStats window32;
-    profile::WindowStats window64;
-    /** Per-scheme accuracy reports, in input order. */
-    std::vector<std::pair<std::string, predict::PredictorReport>>
-        schemes;
-};
+/** Results of a region study (the sweep engine's region row). */
+using RegionStudyResult = sweep::RegionPoint;
 
 /** Results of one timing configuration. */
 using TimingResult = ooo::OooStats;
@@ -92,7 +80,8 @@ class Experiment
 
     /**
      * Run the §3 profiling methodology: one functional pass feeding
-     * the region/window profilers and every scheme in @p schemes.
+     * the region/window profilers and every scheme in @p schemes
+     * (sweep::runRegionPass over a live simulator).
      *
      * @param use_hints when true, a prior profiling pass builds
      *        compiler hints (§3.5.2) and every scheme consults them.

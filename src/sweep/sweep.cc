@@ -22,6 +22,7 @@
 #include "obs/hooks.hh"
 #include "obs/profiler.hh"
 #include "sampling/sampling.hh"
+#include "sim/simulator.hh"
 #include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
@@ -72,18 +73,15 @@ runJobs(std::size_t count, unsigned jobs,
         worker.join();
 }
 
-/** Records to capture for @p w: 0 = full execution. */
+/**
+ * Records a timing grid captures for @p w (plus its region pass when
+ * @p region_grid): 0 = full execution.
+ */
 InstCount
-traceNeed(const WorkloadSpec &w, bool timing_grid, bool region_grid)
+traceNeed(const WorkloadSpec &w, bool region_grid)
 {
-    bool full = false;
-    InstCount need = 0;
-    if (timing_grid) {
-        if (w.timed == 0)
-            full = true;
-        else
-            need = w.warmup + w.timed;
-    }
+    bool full = w.timed == 0;
+    InstCount need = full ? 0 : w.warmup + w.timed;
     if (region_grid) {
         if (w.studyInsts == 0)
             full = true;
@@ -240,6 +238,10 @@ runSweep(const SweepSpec &spec)
     const std::size_t nw = spec.workloads.size();
     const std::size_t nc = spec.configs.size();
     const bool region_grid = !spec.schemes.empty();
+    // With no timing configs, each row's only consumer is its single
+    // region pass: stream it from a live simulator instead of
+    // recording a trace that would be replayed exactly once.
+    const bool stream_region = nc == 0;
     const bool sampled = spec.sampling && nc != 0;
     unsigned jobs = spec.jobs;
     if (jobs == 0)
@@ -264,7 +266,8 @@ runSweep(const SweepSpec &spec)
     // paths since they own fresh (empty) scope stacks.
     obs::ProfScope prof_sweep("sweep");
 
-    // ---- Phase 1: build each program once, trace each stream once.
+    // ---- Phase 1: build each program once, trace each stream once
+    // (unless the region passes stream it live).
     std::vector<Prepared> prep(nw);
     runJobs(nw, jobs, [&](std::size_t wi) {
         obs::ProfScope prof("sweep/prepare",
@@ -274,7 +277,12 @@ runSweep(const SweepSpec &spec)
         Prepared p;
         std::string source;
         p.program = buildProgram(w, &source);
-        InstCount need = traceNeed(w, nc != 0, region_grid);
+        if (stream_region) {
+            p.seconds = secondsSince(start);
+            prep[wi] = std::move(p);
+            return;
+        }
+        InstCount need = traceNeed(w, region_grid);
         std::string cache_path;
         if (!cache_dir.empty()) {
             cache_path = cache_dir + "/" +
@@ -340,8 +348,10 @@ runSweep(const SweepSpec &spec)
     });
 
     for (const Prepared &p : prep) {
-        result.traceInstructions += p.trace->size();
         result.serialSecondsEstimate += p.seconds;
+        if (!p.trace)
+            continue;  // streamed row: counted after its pass
+        result.traceInstructions += p.trace->size();
         result.traceDiskBytes += p.diskBytes;
         if (p.diskBytes)
             result.traceV1EquivBytes +=
@@ -359,7 +369,8 @@ runSweep(const SweepSpec &spec)
     // job; the coordinator folds them back together afterwards, in
     // declaration order, so sampled reports keep the byte-identity
     // guarantee across --jobs values.  Region passes ride at the
-    // end either way.
+    // end either way, replaying the trace or, in a region-only grid,
+    // streaming from a per-job live simulator.
     std::vector<TimingJob> tjobs;
     std::vector<sampling::RepMeasurement> rep_meas;
     std::vector<sampling::RepMeasurement> verify_meas;
@@ -604,85 +615,31 @@ runSweep(const SweepSpec &spec)
         } else {
             obs::ProfScope prof("sweep/regionstudy",
                                 obs::ProfScope::Mode::Absolute);
-            // One replay pass feeds the profilers and every scheme,
-            // mirroring Experiment::regionStudy.
-            RegionPoint point;
-            point.workload = w.name;
+            std::unique_ptr<sim::Simulator> live;
+            std::unique_ptr<sim::StepSource> source;
+            if (trace_handle) {
+                source = std::make_unique<trace::ReplaySource>(
+                    trace_handle);
+            } else {
+                live = std::make_unique<sim::Simulator>(
+                    prep[wi].program);
+                source = std::make_unique<sim::SimulatorSource>(*live);
+            }
             std::unique_ptr<obs::TelemetryScope> tscope;
-            std::uint64_t tnext = UINT64_MAX;
             if (spec.telemetry) {
-                std::uint64_t total =
-                    w.studyInsts ? w.studyInsts : trace_handle->size();
+                // A streamed, uncapped row cannot know its length up
+                // front: total 0 (no ETA).
+                std::uint64_t total = w.studyInsts;
+                if (!total && trace_handle)
+                    total = trace_handle->size();
                 tscope = std::make_unique<obs::TelemetryScope>(
                     spec.telemetry, static_cast<int>(job), w.name,
                     "regionstudy", static_cast<int>(TimingJob::Exact),
                     total);
-                tscope->start();
-                tnext = tscope->firstCheckAt(0);
             }
-            profile::RegionProfiler region_profiler;
-            profile::WindowProfiler win32(32);
-            profile::WindowProfiler win64(64);
-            std::vector<std::unique_ptr<predict::RegionPredictor>>
-                predictors;
-            predictors.reserve(spec.schemes.size());
-            for (const SchemeSpec &scheme : spec.schemes)
-                predictors.push_back(
-                    std::make_unique<predict::RegionPredictor>(
-                        scheme.config, nullptr));
-            trace::ReplaySource source(trace_handle);
-            sim::StepInfo step;
-            while ((!w.studyInsts ||
-                    point.instructions < w.studyInsts) &&
-                   source.next(step)) {
-                region_profiler.observe(step);
-                win32.observe(step);
-                win64.observe(step);
-                for (auto &predictor : predictors)
-                    predictor->observe(step);
-                ++point.instructions;
-                if (point.instructions >= tnext) [[unlikely]] {
-                    obs::TelemetryFrame frame;
-                    frame.insts = point.instructions;
-                    tnext = tscope->check(frame);
-                }
-            }
-            if (tscope)
-                tscope->done(point.instructions, 0);
-            point.profile = region_profiler.profile();
-            point.window32 = win32.stats_summary();
-            point.window64 = win64.stats_summary();
-            for (std::size_t i = 0; i < spec.schemes.size(); ++i)
-                point.schemes.emplace_back(spec.schemes[i].name,
-                                           predictors[i]->report());
-
-            // Registry-owned mirror of the numbers, in the same
-            // shape `arl_sim profile --stats-json` uses.
-            obs::StatsRegistry registry;
-            registry.counter("profile.instructions") =
-                point.instructions;
-            registry.counter("profile.loads") =
-                point.profile.dynamicLoads;
-            registry.counter("profile.stores") =
-                point.profile.dynamicStores;
-            const char *names[3] = {"data", "heap", "stack"};
-            for (unsigned r = 0; r < 3; ++r) {
-                registry.counter(std::string("profile.refs.") +
-                                 names[r]) = point.profile.regionRefs[r];
-                registry.gauge("profile.window32." +
-                               std::string(names[r]) + ".mean") =
-                    point.window32.mean[r];
-                registry.gauge("profile.window64." +
-                               std::string(names[r]) + ".mean") =
-                    point.window64.mean[r];
-            }
-            for (const auto &[name, report] : point.schemes) {
-                registry.gauge("profile.scheme." + name +
-                               ".accuracy_pct") = report.accuracyPct();
-                registry.counter("profile.scheme." + name +
-                                 ".arpt_entries") = report.arptOccupancy;
-            }
-            point.snapshot = registry.snapshot();
+            RegionPoint point =
+                runRegionPass(w.name, *source, spec.schemes,
+                              w.studyInsts, nullptr, tscope.get());
             prof.addGuestInsts(point.instructions);
             result.region[wi] = std::move(point);
         }
@@ -703,6 +660,9 @@ runSweep(const SweepSpec &spec)
             result.serialSecondsEstimate += s;
         result.seekSkippedRecords =
             seek_skipped.load(std::memory_order_relaxed);
+        if (stream_region)
+            for (const RegionPoint &point : result.region)
+                result.traceInstructions += point.instructions;
         if (sampled) {
             // Fold per-representative measurements back into one
             // extrapolated point per grid cell.  Cursor order here
@@ -763,6 +723,76 @@ runSweep(const SweepSpec &spec)
     }
     result.wallSeconds = secondsSince(wall_start);
     return result;
+}
+
+RegionPoint
+runRegionPass(const std::string &workload, sim::StepSource &source,
+              const std::vector<SchemeSpec> &schemes,
+              InstCount study_insts, const predict::CompilerHints *hints,
+              obs::TelemetryScope *telemetry)
+{
+    RegionPoint point;
+    point.workload = workload;
+    std::uint64_t tnext = UINT64_MAX;
+    if (telemetry) {
+        telemetry->start();
+        tnext = telemetry->firstCheckAt(0);
+    }
+    profile::RegionProfiler region_profiler;
+    profile::WindowProfiler win32(32);
+    profile::WindowProfiler win64(64);
+    std::vector<std::unique_ptr<predict::RegionPredictor>> predictors;
+    predictors.reserve(schemes.size());
+    for (const SchemeSpec &scheme : schemes)
+        predictors.push_back(std::make_unique<predict::RegionPredictor>(
+            scheme.config, hints));
+    sim::StepInfo step;
+    while ((!study_insts || point.instructions < study_insts) &&
+           source.next(step)) {
+        region_profiler.observe(step);
+        win32.observe(step);
+        win64.observe(step);
+        for (auto &predictor : predictors)
+            predictor->observe(step);
+        ++point.instructions;
+        if (point.instructions >= tnext) [[unlikely]] {
+            obs::TelemetryFrame frame;
+            frame.insts = point.instructions;
+            tnext = telemetry->check(frame);
+        }
+    }
+    if (telemetry)
+        telemetry->done(point.instructions, 0);
+    point.profile = region_profiler.profile();
+    point.window32 = win32.stats_summary();
+    point.window64 = win64.stats_summary();
+    for (std::size_t i = 0; i < schemes.size(); ++i)
+        point.schemes.emplace_back(schemes[i].name,
+                                   predictors[i]->report());
+
+    // Registry-owned mirror of the numbers, in the same shape
+    // `arl_sim profile --stats-json` uses.
+    obs::StatsRegistry registry;
+    registry.counter("profile.instructions") = point.instructions;
+    registry.counter("profile.loads") = point.profile.dynamicLoads;
+    registry.counter("profile.stores") = point.profile.dynamicStores;
+    const char *names[3] = {"data", "heap", "stack"};
+    for (unsigned r = 0; r < 3; ++r) {
+        registry.counter(std::string("profile.refs.") + names[r]) =
+            point.profile.regionRefs[r];
+        registry.gauge("profile.window32." + std::string(names[r]) +
+                       ".mean") = point.window32.mean[r];
+        registry.gauge("profile.window64." + std::string(names[r]) +
+                       ".mean") = point.window64.mean[r];
+    }
+    for (const auto &[name, report] : point.schemes) {
+        registry.gauge("profile.scheme." + name + ".accuracy_pct") =
+            report.accuracyPct();
+        registry.counter("profile.scheme." + name + ".arpt_entries") =
+            report.arptOccupancy;
+    }
+    point.snapshot = registry.snapshot();
+    return point;
 }
 
 obs::Report

@@ -8,12 +8,14 @@
  * grid point re-builds and re-simulates its workload from scratch;
  * this engine instead
  *
- *  1. builds each workload's Program once and records its dynamic
- *     instruction trace once (optionally persisted in an on-disk
- *     trace cache), then
+ *  1. builds each workload's Program once and, when the grid has
+ *     timing configs, records its dynamic instruction trace once
+ *     (optionally persisted in an on-disk trace cache), then
  *  2. shards the grid across a thread pool, replaying the shared
  *     immutable trace into per-job OooCores / predictors, each with
- *     its own obs::StatsRegistry, and
+ *     its own obs::StatsRegistry — a region-only grid (no configs)
+ *     records nothing: each row's single region pass streams from
+ *     its own live functional simulator instead — and
  *  3. merges results in declaration (workload-major, config-minor)
  *     order, so the output is byte-identical no matter how many
  *     worker threads ran — `--jobs 1` and `--jobs N` produce the
@@ -21,10 +23,10 @@
  *     tests/golden/ pins the numbers).
  *
  * Determinism rests on two facts: trace recording is
- * bit-reproducible, and trace replay into an OooCore is
- * bit-identical to live co-simulation (the differential tests cover
- * both).  Wall-clock figures (which legitimately vary run to run)
- * are kept out of toReport() and exposed separately via
+ * bit-reproducible, and trace replay into an OooCore or a region
+ * pass is bit-identical to live co-simulation (the differential
+ * tests cover both).  Wall-clock figures (which legitimately vary
+ * run to run) are kept out of toReport() and exposed separately via
  * addTimingStats() under the sweep.* prefix.
  */
 
@@ -42,9 +44,11 @@
 #include "obs/telemetry.hh"
 #include "ooo/config.hh"
 #include "ooo/core.hh"
+#include "predict/compiler_hints.hh"
 #include "predict/region_predictor.hh"
 #include "profile/region_profiler.hh"
 #include "profile/window_profiler.hh"
+#include "sim/step_source.hh"
 #include "trace/trace.hh"
 
 namespace arl::sweep
@@ -94,8 +98,11 @@ struct SweepSpec
     /** Timing grid: one OoO run per workload × config. */
     std::vector<ooo::MachineConfig> configs;
     /**
-     * Region-study grid: one replay pass per workload feeds every
-     * scheme (the §3 methodology evaluates all schemes in one pass).
+     * Region-study grid: one pass per workload feeds every scheme
+     * (the §3 methodology evaluates all schemes in one pass).  The
+     * pass replays the workload's trace when timing configs need one
+     * anyway; with no configs it streams from a live functional
+     * simulator and no trace is recorded.
      */
     std::vector<SchemeSpec> schemes;
     /** Worker threads; 0 = hardware concurrency, 1 = serial. */
@@ -104,7 +111,9 @@ struct SweepSpec
      * Directory for the on-disk trace cache ("" = in-memory only).
      * Entries are keyed by workload, scale, window length, and
      * format; recording is bit-reproducible, so hits are
-     * byte-equivalent to fresh recordings.
+     * byte-equivalent to fresh recordings.  Only grids with timing
+     * configs record traces: a region-only sweep never reads or
+     * writes the cache.
      */
     std::string traceCacheDir;
     /**
@@ -220,6 +229,11 @@ struct SweepResult
     double wallSeconds = 0.0;
     /** Sum of per-job times: what a serial run would have cost. */
     double serialSecondsEstimate = 0.0;
+    /**
+     * Instructions recorded per workload, summed; a streamed
+     * (region-only) row counts the instructions it studied, which is
+     * what recording it would have captured.
+     */
     std::uint64_t traceInstructions = 0;
     std::uint64_t traceCacheHits = 0;
     std::uint64_t traceCacheMisses = 0;
@@ -268,6 +282,25 @@ struct SweepResult
  * the spec, never on jobs/threads/cache state.
  */
 SweepResult runSweep(const SweepSpec &spec);
+
+/**
+ * One §3 region pass: pull instructions from @p source until it ends
+ * or @p study_insts have been studied (0 = no cap), feeding the
+ * region profiler, the 32- and 64-instruction window profilers, and
+ * one RegionPredictor per scheme.  Both sweep paths (live and
+ * replayed) and Experiment::regionStudy run through here.
+ *
+ * @param hints compiler hints for schemes whose config sets
+ *        useCompilerHints (required by those, ignored by the rest).
+ * @param telemetry optional scope: the pass starts it, beats the
+ *        studied-instruction count through it, and marks it done.
+ */
+RegionPoint runRegionPass(const std::string &workload,
+                          sim::StepSource &source,
+                          const std::vector<SchemeSpec> &schemes,
+                          InstCount study_insts,
+                          const predict::CompilerHints *hints = nullptr,
+                          obs::TelemetryScope *telemetry = nullptr);
 
 /**
  * Convenience: all registered workloads as WorkloadSpecs at @p scale

@@ -17,7 +17,11 @@
  *     byte-identically, with v2 entries at least 4x smaller;
  *  6. checkpointed fast-forward (SweepSpec::seekFastForward) is
  *     byte-identical to functional fast-forward given the same
- *     warmup window, while actually skipping records.
+ *     warmup window, while actually skipping records;
+ *  7. a region-only sweep, which streams each region pass from a
+ *     live simulator, matches the replayed region rows of a mixed
+ *     timing+region sweep and Experiment::regionStudy, and never
+ *     touches the trace cache.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 #include <sstream>
 #include <string>
 
+#include "assembler/assembler.hh"
 #include "core/experiment.hh"
 #include "obs/report.hh"
 #include "ooo/config.hh"
@@ -349,4 +354,137 @@ TEST(Differential, SeekFastForwardIdenticalToFunctional)
     // Sanity on the skip arithmetic: every timing job's skip lands
     // on a checkpoint boundary at or below warmup - window.
     EXPECT_EQ(warm_seek.seekSkippedRecords % kEvery, 0u);
+}
+
+namespace
+{
+
+void
+expectRegionEqual(const sweep::RegionPoint &a, const sweep::RegionPoint &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.profile.staticCounts, b.profile.staticCounts);
+    EXPECT_EQ(a.profile.dynamicCounts, b.profile.dynamicCounts);
+    EXPECT_EQ(a.profile.regionRefs, b.profile.regionRefs);
+    EXPECT_EQ(a.profile.totalInstructions, b.profile.totalInstructions);
+    EXPECT_EQ(a.profile.dynamicLoads, b.profile.dynamicLoads);
+    EXPECT_EQ(a.profile.dynamicStores, b.profile.dynamicStores);
+    EXPECT_EQ(a.window32.mean, b.window32.mean);
+    EXPECT_EQ(a.window32.stddev, b.window32.stddev);
+    EXPECT_EQ(a.window32.samples, b.window32.samples);
+    EXPECT_EQ(a.window64.mean, b.window64.mean);
+    EXPECT_EQ(a.window64.stddev, b.window64.stddev);
+    EXPECT_EQ(a.window64.samples, b.window64.samples);
+    ASSERT_EQ(a.schemes.size(), b.schemes.size());
+    for (std::size_t i = 0; i < a.schemes.size(); ++i) {
+        SCOPED_TRACE(a.schemes[i].first);
+        const predict::PredictorReport &x = a.schemes[i].second;
+        const predict::PredictorReport &y = b.schemes[i].second;
+        EXPECT_EQ(a.schemes[i].first, b.schemes[i].first);
+        EXPECT_EQ(x.total, y.total);
+        EXPECT_EQ(x.correct, y.correct);
+        EXPECT_EQ(x.totalBySource, y.totalBySource);
+        EXPECT_EQ(x.correctBySource, y.correctBySource);
+        EXPECT_EQ(x.arptOccupancy, y.arptOccupancy);
+    }
+    EXPECT_EQ(a.snapshot, b.snapshot);
+}
+
+/**
+ * Region rows with caps below (compress_like, li_like) and above
+ * (rec_fib) their program's length, plus one uncapped corpus row.
+ */
+std::vector<sweep::WorkloadSpec>
+regionRows()
+{
+    std::vector<sweep::WorkloadSpec> rows;
+    for (const auto &[name, cap] :
+         {std::pair<const char *, InstCount>{"compress_like", 60000},
+          {"li_like", 90000}}) {
+        sweep::WorkloadSpec w;
+        w.name = name;
+        w.studyInsts = cap;
+        rows.push_back(std::move(w));
+    }
+    for (const auto &[name, cap] :
+         {std::pair<const char *, InstCount>{"rec_fib", 1'000'000},
+          {"ptr_list_sum", 0}}) {
+        sweep::WorkloadSpec w;
+        w.name = name;
+        w.sourcePath = std::string(ARL_CORPUS_DIR) + "/" + name + ".s";
+        w.studyInsts = cap;
+        rows.push_back(std::move(w));
+    }
+    // A timed window no longer than any row, so the mixed sweep's
+    // trace holds exactly what the region pass studies.
+    for (sweep::WorkloadSpec &w : rows)
+        w.timed = 2000;
+    return rows;
+}
+
+std::shared_ptr<const vm::Program>
+programOf(const sweep::WorkloadSpec &w)
+{
+    if (w.sourcePath.empty())
+        return workloads::buildWorkload(w.name, w.scale);
+    std::ifstream file(w.sourcePath, std::ios::binary);
+    std::ostringstream text;
+    text << file.rdbuf();
+    assembler::AsmResult result = assembler::assemble(text.str(), w.name);
+    EXPECT_TRUE(result.ok()) << w.sourcePath;
+    return result.program;
+}
+
+} // namespace
+
+TEST(Differential, StreamedRegionEqualsReplayedRegion)
+{
+    sweep::SweepSpec streamed;
+    streamed.workloads = regionRows();
+    streamed.schemes = core::toSweepSchemes(core::figure4Schemes());
+    streamed.jobs = 4;
+    TempCacheDir cache("region_stream");
+    streamed.traceCacheDir = cache.dir;
+
+    sweep::SweepSpec mixed = streamed;
+    mixed.traceCacheDir.clear();
+    mixed.configs = {ooo::MachineConfig::nPlusM(2, 0)};
+
+    sweep::SweepResult live = sweep::runSweep(streamed);
+    sweep::SweepResult replayed = sweep::runSweep(mixed);
+    ASSERT_EQ(live.region.size(), streamed.workloads.size());
+    ASSERT_EQ(replayed.region.size(), streamed.workloads.size());
+    EXPECT_TRUE(live.timing.empty());
+
+    for (std::size_t wi = 0; wi < streamed.workloads.size(); ++wi) {
+        const sweep::WorkloadSpec &w = streamed.workloads[wi];
+        SCOPED_TRACE(w.name);
+        expectRegionEqual(live.region[wi], replayed.region[wi]);
+        if (w.studyInsts)
+            EXPECT_LE(live.region[wi].instructions, w.studyInsts);
+
+        core::Experiment experiment(programOf(w));
+        sweep::RegionPoint study = experiment.regionStudy(
+            core::figure4Schemes(), false, w.studyInsts);
+        expectRegionEqual(study, live.region[wi]);
+    }
+    // The rec_fib cap lies above its length: the pass ran to the end.
+    EXPECT_LT(live.region[2].instructions, streamed.workloads[2].studyInsts);
+
+    // Studied instructions stand in for the trace a streamed row
+    // never recorded.
+    EXPECT_EQ(live.traceInstructions, replayed.traceInstructions);
+
+    // A region-only sweep neither reads nor writes the trace cache.
+    EXPECT_EQ(live.traceCacheHits, 0u);
+    EXPECT_EQ(live.traceCacheMisses, 0u);
+    EXPECT_EQ(live.traceDiskBytes, 0u);
+    if (std::filesystem::exists(cache.dir)) {
+        for (const auto &entry :
+             std::filesystem::directory_iterator(cache.dir)) {
+            EXPECT_NE(entry.path().extension(), ".arlt")
+                << entry.path();
+        }
+    }
 }

@@ -10,7 +10,9 @@
  *    second test, from an ARL_ASSERT-style abort) mid-stream, and the
  *    parent verifies every completed record survived plus a parseable
  *    black-box postamble that replays the ring in order;
- *  - the IntervalSampler streaming sink (O(1) memory, CSV rows).
+ *  - the IntervalSampler streaming sink (O(1) memory, CSV rows);
+ *  - a telemetered region-only sweep, whose rows stream from live
+ *    simulators: a well-formed stream and an unchanged report.
  */
 
 #include <gtest/gtest.h>
@@ -23,15 +25,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
 #include "obs/sampler.hh"
 #include "obs/stats_registry.hh"
 #include "obs/telemetry.hh"
+#include "sweep/sweep.hh"
 
 using namespace arl;
 using obs::TelemetryChannel;
@@ -482,6 +487,87 @@ TEST(IntervalSampler, FlushWithoutNewProgressEmitsNoDuplicateRow)
     while (std::getline(rows, line))
         ++n;
     EXPECT_EQ(n, 2u); // header + one row
+}
+
+TEST(TelemetrySweep, StreamedRegionRowsEmitValidStream)
+{
+    // A capped and an uncapped row.  The uncapped one cannot know its
+    // length before it ends: total_insts 0 and no ETA.
+    sweep::SweepSpec spec;
+    sweep::WorkloadSpec capped;
+    capped.name = "li_like";
+    capped.studyInsts = 300000;
+    sweep::WorkloadSpec uncapped;
+    uncapped.name = "go_like";
+    spec.workloads = {capped, uncapped};
+    spec.schemes = core::toSweepSchemes(core::figure4Schemes());
+    spec.jobs = 4;
+
+    auto report_of = [](const sweep::SweepSpec &s) {
+        std::ostringstream os;
+        sweep::runSweep(s).toReport().writeJson(os);
+        return os.str();
+    };
+    const std::string plain = report_of(spec);
+
+    const std::string path = tmpPath("region_sweep");
+    std::remove(path.c_str());
+    TelemetryOptions opt;
+    opt.intervalInsts = 100000;
+    std::string err;
+    auto channel = TelemetryChannel::open(path, opt, &err);
+    ASSERT_NE(channel, nullptr) << err;
+    channel->emitMeta("test", "sweep");
+    spec.telemetry = channel.get();
+    EXPECT_EQ(report_of(spec), plain)
+        << "telemetry changed the region-only sweep report";
+    channel.reset();
+
+    // The checks `arl_sim validate` applies: start/done pairing and
+    // monotone per-job heartbeats.
+    std::map<int, std::string> state;
+    std::map<int, std::uint64_t> last_insts, last_seq, totals;
+    std::size_t beats = 0;
+    for (const std::string &line : readLines(path)) {
+        obs::JsonValue v = parseLine(line);
+        const std::string kind = strField(v, "kind");
+        if (kind == "meta")
+            continue;
+        ASSERT_TRUE(kind == "job" || kind == "hb") << line;
+        const int job = static_cast<int>(numField(v, "job"));
+        EXPECT_EQ(strField(v, "config"), "regionstudy");
+        if (kind == "job") {
+            const std::string event = strField(v, "event");
+            if (event == "start") {
+                EXPECT_EQ(state.count(job), 0u) << "job restarted";
+                state[job] = "start";
+                totals[job] =
+                    static_cast<std::uint64_t>(numField(v, "total_insts"));
+                EXPECT_EQ(totals[job], strField(v, "workload") == "li_like"
+                                           ? 300000u
+                                           : 0u);
+            } else {
+                EXPECT_EQ(state[job], "start") << "done without start";
+                state[job] = "done";
+            }
+            continue;
+        }
+        ++beats;
+        EXPECT_EQ(state[job], "start") << "heartbeat outside its job";
+        const auto insts = static_cast<std::uint64_t>(numField(v, "insts"));
+        const auto seq = static_cast<std::uint64_t>(numField(v, "seq"));
+        EXPECT_GE(insts, last_insts[job]);
+        EXPECT_GT(seq, last_seq[job]);
+        last_insts[job] = insts;
+        last_seq[job] = seq;
+        if (totals[job] == 0)
+            EXPECT_EQ(numField(v, "eta_s"), -1.0);
+    }
+    EXPECT_EQ(state.size(), 2u);
+    for (const auto &[job, s] : state)
+        EXPECT_EQ(s, "done") << "job " << job << " never finished";
+    EXPECT_GT(beats, 10u);
+    std::remove(path.c_str());
 }
 
 } // namespace
