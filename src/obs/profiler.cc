@@ -349,6 +349,72 @@ Profiler::Report::writeJson(std::ostream &os,
 namespace
 {
 
+bool
+fail(std::string *error, const std::string &message)
+{
+    if (error)
+        *error = message;
+    return false;
+}
+
+bool
+validatePhases(const JsonValue &phases, std::string *error,
+               unsigned depth)
+{
+    if (depth > 32)
+        return fail(error, "phase tree deeper than 32 levels");
+    if (!phases.isArray())
+        return fail(error, "\"phases\"/\"children\" is not an array");
+    for (std::size_t i = 0; i < phases.array.size(); ++i) {
+        const JsonValue &phase = phases.array[i];
+        const std::string at = "phase " + std::to_string(i);
+        if (!phase.isObject())
+            return fail(error, at + " is not an object");
+        const JsonValue *name = phase.find("name");
+        if (!name || !name->isString())
+            return fail(error, at + ": bad or missing \"name\"");
+        for (const char *key : {"seconds", "calls"}) {
+            const JsonValue *field = phase.find(key);
+            if (!field || !field->isNumber())
+                return fail(error, at + " (" + name->string +
+                                       "): bad or missing \"" + key +
+                                       "\"");
+        }
+        const JsonValue *children = phase.find("children");
+        if (!children)
+            return fail(error, at + " (" + name->string +
+                                   "): missing \"children\"");
+        if (!validatePhases(*children, error, depth + 1))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+validateProfileDoc(const JsonValue &doc, std::string *error)
+{
+    if (!doc.isObject())
+        return fail(error, "top-level value is not an object");
+    const JsonValue *kind = doc.find("kind");
+    if (!kind || !kind->isString() || kind->string != "profile")
+        return fail(error, "\"kind\" is not \"profile\"");
+    const JsonValue *meta = doc.find("meta");
+    if (!meta || !meta->isObject())
+        return fail(error, "\"meta\" is not an object");
+    const JsonValue *total = doc.find("total_seconds");
+    if (!total || !total->isNumber())
+        return fail(error, "bad or missing \"total_seconds\"");
+    const JsonValue *phases = doc.find("phases");
+    if (!phases)
+        return fail(error, "missing \"phases\"");
+    return validatePhases(*phases, error, 0);
+}
+
+namespace
+{
+
 void
 addNodeStats(StatsRegistry &reg, const Profiler::Node &node,
              const std::string &prefix)

@@ -28,8 +28,7 @@
  *    stay byte-identical with profiling on or off.
  *
  *  - Guest work is attributed with addGuestInsts()/addGuestCycles()
- *    on the innermost active scope, giving per-phase guest MIPS (the
- *    BENCH_*.json trajectory metric).
+ *    on the innermost active scope, giving per-phase guest MIPS.
  */
 
 #ifndef ARL_OBS_PROFILER_HH
@@ -47,6 +46,7 @@ namespace arl::obs
 {
 
 class StatsRegistry;
+struct JsonValue;
 
 /** Global registry of per-thread phase logs; one per process. */
 class Profiler
@@ -160,6 +160,15 @@ class Profiler
     Impl *impl;
     std::uint64_t enableNs = 0;
 };
+
+/**
+ * Schema-check a Report::writeJson document (kind "profile": meta
+ * object, numeric total_seconds, phases nested at most 32 levels deep,
+ * each with string name, numeric seconds/calls, and children).
+ * @return false with a message in @p error on the first violation.
+ */
+bool validateProfileDoc(const JsonValue &doc,
+                        std::string *error = nullptr);
 
 /**
  * RAII phase marker.  Construction/destruction cost one branch when

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the host-side self-profiler (obs/profiler.hh), host
- * metadata (obs/host_meta.hh), the BENCH document schema and
- * regression comparator (obs/bench_schema.hh), report meta stamping,
- * and the interval sampler's end-of-run flush.
+ * Tests for the host-side self-profiler (obs/profiler.hh) and its
+ * profile-document validator, host metadata (obs/host_meta.hh),
+ * report meta stamping, and the interval sampler's end-of-run flush.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <sstream>
 #include <thread>
 
-#include "obs/bench_schema.hh"
 #include "obs/host_meta.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
@@ -202,6 +200,62 @@ TEST(Profiler, JsonDocumentValidates)
     EXPECT_TRUE(obs::validateProfileDoc(doc, &error)) << error;
 }
 
+namespace
+{
+
+/** A profile document whose single root phase nests @p levels deep. */
+std::string
+profileDocWithDepth(unsigned levels)
+{
+    std::string tree = "[]";
+    for (unsigned i = 0; i < levels; ++i)
+        tree = "[{\"name\": \"p\", \"seconds\": 0, \"calls\": 1, "
+               "\"children\": " + tree + "}]";
+    return "{\"kind\": \"profile\", \"meta\": {}, "
+           "\"total_seconds\": 1, \"phases\": " + tree + "}";
+}
+
+} // namespace
+
+TEST(Profiler, ValidatorRejectsMalformedDocuments)
+{
+    const std::string rejected[] = {
+        // kind other than "profile"
+        "{\"kind\": \"report\", \"meta\": {}, \"total_seconds\": 1, "
+        "\"phases\": []}",
+        // no meta
+        "{\"kind\": \"profile\", \"total_seconds\": 1, "
+        "\"phases\": []}",
+        // non-numeric total_seconds
+        "{\"kind\": \"profile\", \"meta\": {}, "
+        "\"total_seconds\": \"1\", \"phases\": []}",
+        // a phase without children
+        "{\"kind\": \"profile\", \"meta\": {}, \"total_seconds\": 1, "
+        "\"phases\": [{\"name\": \"p\", \"seconds\": 0, "
+        "\"calls\": 1}]}",
+        // a phase whose seconds is a string
+        "{\"kind\": \"profile\", \"meta\": {}, \"total_seconds\": 1, "
+        "\"phases\": [{\"name\": \"p\", \"seconds\": \"0\", "
+        "\"calls\": 1, \"children\": []}]}",
+        // one level past the depth limit
+        profileDocWithDepth(33),
+    };
+
+    // The depth limit itself is still accepted.
+    obs::JsonValue deepest;
+    std::string error;
+    ASSERT_TRUE(obs::jsonParse(profileDocWithDepth(32), deepest, &error));
+    EXPECT_TRUE(obs::validateProfileDoc(deepest, &error)) << error;
+
+    for (const std::string &text : rejected) {
+        obs::JsonValue doc;
+        error.clear();
+        ASSERT_TRUE(obs::jsonParse(text, doc, &error)) << error;
+        EXPECT_FALSE(obs::validateProfileDoc(doc, &error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
 TEST(Profiler, AddStatsFlattensPhaseTree)
 {
     obs::Profiler::instance().enable();
@@ -256,123 +310,6 @@ TEST(ReportMeta, StampedOnRequestOnly)
     EXPECT_NE(stamped.str().find("\"timestamp\": 42"),
               std::string::npos);
     obs::setMetaClock(nullptr);
-}
-
-namespace
-{
-
-obs::BenchReport
-syntheticBaseline()
-{
-    obs::BenchReport report;
-    obs::BenchCase bench;
-    bench.name = "replay_core";
-    bench.wallSeconds = 1.0;
-    bench.mips = 10.0;
-    bench.guestInsts = 500000;
-    bench.guestCycles = 120000;
-    bench.counters.emplace_back("timing_points", 4.0);
-    report.benches.push_back(bench);
-    bench.name = "trace_codec";
-    bench.mips = 20.0;
-    bench.counters.clear();
-    bench.counters.emplace_back("v2_bytes", 65536.0);
-    report.benches.push_back(bench);
-    return report;
-}
-
-} // namespace
-
-TEST(BenchCompare, BaselineVsItselfPasses)
-{
-    obs::BenchReport baseline = syntheticBaseline();
-    obs::CompareOptions opts;
-    opts.requireAll = true;
-    obs::CompareResult result =
-        obs::compareBenchReports(baseline, baseline, opts);
-    EXPECT_TRUE(result.ok);
-    EXPECT_EQ(result.compared, 2u);
-}
-
-TEST(BenchCompare, TenPercentMipsDropFailsOnePercentPasses)
-{
-    obs::BenchReport baseline = syntheticBaseline();
-    obs::CompareOptions opts;  // default 5% tolerance
-
-    obs::BenchReport slow = syntheticBaseline();
-    slow.benches[0].mips = 9.0;  // 10% below baseline
-    EXPECT_FALSE(obs::compareBenchReports(baseline, slow, opts).ok);
-
-    obs::BenchReport noisy = syntheticBaseline();
-    noisy.benches[0].mips = 9.9;   // 1% below: noise
-    noisy.benches[1].mips = 25.0;  // gains always pass
-    EXPECT_TRUE(obs::compareBenchReports(baseline, noisy, opts).ok);
-}
-
-TEST(BenchCompare, DeterministicDriftAlwaysFails)
-{
-    obs::BenchReport baseline = syntheticBaseline();
-    obs::CompareOptions opts;
-
-    obs::BenchReport drifted = syntheticBaseline();
-    drifted.benches[0].guestInsts += 1;
-    EXPECT_FALSE(
-        obs::compareBenchReports(baseline, drifted, opts).ok);
-
-    obs::BenchReport counter = syntheticBaseline();
-    counter.benches[1].counters[0].second = 65537.0;
-    EXPECT_FALSE(
-        obs::compareBenchReports(baseline, counter, opts).ok);
-}
-
-TEST(BenchCompare, MissingBenchGatedByRequireAll)
-{
-    obs::BenchReport baseline = syntheticBaseline();
-    obs::BenchReport quick = syntheticBaseline();
-    quick.benches.pop_back();  // --quick subset
-
-    obs::CompareOptions opts;
-    EXPECT_TRUE(obs::compareBenchReports(baseline, quick, opts).ok);
-    opts.requireAll = true;
-    EXPECT_FALSE(obs::compareBenchReports(baseline, quick, opts).ok);
-
-    // An empty intersection is always a failure, never a silent pass.
-    obs::BenchReport unrelated;
-    obs::BenchCase other;
-    other.name = "something_else";
-    unrelated.benches.push_back(other);
-    opts.requireAll = false;
-    EXPECT_FALSE(
-        obs::compareBenchReports(baseline, unrelated, opts).ok);
-}
-
-TEST(BenchSchema, WriteParsesBackAndValidates)
-{
-    obs::setMetaClock([]() -> std::uint64_t { return 7; });
-    obs::BenchReport report = syntheticBaseline();
-    report.meta = obs::hostMeta();
-    report.peakRssKb = 4096;
-    std::ostringstream os;
-    report.writeJson(os);
-    obs::setMetaClock(nullptr);
-
-    obs::JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(obs::jsonParse(os.str(), doc, &error)) << error;
-    obs::BenchReport parsed;
-    ASSERT_TRUE(obs::parseBenchReport(doc, parsed, &error)) << error;
-    ASSERT_EQ(parsed.benches.size(), 2u);
-    EXPECT_EQ(parsed.benches[0].name, "replay_core");
-    EXPECT_EQ(parsed.benches[0].guestInsts, 500000u);
-    ASSERT_EQ(parsed.benches[0].counters.size(), 1u);
-    EXPECT_EQ(parsed.benches[0].counters[0].first, "timing_points");
-
-    // Schema violations are reported, not absorbed.
-    obs::JsonValue bad;
-    ASSERT_TRUE(
-        obs::jsonParse("{\"bench_schema\": 2}", bad, &error));
-    EXPECT_FALSE(obs::parseBenchReport(bad, parsed, &error));
-    EXPECT_FALSE(error.empty());
 }
 
 TEST(IntervalSampler, FlushCapturesFinalPartialInterval)

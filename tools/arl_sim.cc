@@ -68,8 +68,7 @@
  *       Validate an emitted JSON document with the in-tree parser:
  *       Chrome traces (a "traceEvents" array — every event needs
  *       ph/pid/tid/ts, "X" events need dur, timestamps must be
- *       non-decreasing), BENCH_*.json benchmark-trajectory documents
- *       ("bench_schema"), --profile-json phase trees ("kind":
+ *       non-decreasing), --profile-json phase trees ("kind":
  *       "profile"), obs::Report documents (schema_version + runs),
  *       and telemetry JSONL streams ("telemetry_schema" per line:
  *       per-kind required fields, per-job monotone heartbeats).
@@ -160,7 +159,6 @@
 #include "core/experiment.hh"
 #include "corpus/corpus.hh"
 #include "isa/inst.hh"
-#include "obs/bench_schema.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/hooks.hh"
 #include "obs/json.hh"
@@ -2039,21 +2037,6 @@ validateReport(const std::string &path, const obs::JsonValue &doc)
     return 0;
 }
 
-/** Validate a BENCH_*.json benchmark-trajectory document. */
-int
-validateBench(const std::string &path, const obs::JsonValue &doc)
-{
-    obs::BenchReport report;
-    std::string error;
-    if (!obs::parseBenchReport(doc, report, &error))
-        return invalid(path, error);
-    if (!quietOutput())
-        std::printf("%s: valid bench report (%zu benches, git %s)\n",
-                    path.c_str(), report.benches.size(),
-                    report.meta.gitSha.c_str());
-    return 0;
-}
-
 /** Validate a --profile-json phase-tree document. */
 int
 validateProfile(const std::string &path, const obs::JsonValue &doc)
@@ -2226,18 +2209,15 @@ cmdValidate(const std::string &path, Args &args)
         return invalid(path, "top-level value is not an object");
     if (doc.find("traceEvents"))
         return validateChromeTrace(path, doc);
-    if (doc.find("bench_schema"))
-        return validateBench(path, doc);
     if (const obs::JsonValue *kind = doc.find("kind");
         kind && kind->isString() && kind->string == "profile")
         return validateProfile(path, doc);
     if (doc.find("schema_version"))
         return validateReport(path, doc);
     return invalid(path,
-                   "not a Chrome trace (\"traceEvents\"), bench "
-                   "report (\"bench_schema\"), profile (\"kind\"), "
-                   "telemetry JSONL (\"telemetry_schema\"), or "
-                   "obs::Report (\"schema_version\")");
+                   "not a Chrome trace (\"traceEvents\"), profile "
+                   "(\"kind\"), telemetry JSONL (\"telemetry_schema\"), "
+                   "or obs::Report (\"schema_version\")");
 }
 
 int
@@ -2288,8 +2268,8 @@ usage()
         "    [--stall-sec N]              --follow; stops on the final\n"
         "    [--timeout-sec N]            record or the timeout)\n"
         "  validate <file.json>         check a Chrome trace, report,\n"
-        "                               BENCH_*.json, profile doc, or\n"
-        "                               telemetry JSONL stream\n"
+        "                               profile doc, or telemetry\n"
+        "                               JSONL stream\n"
         "  disasm <file.s|workload>     disassemble\n"
         "targets: a registered workload name or an .s assembly file\n"
         "contention (time and sweep; 0 = ideal backend):\n"
