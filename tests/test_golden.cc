@@ -43,6 +43,7 @@ constexpr const char *kGoldenFile = "sweep_fig8_small.json";
 constexpr const char *kGoldenSeekFile = "sweep_fig8_v2_seekff.json";
 constexpr const char *kGoldenContendedFile = "sweep_fig8_contended.json";
 constexpr const char *kGoldenRegionFile = "sweep_region_small.json";
+constexpr const char *kGoldenKnobFile = "sweep_ooo_knobs.json";
 constexpr const char *kTraceFixture = "trace_v2_fixture.arlt";
 
 /** The pinned grid: two int workloads × three Fig-8 configs. */
@@ -347,6 +348,90 @@ TEST(Golden, Fig8ContendedSweepReport)
     }
 
     expectMatchesGolden(serial.str(), kGoldenContendedFile);
+}
+
+TEST(Golden, OooKnobSweepReport)
+{
+    // The other goldens pin only default-knob configurations; this
+    // grid turns each core knob off once, on an integer and an FP
+    // program, so a scheduler change that is exact only under the
+    // defaults shows up as a byte diff.
+    sweep::SweepSpec spec;
+    for (const char *name : {"li_like", "swim_like"}) {
+        const auto &info = workloads::workloadByName(name);
+        sweep::WorkloadSpec w;
+        w.name = info.name;
+        w.scale = 1;
+        w.warmup = info.warmupInsts;
+        w.timed = 20000;
+        spec.workloads.push_back(std::move(w));
+    }
+    auto knob = [](ooo::MachineConfig config, const char *suffix) {
+        config.name += suffix;
+        return config;
+    };
+    ooo::MachineConfig no_vp = knob(ooo::MachineConfig::nPlusM(3, 3),
+                                    "/novp");
+    no_vp.valuePrediction = false;
+    ooo::MachineConfig no_ff = knob(ooo::MachineConfig::nPlusM(3, 3),
+                                    "/noff");
+    no_ff.fastForwarding = false;
+    ooo::MachineConfig gshare = knob(ooo::MachineConfig::nPlusM(2, 0),
+                                     "/gshare");
+    gshare.perfectBranchPrediction = false;
+    // 96 live entries in a 128-slot ring, and a queue small enough
+    // to fill.
+    ooo::MachineConfig small = knob(ooo::MachineConfig::nPlusM(1, 0),
+                                    "/rob96");
+    small.robSize = 96;
+    small.lsqSize = 32;
+    // Forced stall attribution on the ideal backend, including the
+    // loads that wait on a matched store's data.
+    ooo::MachineConfig cpi = knob(ooo::MachineConfig::nPlusM(2, 2),
+                                  "/cpi");
+    cpi.cpiStack = true;
+    spec.configs = {no_vp, no_ff, gshare, small, cpi};
+
+    spec.jobs = 1;
+    std::ostringstream serial;
+    obs::Report report = sweep::runSweep(spec).toReport();
+    report.writeJson(serial);
+    spec.jobs = 8;
+    std::ostringstream parallel;
+    sweep::runSweep(spec).toReport().writeJson(parallel);
+    EXPECT_EQ(serial.str(), parallel.str())
+        << "knob sweep output depends on worker count";
+
+    auto stat = [](const obs::RunRecord &run,
+                   const std::string &name) {
+        for (const auto &kv : run.stats)
+            if (kv.first == name)
+                return kv.second;
+        ADD_FAILURE() << "stat " << name << " missing from "
+                      << run.workload << " / " << run.config;
+        return 0.0;
+    };
+    // Each knob must actually take effect, else the golden would pin
+    // a configuration the defaults already cover.
+    for (const auto &run : report.runs) {
+        if (run.config == "summary")
+            continue;
+        if (run.config == no_vp.name) {
+            EXPECT_EQ(stat(run, "ooo.vp.offered"), 0.0) << run.workload;
+        } else if (run.config == gshare.name) {
+            EXPECT_GT(stat(run, "ooo.bp.mispredicts"), 0.0)
+                << run.workload;
+        } else if (run.config == small.name) {
+            EXPECT_GT(stat(run, "ooo.stall.queue_full"), 0.0)
+                << run.workload;
+        } else if (run.config == cpi.name) {
+            EXPECT_EQ(stat(run, "ooo.cpi_stack.total"),
+                      stat(run, "ooo.cycles"))
+                << run.workload;
+        }
+    }
+
+    expectMatchesGolden(serial.str(), kGoldenKnobFile);
 }
 
 TEST(Golden, RegionStudySweepReport)
