@@ -124,6 +124,9 @@ OooCore::OooCore(const MachineConfig &config_in,
     robDeps = arena.alloc<Deps>(robSize);
     robBaseProdSlot = arena.alloc<std::int32_t>(robSize);
     robBaseProdSeq = arena.alloc<InstCount>(robSize);
+    robBlockers = arena.alloc<std::uint8_t>(robSize);
+    robFwdSlot = arena.alloc<std::int32_t>(robSize);
+    robFwdSeq = arena.alloc<InstCount>(robSize);
     robQueue = arena.alloc<std::uint8_t>(robSize);
     robPipe = arena.alloc<std::uint8_t>(robSize);
     robMemBlock = arena.alloc<std::uint8_t>(robSize);
@@ -131,6 +134,7 @@ OooCore::OooCore(const MachineConfig &config_in,
     unissuedMask.init(arena, robSize);
     execMask.init(arena, robSize);
     pendingMemMask.init(arena, robSize);
+    blockedMask.init(arena, robSize);
     lsqStores.init(arena, robSize);
     lvaqStores.init(arena, robSize);
     debugTraceEnv = std::getenv("ARL_OOO_TRACE") != nullptr;
@@ -286,8 +290,8 @@ OooCore::overlaps(const sim::StepInfo &a, const sim::StepInfo &b)
 }
 
 void
-OooCore::gatherRing(const SlotMask &mask,
-                    std::vector<std::int32_t> &out) const
+OooCore::gatherRing(const SlotMask &mask, std::vector<std::int32_t> &out,
+                    const SlotMask *exclude) const
 {
     out.clear();
     auto append = [&](std::size_t lo, std::size_t hi) {
@@ -297,6 +301,8 @@ OooCore::gatherRing(const SlotMask &mask,
         const std::size_t whi = (hi - 1) >> 6;
         for (std::size_t w = wlo; w <= whi; ++w) {
             std::uint64_t bits = mask.words[w];
+            if (exclude)
+                bits &= ~exclude->words[w];
             if (w == wlo)
                 bits &= ~std::uint64_t{0} << (lo & 63);
             if (w == whi) {
@@ -318,30 +324,46 @@ OooCore::gatherRing(const SlotMask &mask,
     append(0, head);
 }
 
-bool
-OooCore::operandsReady(std::int32_t slot)
+void
+OooCore::wakeConsumers(std::int32_t slot)
+{
+    // One list entry per dependence, so a consumer that reads this
+    // producer twice is woken twice.  The lists hold no stale slots:
+    // consumers are younger, so they retire after their producer,
+    // whose list is cleared when it retires.
+    for (std::int32_t c : robConsumers[slot])
+        if (--robBlockers[c] == 0)
+            blockedMask.clear(c);
+}
+
+void
+OooCore::blockConsumers(std::int32_t slot)
+{
+    for (std::int32_t c : robConsumers[slot])
+        if (robBlockers[c]++ == 0)
+            blockedMask.set(c);
+}
+
+void
+OooCore::noteSpecInputs(std::int32_t slot)
 {
     const Deps &deps = robDeps[slot];
-    bool spec = false;
     for (unsigned i = 0; i < deps.count; ++i) {
-        std::int32_t pslot = deps.slot[i];
-        if (pslot < 0)
-            continue;
+        const std::int32_t pslot = deps.slot[i];
         const std::uint16_t pf = robFlags[pslot];
-        if (!(pf & FlagValid) || robSeq[pslot] != deps.seq[i])
-            continue;  // producer retired: value architected
-        if (pf & FlagCompleted)
-            continue;
-        if (config.valuePrediction && (pf & FlagVpConfident) &&
-            !(pf & FlagVpWrongKnown)) {
-            spec = true;
-            continue;
+        if ((pf & FlagValid) && robSeq[pslot] == deps.seq[i] &&
+            !(pf & FlagCompleted)) {
+            robFlags[slot] |= FlagUsedSpecValue;
+            return;
         }
-        return false;
     }
-    if (spec)
-        robFlags[slot] |= FlagUsedSpecValue;
-    return true;
+}
+
+bool
+OooCore::usedSpecValue(InstCount seq) const
+{
+    return seq >= headSeq && seq < tailSeq &&
+           (robFlags[slotOf(seq)] & FlagUsedSpecValue);
 }
 
 std::size_t
@@ -368,11 +390,13 @@ OooCore::storeAddrGenStage()
     // (in the decoupled design) the region prediction is verified —
     // the store data may arrive much later without blocking younger
     // loads' ordering checks.
+    //
+    // Each queue's pending stores in ring order from the head are its
+    // program order, so the TLB and ARPT see the same call sequence
+    // as a walk of the whole queue.
     for (StoreQueue *queue : {&lsqStores, &lvaqStores}) {
-        for (std::size_t i = 0; i < queue->count; ++i) {
-            const std::int32_t slot = queue->slotAt(i);
-            if (robFlags[slot] & FlagAddrGenDone)
-                continue;
+        gatherRing(queue->addrGen, gatherBuf);
+        for (std::int32_t slot : gatherBuf) {
             if (robEarliestIssueAt[slot] > now)
                 continue;
             const std::int32_t base = robBaseProdSlot[slot];
@@ -384,6 +408,7 @@ OooCore::storeAddrGenStage()
                     continue;  // base register still in flight
             }
             robFlags[slot] |= FlagAddrGenDone;
+            queue->addrGen.clear(slot);
             robAddrKnownAt[slot] = now + 1;
             trace(obs::PipeEvent::AddrGen, slot);
             translateAndVerify(slot);
@@ -418,6 +443,7 @@ OooCore::onStoreSquashed(std::int32_t slot)
         storeQueueOf(static_cast<Queue>(robQueue[slot]));
     std::size_t index = queue.olderCount(robSeq[slot]);
     queue.knownPrefix = std::min(queue.knownPrefix, index);
+    queue.addrGen.set(slot);  // squashReset cleared FlagAddrGenDone
 }
 
 bool
@@ -433,27 +459,19 @@ OooCore::loadMayIssue(std::int32_t slot) const
 
     // Conservative rule: all older same-queue stores must have
     // generated their addresses.
-    const StoreQueue &store_queue =
-        queue == Queue::Lvaq ? lvaqStores : lsqStores;
+    const StoreQueue &store_queue = storeQueueOf(queue);
     return store_queue.knownPrefix >=
            store_queue.olderCount(robSeq[slot]);
 }
 
 std::int32_t
-OooCore::findForwardingStore(std::int32_t load_slot,
-                             bool &all_known) const
+OooCore::youngestOverlappingStore(const StoreQueue &queue,
+                                  std::size_t older,
+                                  const sim::StepInfo &load) const
 {
-    const StoreQueue &queue =
-        static_cast<Queue>(robQueue[load_slot]) == Queue::Lvaq
-            ? lvaqStores
-            : lsqStores;
-    std::size_t older = queue.olderCount(robSeq[load_slot]);
-    all_known = queue.knownPrefix >= older;
-    // Youngest older store first.
-    const sim::StepInfo &load_step = robStep[load_slot];
     for (std::size_t i = older; i-- > 0;) {
         const std::int32_t store_slot = queue.slotAt(i);
-        if (overlaps(robStep[store_slot], load_step))
+        if (overlaps(robStep[store_slot], load))
             return store_slot;
     }
     return -1;
@@ -513,6 +531,7 @@ OooCore::translateAndVerify(std::int32_t slot)
 void
 OooCore::squashReset(std::int32_t slot, const char *why)
 {
+    const bool was_completed = robFlags[slot] & FlagCompleted;
     robFlags[slot] &=
         static_cast<std::uint16_t>(~(FlagIssued | FlagCompleted |
                                      FlagPendingMem |
@@ -525,6 +544,8 @@ OooCore::squashReset(std::int32_t slot, const char *why)
     unissuedMask.set(slot);
     execMask.clear(slot);
     pendingMemMask.clear(slot);
+    if (was_completed && blocksIssue(slot))
+        blockConsumers(slot);
     ++stats.vpSquashes;
     trace(obs::PipeEvent::Squash, slot, why);
     onStoreSquashed(slot);
@@ -562,6 +583,9 @@ OooCore::completeStage()
             continue;  // squashed earlier this stage
         if (robCompleteAt[slot] > now)
             continue;
+        // A value-predicted producer never blocked its consumers.
+        if (blocksIssue(slot))
+            wakeConsumers(slot);
         robFlags[slot] |= FlagCompleted;
         execMask.clear(slot);
         trace(obs::PipeEvent::Writeback, slot);
@@ -609,8 +633,7 @@ OooCore::memoryStage()
 
         // Try store->load forwarding within the queue first: a
         // forwarded load reads the queue entry, not a cache port.
-        bool all_known = true;
-        std::int32_t fwd = findForwardingStore(slot, all_known);
+        const std::int32_t fwd = forwardingStore(slot);
         if (fwd >= 0) {
             if ((robFlags[fwd] & FlagIssued) &&
                 robAddrKnownAt[fwd] <= now) {
@@ -636,11 +659,6 @@ OooCore::memoryStage()
                     MemBlock::StoreNotReady);
             }
             continue;  // matched store not ready yet: retry
-        }
-        if (static_cast<Queue>(robQueue[slot]) == Queue::Lvaq &&
-            config.fastForwarding && !all_known) {
-            // An older LVAQ store's frame offset rules out overlap
-            // (checked at dispatch in real hardware); proceed.
         }
 
         const unsigned pipe_index = robPipe[slot];
@@ -708,12 +726,12 @@ OooCore::doIssue(std::int32_t slot)
 void
 OooCore::issueStage()
 {
-    gatherRing(unissuedMask, gatherBuf);
+    // A blocked entry would fail the operand check before touching
+    // any state, so leaving it out keeps the oldest-first order.
+    gatherRing(unissuedMask, gatherBuf, &blockedMask);
     for (std::int32_t slot : gatherBuf) {
         if (issuedThisCycle >= config.issueWidth)
             break;
-        if (!unissuedMask.test(slot))
-            continue;
         if (robEarliestIssueAt[slot] > now)
             continue;
         const isa::OpInfo &info = robStep[slot].inst.info();
@@ -742,8 +760,9 @@ OooCore::issueStage()
         if (fu_limit && fuUsed[fu_index] >= fu_limit)
             continue;
 
-        if (!operandsReady(slot))
-            continue;
+        // Selected on its operands: record a predicted input even if
+        // the load-order check below defers the issue.
+        noteSpecInputs(slot);
         if (info.isLoad && !loadMayIssue(slot))
             continue;
 
@@ -914,6 +933,9 @@ OooCore::dispatchStage()
         robDeps[slot] = Deps{};
         robBaseProdSlot[slot] = -1;
         robBaseProdSeq[slot] = 0;
+        robBlockers[slot] = 0;
+        robFwdSlot[slot] = -1;
+        robFwdSeq[slot] = 0;
         robQueue[slot] = static_cast<std::uint8_t>(queue);
         robPipe[slot] = static_cast<std::uint8_t>(pipe);
         robMemBlock[slot] = static_cast<std::uint8_t>(MemBlock::None);
@@ -945,6 +967,22 @@ OooCore::dispatchStage()
             deps.seq[deps.count] = robSeq[pslot];
             ++deps.count;
             robConsumers[pslot].push_back(slot);
+            if (blocksIssue(pslot))
+                ++robBlockers[slot];
+        }
+        if (robBlockers[slot])
+            blockedMask.set(slot);
+
+        // A load's forwarding store: every store in its queue is
+        // older, and only commit removes them (oldest first).
+        if (info.isLoad) {
+            const StoreQueue &store_queue = storeQueueOf(queue);
+            const std::int32_t fwd = youngestOverlappingStore(
+                store_queue, store_queue.count, step);
+            if (fwd >= 0) {
+                robFwdSlot[slot] = fwd;
+                robFwdSeq[slot] = robSeq[fwd];
+            }
         }
 
         // Track in-flight stores for ordering and forwarding, and
@@ -952,6 +990,7 @@ OooCore::dispatchStage()
         // generation.
         if (info.isStore) {
             storeQueueOf(queue).push(tailSeq, slot);
+            storeQueueOf(queue).addrGen.set(slot);
             isa::FlatReg base = step.inst.baseReg();
             std::int32_t pslot = regProducer[base];
             if (pslot >= 0) {
@@ -1084,6 +1123,75 @@ OooCore::classifyStallCycle()
     stats.cpiStack.add(cause, pipe);
 }
 
+#ifndef NDEBUG
+void
+OooCore::checkSchedulerInvariants() const
+{
+    std::size_t valid = 0;
+    for (std::size_t s = 0; s < robSize; ++s) {
+        const auto slot = static_cast<std::int32_t>(s);
+        const std::uint16_t f = robFlags[slot];
+        const bool unissued = unissuedMask.test(slot);
+        const bool exec = execMask.test(slot);
+        const bool pending = pendingMemMask.test(slot);
+        ARL_ASSERT(unissued + exec + pending <= 1,
+                   "slot %d in more than one candidate mask", slot);
+        if (!(f & FlagValid)) {
+            ARL_ASSERT(!unissued && !exec && !pending &&
+                           !blockedMask.test(slot) &&
+                           !lsqStores.addrGen.test(slot) &&
+                           !lvaqStores.addrGen.test(slot),
+                       "free slot %d left in a mask", slot);
+            continue;
+        }
+        ++valid;
+
+        const bool agu_pending = robStep[slot].inst.info().isStore &&
+                                 !(f & FlagAddrGenDone);
+        const auto queue = static_cast<Queue>(robQueue[slot]);
+        ARL_ASSERT(lsqStores.addrGen.test(slot) ==
+                           (agu_pending && queue == Queue::Lsq) &&
+                       lvaqStores.addrGen.test(slot) ==
+                           (agu_pending && queue == Queue::Lvaq),
+                   "seq %llu: address-generation mask out of sync",
+                   (unsigned long long)robSeq[slot]);
+
+        // The operand poll the wakeup counts replace.
+        const Deps &deps = robDeps[slot];
+        unsigned blockers = 0;
+        for (unsigned i = 0; i < deps.count; ++i) {
+            const std::int32_t pslot = deps.slot[i];
+            if (!(robFlags[pslot] & FlagValid) ||
+                robSeq[pslot] != deps.seq[i])
+                continue;  // producer retired: value architected
+            if (blocksIssue(pslot))
+                ++blockers;
+        }
+        ARL_ASSERT(robBlockers[slot] == blockers,
+                   "seq %llu: %u blockers counted, %u in flight",
+                   (unsigned long long)robSeq[slot], robBlockers[slot],
+                   blockers);
+        ARL_ASSERT(blockedMask.test(slot) == (blockers != 0),
+                   "seq %llu: blocked mask out of sync",
+                   (unsigned long long)robSeq[slot]);
+
+        // The store-queue walk the forwarding slot replaces.
+        if (pending) {
+            const StoreQueue &stores = storeQueueOf(queue);
+            ARL_ASSERT(forwardingStore(slot) ==
+                           youngestOverlappingStore(
+                               stores, stores.olderCount(robSeq[slot]),
+                               robStep[slot]),
+                       "seq %llu: stale forwarding store",
+                       (unsigned long long)robSeq[slot]);
+        }
+    }
+    ARL_ASSERT(tailSeq - headSeq == valid,
+               "window holds %zu valid slots, expected %llu", valid,
+               (unsigned long long)(tailSeq - headSeq));
+}
+#endif
+
 void
 OooCore::warmup(InstCount insts, InstCount warm_last)
 {
@@ -1202,6 +1310,9 @@ OooCore::run(InstCount max_insts)
         issueStage();
         dispatchStage();
         commitStage();
+#ifndef NDEBUG
+        checkSchedulerInvariants();
+#endif
         if (obsHooks)
             obsHooks->tick(stats.instructions);
         if (telemetryActive && stats.instructions >= telemetryNext)

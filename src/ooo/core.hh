@@ -15,15 +15,15 @@
  *    dispatch by addressing-mode rules + the ARPT, in front of an
  *    N-port L1 and an M-port 4 KB LVC.
  *
- * Modelled effects: register dataflow (lazy readiness via producer
- * state), FU pools, cache-port arbitration (loads at access, stores
- * at commit), lockup-free hierarchy latencies, store→load forwarding
- * inside each queue (1 cycle), LVAQ fast forwarding (loads need not
- * wait for older stores' address generation; offsets identify
- * dependences early), ARPT steering mispredictions verified at TLB
- * translation with selective 1-cycle re-issue (plus a configurable
- * TLB-miss penalty), and value-prediction squash/re-issue on
- * misverification.
+ * Modelled effects: register dataflow (consumers woken when their
+ * producers complete), FU pools, cache-port arbitration (loads at
+ * access, stores at commit), lockup-free hierarchy latencies,
+ * store→load forwarding inside each queue (1 cycle), LVAQ fast
+ * forwarding (loads need not wait for older stores' address
+ * generation; offsets identify dependences early), ARPT steering
+ * mispredictions verified at TLB translation with selective 1-cycle
+ * re-issue (plus a configurable TLB-miss penalty), and
+ * value-prediction squash/re-issue on misverification.
  *
  * Cache-port arbitration order: the per-cycle port counters are
  * shared between loads and committing stores, and the stage order
@@ -38,14 +38,39 @@
  * the configuration models contention.
  *
  * Representation: the ROB is a structure-of-arrays ring — per-field
- * arrays indexed by slot, all carved from a per-core Arena — and the
- * per-cycle stages iterate candidate *bitmaps* (one bit per slot for
- * "waiting to issue", "in execution", "waiting for a port") instead
- * of scanning every window entry.  Slots are gathered from the masks
- * in ring order starting at the head, which is exactly the old
- * oldest-first [headSeq, tailSeq) scan order, so arbitration and
- * issue priority — and therefore every report byte — are unchanged
- * (tests/test_differential.cc, tests/test_golden.cc).
+ * arrays indexed by slot, all carved from a per-core Arena — and each
+ * per-cycle stage visits only the instructions whose state can change
+ * this cycle, through candidate *bitmaps* (one bit per slot) and
+ * state fixed at dispatch:
+ *
+ *  - Wakeup counts.  Each slot counts its in-flight producers that
+ *    block its issue: not completed, and no usable value prediction
+ *    standing in for the result.  Dispatch sets the count; a
+ *    producer's completion decrements its consumers (robConsumers),
+ *    and a squash that un-completes a producer which then blocks
+ *    increments them again.  The "blocked" mask is set while the
+ *    count is non-zero, so issue selects from "waiting to issue" and
+ *    not "blocked" instead of polling every waiting entry's operands.
+ *  - Forwarding store fixed at dispatch.  Addresses come from the
+ *    trace, and older stores leave a queue only from its front, at
+ *    commit.  So a load's youngest older overlapping same-queue store
+ *    is known when it dispatches, and stays the answer until that
+ *    store commits, after which there is none.
+ *  - Address-generation masks.  Each store queue keeps a mask of its
+ *    stores still waiting for their AGU pass.
+ *  - Completion and the access stage walk the "in execution" and
+ *    "waiting for a port" masks.
+ *
+ * Slots are gathered from the masks in ring order starting at the
+ * head, which is exactly the old oldest-first [headSeq, tailSeq) scan
+ * order (and, within one store queue, its program order).  A slot a
+ * mask leaves out is one the old scan rejected without side effects:
+ * a blocked slot failed the operand poll before touching any state.
+ * So issue order and port arbitration — and therefore every report
+ * byte — are unchanged (tests/test_differential.cc,
+ * tests/test_golden.cc).  Debug builds recheck the counts, the masks
+ * and every pending load's forwarding store each cycle against the
+ * old polling predicates (checkSchedulerInvariants).
  */
 
 #ifndef ARL_OOO_CORE_HH
@@ -222,6 +247,15 @@ class OooCore
      */
     cache::Hierarchy &memHierarchy() { return hierarchy; }
 
+    /**
+     * Whether in-flight instruction @p seq (0 = the first dispatched)
+     * was selected for issue on a predicted input value since it
+     * dispatched or was last squashed — including selections that
+     * the queue-order check then rejected.  False when @p seq is not
+     * in flight.  Tests only.
+     */
+    bool usedSpecValue(InstCount seq) const;
+
   private:
     /** Which memory queue an entry sits in. */
     enum class Queue : std::uint8_t { None, Lsq, Lvaq };
@@ -252,10 +286,11 @@ class OooCore
     };
 
     /**
-     * One bit per ROB slot, arena-backed.  The three candidate masks
-     * (unissued / exec / pendingMem) mirror predicates over robFlags
-     * and are what the per-cycle stages iterate, so stage cost scales
-     * with the candidate count instead of the window size.
+     * One bit per ROB slot, arena-backed.  The candidate masks
+     * (unissued / exec / pendingMem / blocked / address generation)
+     * mirror predicates over per-slot state and are what the
+     * per-cycle stages iterate, so stage cost scales with the
+     * candidate count instead of the window size.
      */
     struct SlotMask
     {
@@ -313,27 +348,56 @@ class OooCore
     }
 
     /**
-     * Append the slots of @p mask to @p out in ring order starting
-     * at the head slot.  Because seq → slot is a ring mapping,
-     * visiting `out` front-to-back visits the window oldest-first —
-     * identical priority order to the old full-window scans.
+     * Append the slots of @p mask, minus those of @p exclude when
+     * given, to @p out in ring order starting at the head slot.
+     * Because seq → slot is a ring mapping, visiting `out`
+     * front-to-back visits the window oldest-first — identical
+     * priority order to the old full-window scans.
      */
-    void gatherRing(const SlotMask &mask,
-                    std::vector<std::int32_t> &out) const;
+    void gatherRing(const SlotMask &mask, std::vector<std::int32_t> &out,
+                    const SlotMask *exclude = nullptr) const;
 
-    /** True when every register input of @p slot is available. */
-    bool operandsReady(std::int32_t slot);
+    /**
+     * True while in-flight @p slot holds back the issue of its
+     * consumers: it has not completed and no usable value prediction
+     * stands in for its result.
+     */
+    bool blocksIssue(std::int32_t slot) const
+    {
+        const std::uint16_t f = robFlags[slot];
+        if (f & FlagCompleted)
+            return false;
+        return !(config.valuePrediction && (f & FlagVpConfident) &&
+                 !(f & FlagVpWrongKnown));
+    }
+
+    /** Producer @p slot stopped blocking: wake its consumers. */
+    void wakeConsumers(std::int32_t slot);
+
+    /** Producer @p slot blocks again after a squash. */
+    void blockConsumers(std::int32_t slot);
+
+    /**
+     * Issue selection of unblocked @p slot: mark it as having read a
+     * predicted value when any of its producers is still in flight
+     * (and so, being non-blocking, value-predicted).
+     */
+    void noteSpecInputs(std::int32_t slot);
 
     /** True when queue-order constraints allow load @p slot to issue. */
     bool loadMayIssue(std::int32_t slot) const;
 
     /**
-     * Youngest older overlapping store in the same queue, or -1.
-     * @param all_known set false when an older same-queue store's
-     *        address is still unknown (ambiguous dependence).
+     * Load @p slot's forwarding store — its youngest older
+     * overlapping same-queue store, fixed at dispatch — or -1 once
+     * that store has committed (or when there was none).
      */
-    std::int32_t findForwardingStore(std::int32_t load_slot,
-                                     bool &all_known) const;
+    std::int32_t forwardingStore(std::int32_t load_slot) const
+    {
+        return robFwdSlot[load_slot] >= 0 && robFwdSeq[load_slot] >= headSeq
+                   ? robFwdSlot[load_slot]
+                   : -1;
+    }
 
     /** Verify steering at translation; applies penalty on mispredict. */
     void translateAndVerify(std::int32_t slot);
@@ -415,6 +479,11 @@ class OooCore
     Deps *robDeps = nullptr;
     std::int32_t *robBaseProdSlot = nullptr;
     InstCount *robBaseProdSeq = nullptr;
+    /** In-flight producers blocking issue (see blocksIssue()). */
+    std::uint8_t *robBlockers = nullptr;
+    /** Loads: forwarding store slot/seq fixed at dispatch (-1 = none). */
+    std::int32_t *robFwdSlot = nullptr;
+    InstCount *robFwdSeq = nullptr;
     std::uint8_t *robQueue = nullptr;    ///< Queue
     std::uint8_t *robPipe = nullptr;     ///< cache::MemPipe
     std::uint8_t *robMemBlock = nullptr; ///< MemBlock
@@ -422,10 +491,12 @@ class OooCore
     std::vector<std::vector<std::int32_t>> robConsumers;
 
     // Candidate masks: valid & !issued & !completed, valid & issued
-    // & !completed & !pendingMem, and valid & pendingMem.
+    // & !completed & !pendingMem, valid & pendingMem, and valid &
+    // robBlockers != 0.
     SlotMask unissuedMask;
     SlotMask execMask;
     SlotMask pendingMemMask;
+    SlotMask blockedMask;
     /** Reusable gather buffer for the per-cycle stage iterations. */
     std::vector<std::int32_t> gatherBuf;
 
@@ -440,10 +511,12 @@ class OooCore
      * Per-queue in-flight store tracking: a fixed-capacity ring
      * (arena-backed parallel seq/slot arrays) holding one queue's
      * stores in program order; `knownPrefix` counts the leading
-     * stores whose addresses have been generated.  Together they
-     * answer "have all stores older than seq generated their
-     * addresses?" in O(log n) and bound the forwarding search to the
-     * queue's stores instead of the whole window.
+     * stores whose addresses have been generated, and `addrGen`
+     * marks the stores still waiting for their AGU pass.  Together
+     * they answer "have all stores older than seq generated their
+     * addresses?" in O(log n), bound the forwarding search to the
+     * queue's stores instead of the whole window, and let address
+     * generation skip the stores that are done.
      */
     struct StoreQueue
     {
@@ -453,12 +526,14 @@ class OooCore
         std::size_t head = 0;
         std::size_t count = 0;
         std::size_t knownPrefix = 0;
+        SlotMask addrGen;        ///< by ROB slot: AGU pass pending
 
         void init(Arena &arena, std::size_t capacity)
         {
             cap = capacity;
             seq = arena.alloc<InstCount>(cap);
             slot = arena.alloc<std::int32_t>(cap);
+            addrGen.init(arena, capacity);
         }
         InstCount seqAt(std::size_t i) const
         {
@@ -489,6 +564,27 @@ class OooCore
     {
         return queue == Queue::Lvaq ? lvaqStores : lsqStores;
     }
+    const StoreQueue &storeQueueOf(Queue queue) const
+    {
+        return queue == Queue::Lvaq ? lvaqStores : lsqStores;
+    }
+
+    /**
+     * Youngest of the @p older oldest stores of @p queue that
+     * overlaps @p load, or -1.
+     */
+    std::int32_t youngestOverlappingStore(const StoreQueue &queue,
+                                          std::size_t older,
+                                          const sim::StepInfo &load) const;
+
+#ifndef NDEBUG
+    /**
+     * Recheck the event-driven scheduler against the polling it
+     * replaced: blocker counts, mask membership, occupancy, and each
+     * pending load's forwarding store.  Panics on a mismatch.
+     */
+    void checkSchedulerInvariants() const;
+#endif
 
     /** Advance each queue's address-known prefix. */
     void advanceStorePrefixes();

@@ -425,6 +425,29 @@ TEST(OooFrontEnd, PredictableBranchesCostLittle)
 namespace
 {
 
+/** One random global or stack load/store on $t0..$t7 ($t9 = arr). */
+void
+emitRandomMemOp(ProgramBuilder &b, Rng &rng)
+{
+    auto reg = static_cast<RegIndex>(8 + rng.nextBounded(8));
+    auto slot = static_cast<unsigned>(rng.nextBounded(8));
+    auto off = static_cast<int>(rng.nextBounded(512)) * 4;
+    switch (rng.nextBounded(4)) {
+      case 0:
+        b.sw(reg, off, r::T9);
+        break;
+      case 1:
+        b.sw(reg, b.localOffset(slot), r::Sp);
+        break;
+      case 2:
+        b.lw(reg, b.localOffset(slot), r::Sp);
+        break;
+      default:
+        b.lw(reg, off, r::T9);
+        break;
+    }
+}
+
 /** Seeded random mix of global loads/stores and stack traffic. */
 std::shared_ptr<vm::Program>
 randomMemProgram(std::uint64_t seed, unsigned ops)
@@ -435,25 +458,52 @@ randomMemProgram(std::uint64_t seed, unsigned ops)
     b.emitStartStub("main");
     b.beginFunction("main", 8);
     b.la(r::T9, "arr");
-    for (unsigned i = 0; i < ops; ++i) {
-        auto reg = static_cast<RegIndex>(8 + rng.nextBounded(8));
-        auto slot = static_cast<unsigned>(rng.nextBounded(8));
-        auto off = static_cast<int>(rng.nextBounded(512)) * 4;
-        switch (rng.nextBounded(4)) {
-          case 0:
-            b.sw(reg, off, r::T9);
-            break;
-          case 1:
-            b.sw(reg, b.localOffset(slot), r::Sp);
-            break;
-          case 2:
-            b.lw(reg, b.localOffset(slot), r::Sp);
-            break;
-          default:
-            b.lw(reg, off, r::T9);
-            break;
-        }
-    }
+    for (unsigned i = 0; i < ops; ++i)
+        emitRandomMemOp(b, rng);
+    b.fnReturn();
+    b.endFunction();
+    return b.finish();
+}
+
+/**
+ * The same random mix as a loop body, plus a value-prediction trap
+ * and an LCG-driven branch per iteration.  A counter load A strides
+ * by one until the branch resets it; B mixes A with the LCG state (no
+ * stride) and C stores B.  So B issues on A's predicted value, is
+ * squashed when A misverifies, and then blocks C again.  The branch
+ * defeats gshare (fetch redirects).
+ */
+std::shared_ptr<vm::Program>
+randomLoopProgram(std::uint64_t seed, unsigned body_ops, unsigned iters)
+{
+    Rng rng(seed);
+    ProgramBuilder b("randloop");
+    b.globalArray("arr", 2048);
+    b.emitStartStub("main");
+    b.beginFunction("main", 8, {r::S0, r::S1, r::S2, r::S3});
+    b.la(r::T9, "arr");
+    b.li(r::S0, static_cast<std::int32_t>(iters));
+    b.li(r::S1, static_cast<std::int32_t>(seed & 0x7fff));
+    b.li(r::S3, 1103515245);
+    Label loop = b.label();
+    Label skip = b.label();
+    b.bind(loop);
+    for (unsigned i = 0; i < body_ops; ++i)
+        emitRandomMemOp(b, rng);
+    b.lw(r::S2, 4092, r::T9);       // A
+    b.add(r::T8, r::S2, r::S1);     // B
+    b.sw(r::T8, 4088, r::T9);       // C
+    b.addi(r::S2, r::S2, 1);
+    b.sw(r::S2, 4092, r::T9);
+    b.mul(r::S1, r::S1, r::S3);
+    b.addi(r::S1, r::S1, 12345);
+    b.srl(r::T8, r::S1, 16);
+    b.andi(r::T8, r::T8, 7);
+    b.bne(r::T8, r::Zero, skip);
+    b.sw(r::Zero, 4092, r::T9);     // reset the counter (1 in 8)
+    b.bind(skip);
+    b.addi(r::S0, r::S0, -1);
+    b.bgtz(r::S0, loop);
     b.fnReturn();
     b.endFunction();
     return b.finish();
@@ -617,4 +667,92 @@ TEST(OooContention, ContendedBackendIsSlowerThanIdeal)
     EXPECT_EQ(loaded.instructions, base.instructions);
     EXPECT_NE(loaded.configName.find("+b1m1w1u4t30"),
               std::string::npos);
+}
+
+TEST(OooScheduler, DeferredLoadKeepsSpeculativeInputMark)
+{
+    // Each iteration's load L reads through a pointer bump P that the
+    // stride predictor knows, while an older store S waits six cycles
+    // on a multiply for its address.  The cycle after dispatch L is
+    // selected on P's predicted value, but the load-order check
+    // defers it until S's address is known, by which time P has
+    // completed.  Selection alone must leave L marked as having read
+    // a predicted input.
+    ProgramBuilder b("specselect");
+    b.globalArray("arr", 64);
+    b.emitStartStub("main");
+    b.beginFunction("main", 0, {r::S0, r::S1, r::S7});
+    b.la(r::T9, "arr");
+    b.li(r::S7, 1);
+    b.move(r::S1, r::T9);
+    b.li(r::S0, 40);
+    Label loop = b.label();
+    b.bind(loop);
+    b.mul(r::T3, r::T9, r::S7);     // store address, 6 cycles
+    b.sw(r::T4, 0, r::T3);          // S
+    b.addi(r::S1, r::S1, 4);        // P
+    b.lw(r::T5, 0, r::S1);          // L
+    b.addi(r::S0, r::S0, -1);
+    b.bgtz(r::S0, loop);
+    b.fnReturn();
+    b.endFunction();
+    auto prog = b.finish();
+
+    // The functional warmup trains the predictor on P's stride.  Pick
+    // the second timed load: its P and S are both timed too.
+    constexpr InstCount warm = 60;
+    sim::Simulator reference(prog);
+    sim::StepInfo step;
+    for (InstCount i = 0; i < warm; ++i)
+        ASSERT_TRUE(reference.step(step));
+    InstCount load_seq = 0;
+    for (unsigned loads = 0; reference.step(step); ++load_seq)
+        if (step.isLoad && ++loads == 2)
+            break;
+    ASSERT_TRUE(step.isLoad);
+
+    for (bool predict : {true, false}) {
+        ooo::MachineConfig config = ooo::MachineConfig::nPlusM(2, 0);
+        config.valuePrediction = predict;
+        ooo::OooCore core(config, prog);
+        core.warmup(warm);
+        // Stop the clock at the first commit, with L still in flight.
+        ooo::OooStats stats = core.runSample(1);
+        ASSERT_GE(stats.instructions, 1u);
+        // Without a prediction, P blocks L until it completes.
+        EXPECT_EQ(core.usedSpecValue(load_seq), predict);
+    }
+}
+
+TEST(OooScheduler, KnobMatrixDrainsAndRepeats)
+{
+    // Every combination of the core knobs the goldens leave at their
+    // defaults, on store/load-heavy programs: each run must commit
+    // the functional instruction count and drain, and a second run
+    // must repeat it exactly.  Debug builds also recheck the
+    // scheduler's wakeup counts and masks every cycle.
+    const std::shared_ptr<vm::Program> programs[] = {
+        randomMemProgram(0x5eed0001, 400),
+        randomLoopProgram(0x5eed0002, 24, 60),
+    };
+    for (const auto &prog : programs) {
+        sim::Simulator reference(prog);
+        const InstCount functional = reference.run();
+        for (unsigned mask = 0; mask < 8; ++mask)
+            for (unsigned rob : {64u, 96u, 256u})
+                for (unsigned lvc_ports : {0u, 2u}) {
+                    ooo::MachineConfig config = ooo::MachineConfig::nPlusM(
+                        lvc_ports ? 2 : 1, lvc_ports);
+                    config.valuePrediction = mask & 1;
+                    config.fastForwarding = mask & 2;
+                    config.perfectBranchPrediction = mask & 4;
+                    config.robSize = rob;
+                    SCOPED_TRACE(prog->name + " " + config.name +
+                                 " knobs " + std::to_string(mask) +
+                                 " rob " + std::to_string(rob));
+                    const ooo::OooStats first = runOn(config, prog);
+                    EXPECT_EQ(first.instructions, functional);
+                    EXPECT_EQ(first.dump(), runOn(config, prog).dump());
+                }
+    }
 }
