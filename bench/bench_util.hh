@@ -76,12 +76,10 @@ parseTraceCache(int argc, char **argv)
 }
 
 /**
- * Trace/fast-forward knobs shared by every bench: none of them change
- * bench numbers (v2 decodes to the identical record stream, and
- * seek-ff is bit-identical given the same warmup window), so they are
- * safe to flip for wall-clock comparisons.
+ * Fast-forward knobs shared by every bench: neither changes bench
+ * numbers (seek-ff is bit-identical given the same warmup window),
+ * so both are safe to flip for wall-clock comparisons.
  *
- *   --trace-format v1|v2 / ARL_BENCH_TRACE_FORMAT   cache encoding
  *   --seek-ff            / ARL_BENCH_SEEK_FF=1      checkpointed ff
  *   --warmup-window N    / ARL_BENCH_WARMUP_WINDOW  bounded warming
  */
@@ -98,9 +96,6 @@ parseTraceOptions(sweep::SweepSpec &spec, int argc, char **argv)
                 value = argv[i + 1];
         return value;
     };
-    if (const char *fmt =
-            env_or_flag("ARL_BENCH_TRACE_FORMAT", "--trace-format"))
-        trace::parseFormat(fmt, spec.traceFormat);
     const char *seek = std::getenv("ARL_BENCH_SEEK_FF");
     spec.seekFastForward = seek && seek[0] && seek[0] != '0';
     for (int i = 1; i < argc; ++i)

@@ -18,68 +18,95 @@ featureName(unsigned i)
     return i < NumFeatures ? names[i] : "?";
 }
 
+FeatureStream::FeatureStream(InstCount interval_insts, InstCount start,
+                             InstCount limit)
+    : interval(interval_insts), first(start),
+      end(limit ? start + limit : ~InstCount{0})
+{
+    if (interval_insts == 0)
+        fatal("sampling: interval length must be non-zero");
+}
+
+void
+FeatureStream::visit(const trace::TraceRecord &record,
+                     const isa::DecodedInst &inst)
+{
+    const InstCount index = next++;
+    if (index < first || index >= end)
+        return;
+    if (length == interval)
+        closeInterval();
+    ++length;
+    const trace::RecordClass cls = trace::classifyRecord(record, inst);
+    if (cls.isLoad)
+        ++loads;
+    if (cls.isStore)
+        ++stores;
+    if (cls.isBranch) {
+        ++branches;
+        if (cls.taken)
+            ++taken;
+    }
+    if (cls.isMem && cls.region < vm::NumDataRegions) {
+        ++memRefs;
+        ++regionRefs[cls.region];
+        if (prevRegion < vm::NumDataRegions && cls.region != prevRegion)
+            ++transitions;
+        prevRegion = cls.region;
+    }
+}
+
+void
+FeatureStream::closeInterval()
+{
+    IntervalFeatures iv;
+    iv.start = first + intervals.size() * interval;
+    iv.length = length;
+    double insts = static_cast<double>(length);
+    for (unsigned r = 0; r < vm::NumDataRegions; ++r)
+        iv.f[r] = regionRefs[r] / insts;
+    iv.f[3] = loads / insts;
+    iv.f[4] = stores / insts;
+    iv.f[5] = memRefs ? static_cast<double>(transitions) / memRefs : 0.0;
+    iv.f[6] = branches / insts;
+    iv.f[7] = branches ? static_cast<double>(taken) / branches : 0.0;
+    intervals.push_back(iv);
+
+    length = 0;
+    for (std::uint64_t &refs : regionRefs)
+        refs = 0;
+    loads = stores = transitions = 0;
+    branches = taken = memRefs = 0;
+    prevRegion = vm::NumDataRegions;
+}
+
+std::vector<IntervalFeatures>
+FeatureStream::finish()
+{
+    if (length)
+        closeInterval();
+    return std::move(intervals);
+}
+
 std::vector<IntervalFeatures>
 extractFeatures(const trace::InMemoryTrace &t, InstCount interval_insts,
                 InstCount first, InstCount limit)
 {
-    if (interval_insts == 0)
-        fatal("sampling: interval length must be non-zero");
-    InstCount total = t.size();
-    if (first > total)
-        first = total;
-    if (limit && first + limit < total)
-        total = first + limit;
-
-    std::vector<IntervalFeatures> intervals;
-    intervals.reserve(
-        static_cast<std::size_t>((total - first) / interval_insts) + 1);
-
-    for (InstCount start = first; start < total;
-         start += interval_insts) {
-        InstCount length = std::min<InstCount>(interval_insts,
-                                               total - start);
-        std::uint64_t region_refs[vm::NumDataRegions] = {0, 0, 0};
-        std::uint64_t loads = 0, stores = 0, transitions = 0;
-        std::uint64_t branches = 0, taken = 0, mem_refs = 0;
-        // The first data reference of an interval has no predecessor
-        // to transition from; phases are fingerprinted independently.
-        unsigned prev_region = vm::NumDataRegions;
-        for (InstCount i = start; i < start + length; ++i) {
-            trace::RecordClass cls =
-                trace::classifyRecord(t.records[i]);
-            if (cls.isLoad)
-                ++loads;
-            if (cls.isStore)
-                ++stores;
-            if (cls.isBranch) {
-                ++branches;
-                if (cls.taken)
-                    ++taken;
-            }
-            if (cls.isMem && cls.region < vm::NumDataRegions) {
-                ++mem_refs;
-                ++region_refs[cls.region];
-                if (prev_region < vm::NumDataRegions &&
-                    cls.region != prev_region)
-                    ++transitions;
-                prev_region = cls.region;
-            }
-        }
-        IntervalFeatures iv;
-        iv.start = start;
-        iv.length = length;
-        double insts = static_cast<double>(length);
-        for (unsigned r = 0; r < vm::NumDataRegions; ++r)
-            iv.f[r] = region_refs[r] / insts;
-        iv.f[3] = loads / insts;
-        iv.f[4] = stores / insts;
-        iv.f[5] = mem_refs ? static_cast<double>(transitions) / mem_refs
-                           : 0.0;
-        iv.f[6] = branches / insts;
-        iv.f[7] = branches ? static_cast<double>(taken) / branches : 0.0;
-        intervals.push_back(iv);
+    FeatureStream stream(interval_insts, first, limit);
+    stream.skipPrefix();
+    InstCount end = t.size();
+    if (limit && first + limit < end)
+        end = first + limit;
+    isa::DecodedInst inst;
+    for (InstCount i = first; i < end; ++i) {
+        if (i < t.decoded.size())
+            inst = t.decoded[i];
+        else if (!isa::decode(t.records[i].instWord, inst))
+            fatal("trace: undecodable instruction word 0x%08x",
+                  t.records[i].instWord);
+        stream.visit(t.records[i], inst);
     }
-    return intervals;
+    return stream.finish();
 }
 
 } // namespace arl::sampling

@@ -19,19 +19,22 @@
  *
  * All features are rates in [0, 1], so k-means distances are
  * meaningful without per-feature whitening (kmeans.cc still rescales
- * defensively).  Extraction is a single functional pass over the
- * record vector using trace::classifyRecord — no StepInfo
- * reconstitution, no simulator.
+ * defensively).  Extraction is a single streaming pass over records
+ * and their decoded instructions (FeatureStream) — no StepInfo
+ * reconstitution, no simulator — so it can ride along with any other
+ * pass over the stream: recording it, or validating a cached copy.
  */
 
 #ifndef ARL_SAMPLING_FEATURES_HH
 #define ARL_SAMPLING_FEATURES_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
 #include "common/types.hh"
 #include "trace/replay.hh"
+#include "vm/layout.hh"
 
 namespace arl::sampling
 {
@@ -56,6 +59,54 @@ struct IntervalFeatures
      * [7] taken per branch.
      */
     std::array<double, NumFeatures> f{};
+};
+
+/**
+ * Streaming fingerprinter: records arrive in order, from record 0,
+ * and those in [start, start + limit) are sliced into intervals of
+ * interval_insts records (limit 0: to the end of the stream).
+ */
+class FeatureStream final : public trace::RecordVisitor
+{
+  public:
+    /** Fatal when @p interval_insts is 0. */
+    FeatureStream(InstCount interval_insts, InstCount start = 0,
+                  InstCount limit = 0);
+
+    void visit(const trace::TraceRecord &record,
+               const isa::DecodedInst &inst) override;
+
+    /**
+     * Treat every record before the window as already visited — for
+     * callers with random access, which need not decode the prefix.
+     */
+    void skipPrefix() { next = std::max(next, first); }
+
+    /** The intervals, the last one kept with its true length. */
+    std::vector<IntervalFeatures> finish();
+
+  private:
+    void closeInterval();
+
+    InstCount interval;
+    InstCount first;
+    /** One past the last record fingerprinted. */
+    InstCount end;
+    /** Index of the next record visited. */
+    InstCount next = 0;
+    std::vector<IntervalFeatures> intervals;
+
+    // The open interval's counters.
+    InstCount length = 0;
+    std::uint64_t regionRefs[vm::NumDataRegions] = {};
+    std::uint64_t loads = 0, stores = 0, transitions = 0;
+    std::uint64_t branches = 0, taken = 0, memRefs = 0;
+    /**
+     * Region of the interval's last data reference; none at its
+     * start, since phases are fingerprinted independently and the
+     * first reference has no predecessor to transition from.
+     */
+    unsigned prevRegion = vm::NumDataRegions;
 };
 
 /**

@@ -43,34 +43,49 @@ SamplingPlan::coveragePct() const
                : 0.0;
 }
 
-bool
-buildPlan(const trace::InMemoryTrace &t, const SamplingConfig &config,
-          InstCount start, InstCount limit, SamplingPlan &out,
-          std::string *error)
+namespace
 {
-    auto fail = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
+
+bool
+fail(std::string *error, const std::string &msg)
+{
+    if (error)
+        *error = msg;
+    return false;
+}
+
+/**
+ * The checks every plan passes before it looks at a record: a sane
+ * config and a non-empty population.  @p total receives the
+ * population size.
+ */
+bool
+checkPopulation(const std::string &program, InstCount recorded,
+                const SamplingConfig &config, InstCount start,
+                InstCount limit, InstCount &total, std::string *error)
+{
+    if (!checkConfig(config, error))
         return false;
-    };
-    if (config.intervalInsts == 0)
-        return fail("sampling interval must be > 0 instructions");
-    if (config.clusters == 0)
-        return fail("sampling cluster count must be > 0");
-    if (t.size() == 0)
-        return fail("cannot sample an empty trace (workload '" +
-                    t.program + "' recorded 0 instructions)");
-    InstCount end = t.size();
+    if (recorded == 0)
+        return fail(error, "cannot sample an empty trace (workload '" +
+                               program + "' recorded 0 instructions)");
+    InstCount end = recorded;
     if (limit && start + limit < end)
         end = start + limit;
     if (start >= end)
-        return fail("cannot sample workload '" + t.program +
-                    "': the warmup prefix consumes every recorded "
-                    "instruction");
-    const InstCount total = end - start;
+        return fail(error, "cannot sample workload '" + program +
+                               "': the warmup prefix consumes every "
+                               "recorded instruction");
+    total = end - start;
+    return true;
+}
 
-    std::vector<IntervalFeatures> features =
-        extractFeatures(t, config.intervalInsts, start, total);
+/** Cluster @p features (population [start, start + total)). */
+void
+planFromFeatures(const std::vector<IntervalFeatures> &features,
+                 const SamplingConfig &config, InstCount start,
+                 InstCount total, SamplingPlan &out)
+{
     KMeansConfig kc;
     kc.k = config.clusters;
     kc.seed = config.seed;
@@ -104,6 +119,46 @@ buildPlan(const trace::InMemoryTrace &t, const SamplingConfig &config,
         rep.dispersion = clusters.dispersion[c];
         out.reps.push_back(rep);
     }
+}
+
+} // namespace
+
+bool
+checkConfig(const SamplingConfig &config, std::string *error)
+{
+    if (config.intervalInsts == 0)
+        return fail(error, "sampling interval must be > 0 instructions");
+    if (config.clusters == 0)
+        return fail(error, "sampling cluster count must be > 0");
+    return true;
+}
+
+bool
+buildPlan(const trace::InMemoryTrace &t, const SamplingConfig &config,
+          InstCount start, InstCount limit, SamplingPlan &out,
+          std::string *error)
+{
+    InstCount total = 0;
+    if (!checkPopulation(t.program, t.size(), config, start, limit,
+                         total, error))
+        return false;
+    planFromFeatures(
+        extractFeatures(t, config.intervalInsts, start, total), config,
+        start, total, out);
+    return true;
+}
+
+bool
+buildPlan(const std::vector<IntervalFeatures> &features,
+          const std::string &program, InstCount recorded,
+          const SamplingConfig &config, InstCount start, InstCount limit,
+          SamplingPlan &out, std::string *error)
+{
+    InstCount total = 0;
+    if (!checkPopulation(program, recorded, config, start, limit, total,
+                         error))
+        return false;
+    planFromFeatures(features, config, start, total, out);
     return true;
 }
 

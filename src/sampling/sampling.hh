@@ -126,6 +126,24 @@ bool buildPlan(const trace::InMemoryTrace &t,
                const SamplingConfig &config, InstCount start,
                InstCount limit, SamplingPlan &out, std::string *error);
 
+/**
+ * buildPlan() for a trace that is not held decoded: @p features are
+ * what a FeatureStream(config.intervalInsts, @p start, @p limit)
+ * gathered while the trace's @p recorded records went past, so no
+ * pass decodes the trace just to plan.  Same checks, same plan.
+ */
+bool buildPlan(const std::vector<IntervalFeatures> &features,
+               const std::string &program, InstCount recorded,
+               const SamplingConfig &config, InstCount start,
+               InstCount limit, SamplingPlan &out, std::string *error);
+
+/**
+ * The config checks buildPlan() starts with (interval length and
+ * cluster count), for callers that must reject a config before any
+ * record exists.  @return false with buildPlan()'s message.
+ */
+bool checkConfig(const SamplingConfig &config, std::string *error);
+
 /** What the sweep measured for one representative. */
 struct RepMeasurement
 {

@@ -92,16 +92,15 @@ traceNeed(const WorkloadSpec &w, bool region_grid)
 }
 
 /**
- * Cache file name.  v1 keeps the historical key so pre-existing
- * caches still hit; v2 entries are tagged (a format is part of the
- * bytes being cached, so the two never alias).  Corpus workloads
- * (sourcePath set) carry the source bytes' CRC32 in the key — the
- * registry namespace is never aliased and editing the `.s` file
- * invalidates its entry.
+ * Cache file name; entries are v2, and the "-v2" tag keeps them from
+ * aliasing v1 files an older sweep may have left under the untagged
+ * key.  Corpus workloads (sourcePath set) carry the source bytes'
+ * CRC32 in the key — the registry namespace is never aliased and
+ * editing the `.s` file invalidates its entry.
  */
 std::string
 traceCacheKey(const WorkloadSpec &w, InstCount need,
-              trace::TraceFormat format, const std::string &source)
+              const std::string &source)
 {
     std::string key;
     if (!w.sourcePath.empty()) {
@@ -113,9 +112,7 @@ traceCacheKey(const WorkloadSpec &w, InstCount need,
         key = w.name + "-s" + std::to_string(w.scale) + "-";
     }
     key += need ? "n" + std::to_string(need) : "full";
-    if (format != trace::TraceFormat::V1)
-        key += std::string("-") + trace::formatName(format);
-    return key + ".arlt";
+    return key + "-v2.arlt";
 }
 
 /**
@@ -148,11 +145,98 @@ buildProgram(const WorkloadSpec &w, std::string *source_out)
     return result.program;
 }
 
+/**
+ * A row's recorded stream, in one of two representations: decoded
+ * when several jobs read it end to end, so each replays at full
+ * speed; else its v2 encoding, replayed a block at a time.  The grid
+ * shape picks (runSweep); results are identical either way.
+ */
+struct RowTrace
+{
+    std::shared_ptr<const trace::InMemoryTrace> decoded;
+    std::shared_ptr<const trace::EncodedTrace> encoded;
+
+    explicit operator bool() const { return decoded || encoded; }
+
+    InstCount
+    size() const
+    {
+        return decoded ? decoded->size() : encoded->size();
+    }
+
+    const std::string &
+    program() const
+    {
+        return decoded ? decoded->program : encoded->program;
+    }
+
+    InstCount
+    checkpointAtOrBelow(InstCount n) const
+    {
+        return decoded ? decoded->checkpointAtOrBelow(n)
+                       : encoded->checkpointAtOrBelow(n);
+    }
+
+    /** A fresh replay cursor over the stream. */
+    std::shared_ptr<sim::StepSource>
+    source() const
+    {
+        if (decoded)
+            return std::make_shared<trace::ReplaySource>(decoded);
+        return std::make_shared<trace::BlockReplaySource>(encoded);
+    }
+
+    /** Load cache entry @p path: encoded when @p encode, else decoded. */
+    static RowTrace
+    load(bool encode, const std::string &path,
+         trace::TraceLoadStats &stats, trace::RecordVisitor *visitor)
+    {
+        RowTrace t;
+        if (encode)
+            t.encoded = trace::loadEncoded(path, &stats, visitor);
+        else
+            t.decoded = trace::loadTrace(path, &stats);
+        return t;
+    }
+
+    /** Record @p program: encoded when @p encode, else decoded. */
+    static RowTrace
+    record(bool encode, std::shared_ptr<const vm::Program> program,
+           InstCount need, InstCount every,
+           trace::RecordVisitor *visitor)
+    {
+        RowTrace t;
+        if (encode)
+            t.encoded =
+                trace::recordEncoded(program, need, every, visitor);
+        else
+            t.decoded = trace::recordToMemory(program, need, every);
+        return t;
+    }
+
+    /** Write the stream to @p path as v2 (the same bytes either way). */
+    bool
+    trySave(const std::string &path, std::uint64_t &bytes) const
+    {
+        return decoded ? trace::trySaveTrace(path, *decoded,
+                                             trace::TraceFormat::V2,
+                                             bytes)
+                       : trace::trySaveEncoded(path, *encoded, bytes);
+    }
+
+    void
+    reset()
+    {
+        decoded.reset();
+        encoded.reset();
+    }
+};
+
 /** Per-workload artifacts shared (read-only) by its grid jobs. */
 struct Prepared
 {
     std::shared_ptr<const vm::Program> program;
-    std::shared_ptr<const trace::InMemoryTrace> trace;
+    RowTrace trace;
     /** Phase-sampling decision (sampled sweeps only). */
     sampling::SamplingPlan plan;
     double seconds = 0.0;
@@ -243,6 +327,24 @@ runSweep(const SweepSpec &spec)
     // recording a trace that would be replayed exactly once.
     const bool stream_region = nc == 0;
     const bool sampled = spec.sampling && nc != 0;
+    // A row's full-window readers are its exact timing points, its
+    // verify runs and its region pass; sampled representatives read
+    // a block or two each and do not count.  A decoded copy pays off
+    // only when read more than once, so below that a row keeps its
+    // v2 encoding (about 5 B per instruction instead of 44).
+    const std::size_t full_readers =
+        (sampled ? (spec.samplingVerify ? nc : 0) : nc) +
+        (region_grid ? 1 : 0);
+    const bool encoded_rows = full_readers <= 1;
+    sampling::SamplingConfig sc;
+    sc.intervalInsts = spec.samplingInterval;
+    sc.clusters = spec.samplingClusters;
+    sc.warmupInsts = spec.samplingWarmup;
+    if (sampled) {
+        std::string err;
+        if (!sampling::checkConfig(sc, &err))
+            fatal("sweep: %s", err.c_str());
+    }
     unsigned jobs = spec.jobs;
     if (jobs == 0)
         jobs = std::max(1u, std::thread::hardware_concurrency());
@@ -283,14 +385,27 @@ runSweep(const SweepSpec &spec)
             return;
         }
         InstCount need = traceNeed(w, region_grid);
+        const InstCount every = spec.checkpointEvery
+                                    ? spec.checkpointEvery
+                                    : trace::DefaultBlockRecords;
+        // An encoded row fingerprints its sampling intervals in the
+        // one pass that records or validates its trace; each attempt
+        // starts a fresh stream.
+        std::unique_ptr<sampling::FeatureStream> features;
+        auto fresh_features = [&]() -> trace::RecordVisitor * {
+            if (sampled && encoded_rows)
+                features = std::make_unique<sampling::FeatureStream>(
+                    sc.intervalInsts, w.warmup, w.timed);
+            return features.get();
+        };
         std::string cache_path;
         if (!cache_dir.empty()) {
-            cache_path = cache_dir + "/" +
-                         traceCacheKey(w, need, spec.traceFormat,
-                                       source);
+            cache_path =
+                cache_dir + "/" + traceCacheKey(w, need, source);
             trace::TraceLoadStats load_stats;
-            auto cached = trace::loadTrace(cache_path, &load_stats);
-            if (cached && cached->program == p.program->name) {
+            RowTrace cached = RowTrace::load(encoded_rows, cache_path,
+                                             load_stats, fresh_features());
+            if (cached && cached.program() == p.program->name) {
                 p.trace = std::move(cached);
                 p.cacheHit = true;
                 p.diskBytes = load_stats.fileBytes;
@@ -298,10 +413,8 @@ runSweep(const SweepSpec &spec)
             }
         }
         if (!p.trace) {
-            p.trace = trace::recordToMemory(
-                p.program, need,
-                spec.checkpointEvery ? spec.checkpointEvery
-                                     : trace::DefaultBlockRecords);
+            p.trace = RowTrace::record(encoded_rows, p.program, need,
+                                       every, fresh_features());
             if (!cache_path.empty()) {
                 // Write-then-rename keeps a concurrently reading
                 // sweep from seeing a half-written cache entry.  The
@@ -311,8 +424,7 @@ runSweep(const SweepSpec &spec)
                 std::string tmp =
                     cache_path + ".tmp" + std::to_string(getpid());
                 std::uint64_t bytes = 0;
-                if (!trace::trySaveTrace(tmp, *p.trace,
-                                         spec.traceFormat, bytes)) {
+                if (!p.trace.trySave(tmp, bytes)) {
                     warn("sweep: cannot write trace cache '%s'",
                          cache_path.c_str());
                 } else if (std::rename(tmp.c_str(),
@@ -334,13 +446,16 @@ runSweep(const SweepSpec &spec)
             // full (non-sampled) timing point measures, and the
             // earliest intervals warm from the prefix instead of
             // starting cold.
-            sampling::SamplingConfig sc;
-            sc.intervalInsts = spec.samplingInterval;
-            sc.clusters = spec.samplingClusters;
-            sc.warmupInsts = spec.samplingWarmup;
             std::string err;
-            if (!sampling::buildPlan(*p.trace, sc, w.warmup, w.timed,
-                                     p.plan, &err))
+            const bool planned =
+                features ? sampling::buildPlan(
+                               features->finish(), p.trace.program(),
+                               p.trace.size(), sc, w.warmup, w.timed,
+                               p.plan, &err)
+                         : sampling::buildPlan(*p.trace.decoded, sc,
+                                               w.warmup, w.timed,
+                                               p.plan, &err);
+            if (!planned)
                 fatal("sweep: %s", err.c_str());
         }
         p.seconds = secondsSince(start);
@@ -351,11 +466,11 @@ runSweep(const SweepSpec &spec)
         result.serialSecondsEstimate += p.seconds;
         if (!p.trace)
             continue;  // streamed row: counted after its pass
-        result.traceInstructions += p.trace->size();
+        result.traceInstructions += p.trace.size();
         result.traceDiskBytes += p.diskBytes;
         if (p.diskBytes)
             result.traceV1EquivBytes +=
-                64 + sizeof(trace::TraceRecord) * p.trace->size();
+                64 + sizeof(trace::TraceRecord) * p.trace.size();
         result.traceDecodeSeconds += p.decodeSeconds;
         if (p.cacheHit)
             ++result.traceCacheHits;
@@ -462,7 +577,7 @@ runSweep(const SweepSpec &spec)
         std::size_t wi =
             job < timing_jobs ? tjobs[job].wi : job - timing_jobs;
         const WorkloadSpec &w = spec.workloads[wi];
-        auto trace_handle = prep[wi].trace;
+        RowTrace trace_handle = prep[wi].trace;
 
         if (job < timing_jobs && tjobs[job].rep == TimingJob::Exact) {
             const TimingJob &tj = tjobs[job];
@@ -471,8 +586,7 @@ runSweep(const SweepSpec &spec)
             ooo::MachineConfig config = spec.configs[tj.ci];
             if (spec.cpiStack)
                 config.cpiStack = true;
-            auto source =
-                std::make_shared<trace::ReplaySource>(trace_handle);
+            auto source = trace_handle.source();
             // Checkpointed fast-forward: skip decoding the prefix up
             // to the nearest checkpoint that still leaves the full
             // warming window to consume.  Functional and seeked
@@ -483,8 +597,8 @@ runSweep(const SweepSpec &spec)
                 window = w.warmupWindow;
             InstCount ff_skip = 0;
             if (spec.seekFastForward && w.warmup > window) {
-                ff_skip = trace_handle->checkpointAtOrBelow(w.warmup -
-                                                            window);
+                ff_skip = trace_handle.checkpointAtOrBelow(w.warmup -
+                                                           window);
                 if (ff_skip) {
                     obs::ProfScope prof_seek("seek");
                     source->seekTo(ff_skip);
@@ -498,8 +612,8 @@ runSweep(const SweepSpec &spec)
             std::unique_ptr<obs::TelemetryScope> tscope;
             if (spec.telemetry) {
                 std::uint64_t total = w.timed;
-                if (!total && trace_handle->size() > w.warmup)
-                    total = trace_handle->size() - w.warmup;
+                if (!total && trace_handle.size() > w.warmup)
+                    total = trace_handle.size() - w.warmup;
                 tscope = std::make_unique<obs::TelemetryScope>(
                     spec.telemetry, static_cast<int>(job), w.name,
                     config.name, static_cast<int>(TimingJob::Exact),
@@ -536,8 +650,7 @@ runSweep(const SweepSpec &spec)
                 config.cpiStack = true;
             const sampling::Representative &rep =
                 prep[wi].plan.reps[static_cast<std::size_t>(tj.rep)];
-            auto source =
-                std::make_shared<trace::ReplaySource>(trace_handle);
+            auto source = trace_handle.source();
             if (rep.warmupStart) {
                 source->seekTo(rep.warmupStart);
                 seek_skipped.fetch_add(rep.warmupStart,
@@ -586,9 +699,8 @@ runSweep(const SweepSpec &spec)
             ooo::MachineConfig config = spec.configs[tj.ci];
             if (spec.cpiStack)
                 config.cpiStack = true;
-            auto source =
-                std::make_shared<trace::ReplaySource>(trace_handle);
-            ooo::OooCore core(config, prep[wi].program, source);
+            ooo::OooCore core(config, prep[wi].program,
+                              trace_handle.source());
             obs::Hooks hooks;
             core.attachObs(&hooks);
             std::unique_ptr<obs::TelemetryScope> tscope;
@@ -616,14 +728,13 @@ runSweep(const SweepSpec &spec)
             obs::ProfScope prof("sweep/regionstudy",
                                 obs::ProfScope::Mode::Absolute);
             std::unique_ptr<sim::Simulator> live;
-            std::unique_ptr<sim::StepSource> source;
+            std::shared_ptr<sim::StepSource> source;
             if (trace_handle) {
-                source = std::make_unique<trace::ReplaySource>(
-                    trace_handle);
+                source = trace_handle.source();
             } else {
                 live = std::make_unique<sim::Simulator>(
                     prep[wi].program);
-                source = std::make_unique<sim::SimulatorSource>(*live);
+                source = std::make_shared<sim::SimulatorSource>(*live);
             }
             std::unique_ptr<obs::TelemetryScope> tscope;
             if (spec.telemetry) {
@@ -631,7 +742,7 @@ runSweep(const SweepSpec &spec)
                 // front: total 0 (no ETA).
                 std::uint64_t total = w.studyInsts;
                 if (!total && trace_handle)
-                    total = trace_handle->size();
+                    total = trace_handle.size();
                 tscope = std::make_unique<obs::TelemetryScope>(
                     spec.telemetry, static_cast<int>(job), w.name,
                     "regionstudy", static_cast<int>(TimingJob::Exact),

@@ -3,8 +3,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "obs/profiler.hh"
-#include "sim/simulator.hh"
 #include "trace/format_v2.hh"
 
 namespace arl::trace
@@ -110,6 +108,12 @@ classifyRecord(const TraceRecord &record)
     if (!isa::decode(record.instWord, inst))
         fatal("trace: undecodable instruction word 0x%08x",
               record.instWord);
+    return classifyRecord(record, inst);
+}
+
+RecordClass
+classifyRecord(const TraceRecord &record, const isa::DecodedInst &inst)
+{
     const isa::OpInfo &info = inst.info();
     RecordClass cls;
     cls.isLoad = info.isLoad;
@@ -119,6 +123,18 @@ classifyRecord(const TraceRecord &record)
     cls.taken = record.flags & FlagTaken;
     cls.region = record.region;
     return cls;
+}
+
+void
+writeTraceHeader(std::ostream &out, const std::string &program,
+                 TraceFormat format)
+{
+    TraceHeader header{};
+    header.magic = TraceMagic;
+    header.version = static_cast<std::uint32_t>(format);
+    std::strncpy(header.program, program.c_str(),
+                 sizeof(header.program) - 1);
+    out.write(reinterpret_cast<const char *>(&header), sizeof(header));
 }
 
 TraceWriter::TraceWriter(const std::string &path_in,
@@ -134,12 +150,7 @@ TraceWriter::TraceWriter(const std::string &path_in,
         }
         fatal("trace: cannot open '%s' for writing", path.c_str());
     }
-    TraceHeader header{};
-    header.magic = TraceMagic;
-    header.version = static_cast<std::uint32_t>(format);
-    std::strncpy(header.program, program.c_str(),
-                 sizeof(header.program) - 1);
-    out.write(reinterpret_cast<const char *>(&header), sizeof(header));
+    writeTraceHeader(out, program, format);
     if (format == TraceFormat::V2)
         body = std::make_unique<v2::Writer>(out, block_records);
 }
@@ -318,42 +329,6 @@ TraceReader::checkpoints() const
 {
     return body ? body->archCheckpoints()
                 : std::vector<ArchCheckpoint>{};
-}
-
-InstCount
-recordTrace(std::shared_ptr<const vm::Program> program,
-            const std::string &path, InstCount max_insts,
-            TraceFormat format, std::uint32_t block_records)
-{
-    obs::ProfScope prof("record");
-    if (block_records == 0)
-        block_records = DefaultBlockRecords;
-    TraceWriter writer(path, program->name, format, block_records);
-    sim::Simulator simulator(std::move(program));
-    v2::MemTouchDigest digest;
-    sim::StepInfo step;
-    InstCount n = 0;
-    while (max_insts == 0 || n < max_insts) {
-        if (format == TraceFormat::V2 && n % block_records == 0 &&
-            !simulator.halted()) {
-            ArchCheckpoint cp;
-            cp.index = n;
-            cp.pc = simulator.process().pc;
-            cp.gpr = simulator.process().gpr;
-            cp.fpr = simulator.process().fpr;
-            cp.memDigest = digest.value();
-            writer.addCheckpoint(cp);
-        }
-        if (!simulator.step(step))
-            break;
-        writer.append(step);
-        digest.observe(step);
-        ++n;
-    }
-    writer.setComplete(simulator.halted());
-    writer.close();
-    prof.addGuestInsts(n);
-    return n;
 }
 
 } // namespace arl::trace

@@ -149,6 +149,17 @@ struct RecordClass
 /** Classify @p record; fatal on an undecodable instruction word. */
 RecordClass classifyRecord(const TraceRecord &record);
 
+/** Classify @p record whose instruction word decodes to @p inst. */
+RecordClass classifyRecord(const TraceRecord &record,
+                           const isa::DecodedInst &inst);
+
+/**
+ * Write the 64-byte file header naming @p program (truncated to 55
+ * bytes) in @p format: the start of every trace file.
+ */
+void writeTraceHeader(std::ostream &out, const std::string &program,
+                      TraceFormat format);
+
 namespace v2
 {
 class Writer;

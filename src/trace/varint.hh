@@ -87,6 +87,9 @@ class ByteCursor
     std::uint64_t
     getVarint()
     {
+        // Most fields fit one byte: take those without the loop.
+        if (!fail && cur != end && !(*cur & 0x80))
+            return *cur++;
         std::uint64_t value = 0;
         unsigned shift = 0;
         while (true) {

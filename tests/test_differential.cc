@@ -12,16 +12,20 @@
  *     whether or not a recording hook observes it;
  *  4. runSweep with jobs=1 and jobs=8 produces byte-identical
  *     stats-JSON reports;
- *  5. the trace-cache format is invisible to results: no-cache,
- *     v1-cache, and v2-cache sweeps (both cold and warm) serialize
- *     byte-identically, with v2 entries at least 4x smaller;
+ *  5. the trace cache is invisible to results: no-cache and cached
+ *     sweeps (both cold and warm) serialize byte-identically, with
+ *     v2 entries at least 4x smaller than the same records in v1;
  *  6. checkpointed fast-forward (SweepSpec::seekFastForward) is
  *     byte-identical to functional fast-forward given the same
  *     warmup window, while actually skipping records;
  *  7. a region-only sweep, which streams each region pass from a
  *     live simulator, matches the replayed region rows of a mixed
  *     timing+region sweep and Experiment::regionStudy, and never
- *     touches the trace cache.
+ *     touches the trace cache;
+ *  8. a row held as its v2 encoding (read end to end at most once)
+ *     yields the same points as the same row held decoded in a
+ *     wider grid — exact, seek-ff, sampled, and sampled with verify
+ *     — whichever representation wrote the cache entry it reads.
  */
 
 #include <gtest/gtest.h>
@@ -283,34 +287,27 @@ TEST(Differential, SweepReportIdenticalAcrossCacheFormats)
     std::string baseline = reportJson(sweep::runSweep(spec));
     ASSERT_FALSE(baseline.empty());
 
-    std::uint64_t v1_bytes = 0, v2_bytes = 0;
-    for (trace::TraceFormat format :
-         {trace::TraceFormat::V1, trace::TraceFormat::V2}) {
-        SCOPED_TRACE(trace::formatName(format));
-        TempCacheDir cache(std::string("cache_") +
-                           trace::formatName(format));
-        sweep::SweepSpec cached = fig8SmallSpec();
-        cached.traceCacheDir = cache.dir;
-        cached.traceFormat = format;
+    TempCacheDir cache("cache_v2");
+    sweep::SweepSpec cached = fig8SmallSpec();
+    cached.traceCacheDir = cache.dir;
 
-        // Cold pass records the cache entries; warm pass replays
-        // from them.  Both must match the cache-less report.
-        sweep::SweepResult cold = sweep::runSweep(cached);
-        EXPECT_EQ(cold.traceCacheMisses, 2u);
-        EXPECT_EQ(reportJson(cold), baseline);
-        sweep::SweepResult warm = sweep::runSweep(cached);
-        EXPECT_EQ(warm.traceCacheHits, 2u);
-        EXPECT_EQ(reportJson(warm), baseline);
+    // Cold pass records the cache entries; warm pass replays from
+    // them.  Both must match the cache-less report.
+    sweep::SweepResult cold = sweep::runSweep(cached);
+    EXPECT_EQ(cold.traceCacheMisses, 2u);
+    EXPECT_EQ(reportJson(cold), baseline);
+    sweep::SweepResult warm = sweep::runSweep(cached);
+    EXPECT_EQ(warm.traceCacheHits, 2u);
+    EXPECT_EQ(reportJson(warm), baseline);
 
-        (format == trace::TraceFormat::V1 ? v1_bytes : v2_bytes) =
-            directoryBytes(cache.dir);
-    }
-    // The headline claim: v2 is at least 4x smaller than v1 on the
-    // same fig8 small grid.
+    // The headline claim: v2 is at least 4x smaller than the same
+    // records in v1 on the fig8 small grid.
+    const std::uint64_t v2_bytes = directoryBytes(cache.dir);
     ASSERT_GT(v2_bytes, 0u);
-    EXPECT_GE(v1_bytes, 4 * v2_bytes)
-        << "v2 compression regressed: v1 " << v1_bytes << "B vs v2 "
-        << v2_bytes << "B";
+    EXPECT_EQ(cold.traceDiskBytes, v2_bytes);
+    EXPECT_GE(cold.traceV1EquivBytes, 4 * v2_bytes)
+        << "v2 compression regressed: v1 " << cold.traceV1EquivBytes
+        << "B vs v2 " << v2_bytes << "B";
 }
 
 TEST(Differential, SeekFastForwardIdenticalToFunctional)
@@ -485,6 +482,110 @@ TEST(Differential, StreamedRegionEqualsReplayedRegion)
              std::filesystem::directory_iterator(cache.dir)) {
             EXPECT_NE(entry.path().extension(), ".arlt")
                 << entry.path();
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * The (wi, ci) point of @p result as a one-run report; with
+ * @p drop_verify, without what only a verify run adds.
+ */
+std::string
+pointJson(const sweep::SweepResult &result, std::size_t wi,
+          std::size_t ci, bool drop_verify)
+{
+    const sweep::TimingPoint &point = result.at(wi, ci);
+    obs::RunRecord record;
+    record.workload = point.workload;
+    record.config = point.config;
+    record.sampling = point.sampling;
+    for (const auto &[name, value] : point.snapshot)
+        if (!drop_verify || (name != "sampling.full_cycles" &&
+                             name != "sampling.full_cpi" &&
+                             name != "sampling.measured_error_pct"))
+            record.stats.emplace_back(name, value);
+    if (drop_verify)
+        record.sampling.measuredErrorPct = -1.0;
+    obs::Report report;
+    report.runs.push_back(std::move(record));
+    std::ostringstream os;
+    report.writeJson(os);
+    return os.str();
+}
+
+} // namespace
+
+TEST(Differential, EncodedRowsMatchDecodedRows)
+{
+    // A one-config grid reads each row end to end at most once, so it
+    // holds rows as their v2 encoding; the two-config grid (with the
+    // verify pass when sampled) holds them decoded.  The shared
+    // (3+3) points must agree, from cold and warm caches, with each
+    // representation reading entries the other one wrote.
+    struct Case
+    {
+        const char *name;
+        bool seekFf;
+        bool sampled;
+        bool verify;
+    };
+    const Case cases[] = {{"exact", false, false, false},
+                          {"seekff", true, false, false},
+                          {"sampled", false, true, false},
+                          {"sampledverify", false, true, true}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        sweep::SweepSpec wide = fig8SmallSpec();
+        wide.configs = {ooo::MachineConfig::nPlusM(2, 0),
+                        ooo::MachineConfig::nPlusM(3, 3)};
+        if (c.seekFf) {
+            wide.seekFastForward = true;
+            wide.checkpointEvery = 1024;
+            for (auto &w : wide.workloads)
+                w.warmupWindow = 2048;
+        }
+        if (c.sampled) {
+            wide.sampling = true;
+            wide.samplingVerify = true;
+            wide.samplingInterval = 5000;
+            wide.samplingClusters = 3;
+            for (auto &w : wide.workloads)
+                w.timed = 60000;
+        }
+        sweep::SweepSpec one = wide;
+        one.configs = {ooo::MachineConfig::nPlusM(3, 3)};
+        one.samplingVerify = c.verify;
+        const bool drop_verify = c.sampled && !c.verify;
+
+        TempCacheDir cache(std::string("rows_") + c.name);
+        one.traceCacheDir = wide.traceCacheDir = cache.dir;
+        std::vector<std::pair<sweep::SweepResult, std::size_t>> runs;
+        for (bool one_first : {true, false}) {
+            std::filesystem::remove_all(cache.dir);
+            sweep::SweepSpec &first = one_first ? one : wide;
+            sweep::SweepSpec &second = one_first ? wide : one;
+            sweep::SweepResult cold = sweep::runSweep(first);
+            EXPECT_EQ(cold.traceCacheMisses, 2u);
+            sweep::SweepResult warm = sweep::runSweep(second);
+            EXPECT_EQ(warm.traceCacheHits, 2u)
+                << "a representation missed the other's cache entry";
+            runs.emplace_back(std::move(cold), one_first ? 0 : 1);
+            runs.emplace_back(std::move(warm), one_first ? 1 : 0);
+        }
+        for (std::size_t wi = 0; wi < wide.workloads.size(); ++wi) {
+            const std::string want =
+                pointJson(runs[0].first, wi, runs[0].second, drop_verify);
+            for (std::size_t r = 1; r < runs.size(); ++r)
+                EXPECT_EQ(pointJson(runs[r].first, wi, runs[r].second,
+                                    drop_verify),
+                          want)
+                    << "run " << r << " workload " << wi;
+        }
+        if (c.seekFf) {
+            EXPECT_GT(runs[0].first.seekSkippedRecords, 0u);
         }
     }
 }

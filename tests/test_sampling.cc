@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -201,6 +202,70 @@ TEST(Features, StartOffsetShiftsThePopulation)
     ASSERT_EQ(bounded.size(), 2u);
     EXPECT_EQ(bounded[1].start, 15000u);
     EXPECT_EQ(bounded[1].length, 2000u);
+}
+
+TEST(Features, StreamedFeaturesEqualExtractFeatures)
+{
+    // A window starting inside a block and, when bounded, ending
+    // mid-interval: [1500, 24956) in 10000-record intervals.
+    constexpr InstCount kBlock = 1024, kStart = 1500, kLimit = 23456;
+    constexpr InstCount kInterval = 10000;
+    auto program = workloads::buildWorkload("li_like", 1);
+    auto decoded = trace::recordToMemory(program, 30000, kBlock);
+    const std::string path =
+        ::testing::TempDir() + "arl_streamed_features.arlt";
+    trace::saveTrace(path, *decoded, trace::TraceFormat::V2);
+
+    auto expect_same = [](const std::vector<sampling::IntervalFeatures> &a,
+                          const std::vector<sampling::IntervalFeatures> &b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].start, b[i].start) << i;
+            EXPECT_EQ(a[i].length, b[i].length) << i;
+            EXPECT_EQ(a[i].f, b[i].f) << i;
+        }
+    };
+    for (InstCount limit : {kLimit, InstCount{0}}) {
+        SCOPED_TRACE("limit " + std::to_string(limit));
+        auto want =
+            sampling::extractFeatures(*decoded, kInterval, kStart, limit);
+        ASSERT_EQ(want.size(), 3u);
+        EXPECT_EQ(want.back().length, limit ? 3456u : 8500u);
+
+        // Fingerprinted while recording...
+        sampling::FeatureStream recorded(kInterval, kStart, limit);
+        auto encoded =
+            trace::recordEncoded(program, 30000, kBlock, &recorded);
+        auto streamed = recorded.finish();
+        expect_same(streamed, want);
+        // ...and while validating a cached copy.
+        sampling::FeatureStream validated(kInterval, kStart, limit);
+        ASSERT_NE(trace::loadEncoded(path, nullptr, &validated), nullptr);
+        expect_same(validated.finish(), want);
+
+        // Either set of features plans the same representatives.
+        sampling::SamplingConfig config;
+        config.intervalInsts = kInterval;
+        config.clusters = 2;
+        sampling::SamplingPlan from_trace, from_stream;
+        std::string error;
+        ASSERT_TRUE(sampling::buildPlan(*decoded, config, kStart, limit,
+                                        from_trace, &error))
+            << error;
+        ASSERT_TRUE(sampling::buildPlan(streamed, encoded->program,
+                                        encoded->size(), config, kStart,
+                                        limit, from_stream, &error))
+            << error;
+        EXPECT_EQ(from_stream.totalInsts, from_trace.totalInsts);
+        EXPECT_EQ(from_stream.intervals, from_trace.intervals);
+        ASSERT_EQ(from_stream.reps.size(), from_trace.reps.size());
+        for (std::size_t r = 0; r < from_trace.reps.size(); ++r) {
+            EXPECT_EQ(from_stream.reps[r].start, from_trace.reps[r].start);
+            EXPECT_EQ(from_stream.reps[r].clusterInsts,
+                      from_trace.reps[r].clusterInsts);
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Plan, EmptyTraceIsRejectedWithAUserError)

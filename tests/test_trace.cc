@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "profile/region_profiler.hh"
 #include "trace/replay.hh"
@@ -44,6 +46,47 @@ class TraceFile : public ::testing::Test
 
     std::string path;
 };
+
+std::string
+fileBytes(const std::string &p)
+{
+    std::ifstream in(p, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Drain @p a and @p b in lockstep: every step and count must agree. */
+void
+expectSameSteps(sim::StepSource &a, sim::StepSource &b)
+{
+    sim::StepInfo x, y;
+    for (;;) {
+        ASSERT_EQ(a.delivered(), b.delivered());
+        ASSERT_EQ(a.exhausted(), b.exhausted()) << a.delivered();
+        const bool more = a.next(x);
+        ASSERT_EQ(more, b.next(y)) << a.delivered();
+        if (!more)
+            return;
+        ASSERT_EQ(x.pc, y.pc);
+        ASSERT_EQ(x.seq, y.seq);
+        ASSERT_TRUE(x.inst == y.inst) << x.seq;
+        ASSERT_EQ(x.isMem, y.isMem);
+        ASSERT_EQ(x.isLoad, y.isLoad);
+        ASSERT_EQ(x.effAddr, y.effAddr);
+        ASSERT_EQ(x.memSize, y.memSize);
+        ASSERT_EQ(x.region, y.region);
+        ASSERT_EQ(x.isBranch, y.isBranch);
+        ASSERT_EQ(x.branchTaken, y.branchTaken);
+        ASSERT_EQ(x.isCall, y.isCall);
+        ASSERT_EQ(x.isReturn, y.isReturn);
+        ASSERT_EQ(x.nextPc, y.nextPc);
+        ASSERT_EQ(x.gbh, y.gbh);
+        ASSERT_EQ(x.cid, y.cid);
+        ASSERT_EQ(x.dest, y.dest);
+        ASSERT_EQ(x.result, y.result);
+        ASSERT_EQ(x.storeValue, y.storeValue);
+    }
+}
 
 } // namespace
 
@@ -393,4 +436,114 @@ TEST_F(TraceFile, V2CheckpointsSurviveSaveAndLoad)
                                  sizeof(trace::TraceRecord)))
             << "record " << i;
     }
+}
+
+TEST_F(TraceFile, EncodedImageSavesTheBytesSaveTraceWrites)
+{
+    // 150001 records: every block size leaves a short final block.
+    constexpr InstCount kRecords = 150001;
+    auto prog = workloads::buildWorkload("li_like", 1);
+    const std::string image_path = path + ".image";
+    for (InstCount block : {InstCount{64}, InstCount{1024},
+                            InstCount{65536}}) {
+        SCOPED_TRACE("block records " + std::to_string(block));
+        auto decoded = trace::recordToMemory(prog, kRecords, block);
+        auto encoded = trace::recordEncoded(prog, kRecords, block);
+        ASSERT_EQ(encoded->size(), kRecords);
+        ASSERT_EQ(encoded->image.blocks.size(),
+                  (kRecords + block - 1) / block);
+        trace::saveTrace(path, *decoded, trace::TraceFormat::V2);
+        const std::string want = fileBytes(path);
+        std::uint64_t bytes = 0;
+        ASSERT_TRUE(trace::trySaveEncoded(image_path, *encoded, bytes));
+        EXPECT_EQ(bytes, want.size());
+        EXPECT_TRUE(fileBytes(image_path) == want)
+            << "encoded image and saveTrace(V2) wrote different bytes";
+
+        // Each loader accepts the other's file.
+        auto loaded = trace::loadTrace(image_path);
+        ASSERT_NE(loaded, nullptr);
+        ASSERT_EQ(loaded->size(), kRecords);
+        EXPECT_EQ(0, std::memcmp(loaded->records.data(),
+                                 decoded->records.data(),
+                                 kRecords * sizeof(trace::TraceRecord)));
+        EXPECT_TRUE(loaded->decoded == decoded->decoded);
+        EXPECT_EQ(loaded->checkpoints.size(),
+                  decoded->checkpoints.size());
+        auto reloaded = trace::loadEncoded(path);
+        ASSERT_NE(reloaded, nullptr);
+        EXPECT_EQ(reloaded->program, "li_like");
+        ASSERT_TRUE(trace::trySaveEncoded(image_path, *reloaded, bytes));
+        EXPECT_TRUE(fileBytes(image_path) == want)
+            << "a loaded image does not write back the file it read";
+    }
+    std::remove(image_path.c_str());
+}
+
+TEST_F(TraceFile, EncodedEmptyTraceMatchesSaveTrace)
+{
+    trace::InMemoryTrace empty;
+    empty.program = "empty";
+    empty.complete = true;
+    trace::saveTrace(path, empty, trace::TraceFormat::V2);
+
+    trace::v2::Writer writer(trace::DefaultBlockRecords);
+    writer.finish(true);
+    trace::EncodedTrace encoded;
+    encoded.program = "empty";
+    encoded.image = writer.takeImage();
+    const std::string image_path = path + ".image";
+    std::uint64_t bytes = 0;
+    ASSERT_TRUE(trace::trySaveEncoded(image_path, encoded, bytes));
+    EXPECT_EQ(fileBytes(image_path), fileBytes(path));
+    std::remove(image_path.c_str());
+
+    auto loaded = trace::loadEncoded(path);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(loaded->size(), 0u);
+    EXPECT_TRUE(loaded->image.complete);
+    trace::BlockReplaySource source(loaded);
+    sim::StepInfo step;
+    EXPECT_TRUE(source.exhausted());
+    EXPECT_FALSE(source.next(step));
+    EXPECT_TRUE(source.seekTo(3));
+    EXPECT_EQ(source.delivered(), 0u);
+}
+
+TEST(BlockReplay, MatchesReplaySourceAndSeeksLikeSkipping)
+{
+    constexpr InstCount kBlock = 1024;
+    constexpr InstCount kRecords = 10 * kBlock + 37;
+    auto prog = workloads::buildWorkload("li_like", 1);
+    auto decoded = trace::recordToMemory(prog, kRecords, kBlock);
+    auto encoded = trace::recordEncoded(prog, kRecords, kBlock);
+    {
+        trace::ReplaySource want(decoded);
+        trace::BlockReplaySource got(encoded);
+        expectSameSteps(want, got);
+    }
+
+    // seekTo(n) == skipping n records: at the start, at every block
+    // boundary and one record either side, and at and past the end.
+    std::vector<InstCount> targets = {0, 1, kRecords - 1, kRecords,
+                                      kRecords + 5};
+    for (InstCount b = 1; b <= kRecords / kBlock; ++b)
+        for (InstCount n : {b * kBlock - 1, b * kBlock, b * kBlock + 1})
+            targets.push_back(n);
+    for (InstCount n : targets) {
+        SCOPED_TRACE("seek " + std::to_string(n));
+        trace::ReplaySource skipper(decoded);
+        sim::StepInfo step;
+        for (InstCount i = 0; i < n && skipper.next(step); ++i) {
+        }
+        trace::BlockReplaySource seeker(encoded);
+        EXPECT_TRUE(seeker.seekTo(n));
+        expectSameSteps(skipper, seeker);
+    }
+
+    for (InstCount n : {InstCount{0}, kBlock - 1, kBlock, InstCount{5000},
+                        kRecords, kRecords + 1})
+        EXPECT_EQ(encoded->checkpointAtOrBelow(n),
+                  decoded->checkpointAtOrBelow(n))
+            << n;
 }

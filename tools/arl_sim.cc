@@ -40,8 +40,7 @@
  *       diffs on stderr).
  *
  *   arl_sim sweep <workload[,workload...]|all|none> [--jobs N]
- *       [--trace-cache DIR] [--trace-format v1|v2]
- *       [--seek-ff] [--warmup-window N] [--checkpoint-every N]
+ *       [--trace-cache DIR] [--seek-ff] [--warmup-window N] [--checkpoint-every N]
  *       [--configs fig8|"(N+M),..."|none]
  *       [--schemes fig4|none] [--insts N] [--study-insts N] [--scale N]
  *       [--timing-json F] [--workload-dir DIR]
@@ -1156,7 +1155,6 @@ cmdSweep(const std::string &target, Args &args)
     std::vector<FlagSpec> accepted = {
         {"jobs", FlagKind::Int},
         {"trace-cache", FlagKind::String},
-        {"trace-format", FlagKind::String},
         {"seek-ff", FlagKind::Bool},
         {"warmup-window", FlagKind::Int},
         {"checkpoint-every", FlagKind::Int},
@@ -1185,13 +1183,6 @@ cmdSweep(const std::string &target, Args &args)
     sweep::SweepSpec spec;
     spec.jobs = static_cast<unsigned>(args.flagInt("jobs", 1));
     spec.traceCacheDir = args.flag("trace-cache", "");
-    std::string format_spec = args.flag("trace-format", "v2");
-    if (!trace::parseFormat(format_spec, spec.traceFormat)) {
-        std::fprintf(stderr,
-                     "arl_sim: bad --trace-format '%s' (want v1|v2)\n",
-                     format_spec.c_str());
-        return 1;
-    }
     spec.seekFastForward = args.has("seek-ff");
     spec.cpiStack = args.has("cpi-stack");
     if (int rc = parseSamplingFlags(args, spec))
@@ -1337,9 +1328,8 @@ cmdSweep(const std::string &target, Args &args)
                     (unsigned long long)result.traceCacheHits,
                     (unsigned long long)result.traceCacheMisses);
         if (result.traceDiskBytes)
-            std::printf("trace cache (%s): %.2f MB on disk, %.2fx vs "
+            std::printf("trace cache (v2): %.2f MB on disk, %.2fx vs "
                         "v1%s\n",
-                        trace::formatName(spec.traceFormat),
                         result.traceDiskBytes / 1e6,
                         static_cast<double>(result.traceV1EquivBytes) /
                             result.traceDiskBytes,
@@ -2253,7 +2243,7 @@ usage()
         "  sweep <w[,w...]|all|none> [flags] parallel experiment sweep\n"
         "    [--jobs N] [--trace-cache DIR] [--configs fig8|\"(N+M),..\"]\n"
         "    [--schemes fig4] [--insts N] [--study-insts N]\n"
-        "    [--trace-format v1|v2] [--seek-ff] [--warmup-window N]\n"
+        "    [--seek-ff] [--warmup-window N]\n"
         "    [--checkpoint-every N] [--timing-json F]\n"
         "    [--workload-dir DIR]  add corpus .s programs as workload\n"
         "                          rows (target 'none' = corpus only)\n"
