@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text table renderer used by the bench binaries to print
+ * Plain-text table renderer used by `arl_sim figure` to print
  * paper-style tables (Table 1/2/3, Figures 2/4/5/8 as rows).
  */
 

@@ -125,12 +125,6 @@ Experiment::timingStudy(const ooo::MachineConfig &config,
     return result;
 }
 
-arl::sweep::SweepResult
-Experiment::sweep(const arl::sweep::SweepSpec &spec)
-{
-    return arl::sweep::runSweep(spec);
-}
-
 std::vector<TimingResult>
 Experiment::timingSweep(const std::vector<ooo::MachineConfig> &configs,
                         InstCount warmup_insts,

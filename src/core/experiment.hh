@@ -13,10 +13,11 @@
  *    out-of-order data-decoupled core under one or more machine
  *    configurations and compare cycle counts.
  *
- * Experiment wraps both behind a small API so examples and benches
- * stay one-screen programs.  Everything underneath is reachable
- * directly (sim::Simulator, predict::RegionPredictor, ooo::OooCore)
- * when finer control is needed.
+ * Experiment wraps both behind a small API so examples stay
+ * one-screen programs; grids of either run through sweep::runSweep.
+ * Everything underneath is reachable directly (sim::Simulator,
+ * predict::RegionPredictor, ooo::OooCore) when finer control is
+ * needed.
  */
 
 #ifndef ARL_CORE_EXPERIMENT_HH
@@ -122,15 +123,6 @@ class Experiment
 
     /** Build profile-based compiler hints (one functional pass). */
     predict::CompilerHints buildHints(InstCount max_insts = 0) const;
-
-    /**
-     * Run a declarative workload × config × scheme grid through the
-     * parallel sweep engine (src/sweep): each workload is traced
-     * once, the grid points replay concurrently, and results merge
-     * deterministically — spec.jobs never changes the numbers.
-     */
-    static arl::sweep::SweepResult
-    sweep(const arl::sweep::SweepSpec &spec);
 
     /** The program under study. */
     const vm::Program &program() const { return *prog; }

@@ -21,7 +21,7 @@ namespace arl::obs
 
 class JsonWriter;
 
-/** Build + host identity stamped into reports and bench records. */
+/** Build + host identity stamped into reports. */
 struct HostMeta
 {
     std::string version;     ///< ARL_VERSION

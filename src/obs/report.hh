@@ -1,15 +1,15 @@
 /**
  * @file
- * Machine-readable run reports: the one JSON/CSV schema shared by
- * `arl_sim --stats-json` (every subcommand) and the bench
- * executables' BENCH_*.json records.
+ * Machine-readable run reports: the one JSON/CSV schema of every
+ * `arl_sim --stats-json` (every simulating subcommand, `figure`
+ * included) and `--stats-csv` document.
  *
  * Schema (schema_version 1):
  *
  *   {
  *     "schema_version": 1,
- *     "tool": "arl_sim",            // or the bench executable name
- *     "command": "time",            // subcommand / bench case
+ *     "tool": "arl_sim",
+ *     "command": "time",            // subcommand
  *     "runs": [
  *       {
  *         "workload": "compress_like",
@@ -121,7 +121,7 @@ struct Report
     /**
      * Optional self-description: git SHA, build type, compiler,
      * wall timestamp (injectable clock), arl version.  Stamped by
-     * the CLI/bench sinks; never by SweepResult::toReport(), which
+     * the CLI sinks; never by SweepResult::toReport(), which
      * is how golden files stay meta-free and byte-deterministic.
      */
     bool hasMeta = false;

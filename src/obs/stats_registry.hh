@@ -12,7 +12,7 @@
  *
  * Registration can reference storage the caller keeps alive (the
  * usual case: a simulator's counters) or ask the registry to own the
- * storage (benches and tools that tally after the fact).
+ * storage (tools that tally after the fact).
  */
 
 #ifndef ARL_OBS_STATS_REGISTRY_HH

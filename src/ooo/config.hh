@@ -25,7 +25,7 @@ namespace arl::ooo
 {
 
 /**
- * CLI/bench-facing bundle of memory-backend contention knobs.
+ * CLI-facing bundle of memory-backend contention knobs.
  *
  * Applied onto a MachineConfig via applyContention(); every zero
  * default keeps the historical ideal behaviour (and the committed
@@ -108,7 +108,7 @@ struct MachineConfig
     // Front end.  The paper uses a perfect I-cache and perfect
     // branch prediction (Table 4); switching this off models a
     // 16K-entry gshare with a fetch-redirect penalty instead
-    // (used by bench/ablation_branch_prediction).
+    // (`arl_sim figure ablation_branch_prediction`).
     bool perfectBranchPrediction = true;
     std::uint32_t bpEntries = 16 * 1024;
     unsigned branchMispredictPenalty = 5;

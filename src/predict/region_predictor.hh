@@ -132,7 +132,7 @@ class RegionPredictor
     /**
      * @param hints required iff config.useCompilerHints; the caller
      *              keeps ownership (one hint set is shared by many
-     *              predictor configurations in the benches).
+     *              predictor configurations in a region pass).
      */
     explicit RegionPredictor(const RegionPredictorConfig &config,
                              const HintSource *hints = nullptr);

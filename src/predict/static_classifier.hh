@@ -25,7 +25,8 @@
  *
  * The analysis is sound but deliberately conservative, exactly as
  * the paper predicts of real compilers: compare its coverage against
- * the profile-derived upper bound with bench/fig6_static_analysis.
+ * the profile-derived upper bound with
+ * `arl_sim figure fig6_static_analysis`.
  */
 
 #ifndef ARL_PREDICT_STATIC_CLASSIFIER_HH

@@ -322,6 +322,9 @@ runSweep(const SweepSpec &spec)
     const std::size_t nw = spec.workloads.size();
     const std::size_t nc = spec.configs.size();
     const bool region_grid = !spec.schemes.empty();
+    const bool hinted = std::any_of(
+        spec.schemes.begin(), spec.schemes.end(),
+        [](const SchemeSpec &s) { return s.config.useCompilerHints; });
     // With no timing configs, each row's only consumer is its single
     // region pass: stream it from a live simulator instead of
     // recording a trace that would be replayed exactly once.
@@ -727,6 +730,16 @@ runSweep(const SweepSpec &spec)
         } else {
             obs::ProfScope prof("sweep/regionstudy",
                                 obs::ProfScope::Mode::Absolute);
+            // Hinted schemes consult profile hints (§3.5.2) that a
+            // training run over the same study window builds first,
+            // as Experiment::regionStudy builds them.
+            predict::CompilerHints hints;
+            if (hinted) {
+                sim::Simulator trainer(prep[wi].program);
+                prof.addGuestInsts(trainer.run(
+                    w.studyInsts,
+                    [&](const sim::StepInfo &step) { hints.observe(step); }));
+            }
             std::unique_ptr<sim::Simulator> live;
             std::shared_ptr<sim::StepSource> source;
             if (trace_handle) {
@@ -748,9 +761,9 @@ runSweep(const SweepSpec &spec)
                     "regionstudy", static_cast<int>(TimingJob::Exact),
                     total);
             }
-            RegionPoint point =
-                runRegionPass(w.name, *source, spec.schemes,
-                              w.studyInsts, nullptr, tscope.get());
+            RegionPoint point = runRegionPass(
+                w.name, *source, spec.schemes, w.studyInsts,
+                hinted ? &hints : nullptr, tscope.get());
             prof.addGuestInsts(point.instructions);
             result.region[wi] = std::move(point);
         }

@@ -104,7 +104,9 @@ struct SweepSpec
      * (the §3 methodology evaluates all schemes in one pass).  The
      * pass replays the workload's trace when timing configs need one
      * anyway; with no configs it streams from a live functional
-     * simulator and no trace is recorded.
+     * simulator and no trace is recorded.  When any scheme sets
+     * useCompilerHints, a training pass over the same study window
+     * first builds the row's profile hints (§3.5.2).
      */
     std::vector<SchemeSpec> schemes;
     /** Worker threads; 0 = hardware concurrency, 1 = serial. */
@@ -165,7 +167,7 @@ struct SweepSpec
      * record the measured CPI error next to the estimate.  Costs
      * what sampling saved, and with two or more configs each row
      * holds its trace decoded (44 B per instruction) rather than
-     * encoded (about 5); for tests, benches and walkthroughs.
+     * encoded (about 5); for tests and walkthroughs.
      */
     bool samplingVerify = false;
     /**

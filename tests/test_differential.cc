@@ -398,7 +398,10 @@ regionRows()
     std::vector<sweep::WorkloadSpec> rows;
     for (const auto &[name, cap] :
          {std::pair<const char *, InstCount>{"compress_like", 60000},
-          {"li_like", 90000}}) {
+          {"li_like", 90000},
+          // Stops before some instructions reach a second region, so
+          // hints trained past the cap would classify them.
+          {"perl_like", 2000}}) {
         sweep::WorkloadSpec w;
         w.name = name;
         w.studyInsts = cap;
@@ -437,51 +440,65 @@ programOf(const sweep::WorkloadSpec &w)
 
 TEST(Differential, StreamedRegionEqualsReplayedRegion)
 {
-    sweep::SweepSpec streamed;
-    streamed.workloads = regionRows();
-    streamed.schemes = core::toSweepSchemes(core::figure4Schemes());
-    streamed.jobs = 4;
-    TempCacheDir cache("region_stream");
-    streamed.traceCacheDir = cache.dir;
+    // Plain and hinted scheme sets: a hinted row first trains profile
+    // hints over its study window, from the live simulator or the
+    // trace, just as Experiment::regionStudy does.
+    for (bool hinted : {false, true}) {
+        SCOPED_TRACE(hinted ? "hinted" : "plain");
+        sweep::SweepSpec streamed;
+        streamed.workloads = regionRows();
+        streamed.schemes = core::toSweepSchemes(core::figure4Schemes());
+        for (sweep::SchemeSpec &scheme : streamed.schemes)
+            scheme.config.useCompilerHints = hinted;
+        streamed.jobs = 4;
+        TempCacheDir cache("region_stream");
+        streamed.traceCacheDir = cache.dir;
 
-    sweep::SweepSpec mixed = streamed;
-    mixed.traceCacheDir.clear();
-    mixed.configs = {ooo::MachineConfig::nPlusM(2, 0)};
+        sweep::SweepSpec mixed = streamed;
+        mixed.traceCacheDir.clear();
+        mixed.configs = {ooo::MachineConfig::nPlusM(2, 0)};
 
-    sweep::SweepResult live = sweep::runSweep(streamed);
-    sweep::SweepResult replayed = sweep::runSweep(mixed);
-    ASSERT_EQ(live.region.size(), streamed.workloads.size());
-    ASSERT_EQ(replayed.region.size(), streamed.workloads.size());
-    EXPECT_TRUE(live.timing.empty());
+        sweep::SweepResult live = sweep::runSweep(streamed);
+        sweep::SweepResult replayed = sweep::runSweep(mixed);
+        ASSERT_EQ(live.region.size(), streamed.workloads.size());
+        ASSERT_EQ(replayed.region.size(), streamed.workloads.size());
+        EXPECT_TRUE(live.timing.empty());
 
-    for (std::size_t wi = 0; wi < streamed.workloads.size(); ++wi) {
-        const sweep::WorkloadSpec &w = streamed.workloads[wi];
-        SCOPED_TRACE(w.name);
-        expectRegionEqual(live.region[wi], replayed.region[wi]);
-        if (w.studyInsts)
-            EXPECT_LE(live.region[wi].instructions, w.studyInsts);
+        for (std::size_t wi = 0; wi < streamed.workloads.size(); ++wi) {
+            const sweep::WorkloadSpec &w = streamed.workloads[wi];
+            SCOPED_TRACE(w.name);
+            expectRegionEqual(live.region[wi], replayed.region[wi]);
+            if (w.studyInsts)
+                EXPECT_LE(live.region[wi].instructions, w.studyInsts);
+            // Hints resolve references only when the schemes ask.
+            EXPECT_EQ(live.region[wi].schemes.back().second
+                              .hintResolvedPct() > 0.0,
+                      hinted);
 
-        core::Experiment experiment(programOf(w));
-        sweep::RegionPoint study = experiment.regionStudy(
-            core::figure4Schemes(), false, w.studyInsts);
-        expectRegionEqual(study, live.region[wi]);
-    }
-    // The rec_fib cap lies above its length: the pass ran to the end.
-    EXPECT_LT(live.region[2].instructions, streamed.workloads[2].studyInsts);
+            core::Experiment experiment(programOf(w));
+            sweep::RegionPoint study = experiment.regionStudy(
+                core::figure4Schemes(), hinted, w.studyInsts);
+            expectRegionEqual(study, live.region[wi]);
+        }
+        // The rec_fib cap lies above its length: the pass ran to the
+        // end.
+        EXPECT_LT(live.region[3].instructions,
+                  streamed.workloads[3].studyInsts);
 
-    // Studied instructions stand in for the trace a streamed row
-    // never recorded.
-    EXPECT_EQ(live.traceInstructions, replayed.traceInstructions);
+        // Studied instructions stand in for the trace a streamed row
+        // never recorded.
+        EXPECT_EQ(live.traceInstructions, replayed.traceInstructions);
 
-    // A region-only sweep neither reads nor writes the trace cache.
-    EXPECT_EQ(live.traceCacheHits, 0u);
-    EXPECT_EQ(live.traceCacheMisses, 0u);
-    EXPECT_EQ(live.traceDiskBytes, 0u);
-    if (std::filesystem::exists(cache.dir)) {
-        for (const auto &entry :
-             std::filesystem::directory_iterator(cache.dir)) {
-            EXPECT_NE(entry.path().extension(), ".arlt")
-                << entry.path();
+        // A region-only sweep neither reads nor writes the trace cache.
+        EXPECT_EQ(live.traceCacheHits, 0u);
+        EXPECT_EQ(live.traceCacheMisses, 0u);
+        EXPECT_EQ(live.traceDiskBytes, 0u);
+        if (std::filesystem::exists(cache.dir)) {
+            for (const auto &entry :
+                 std::filesystem::directory_iterator(cache.dir)) {
+                EXPECT_NE(entry.path().extension(), ".arlt")
+                    << entry.path();
+            }
         }
     }
 }

@@ -40,7 +40,8 @@
  *       diffs on stderr).
  *
  *   arl_sim sweep <workload[,workload...]|all|none> [--jobs N]
- *       [--trace-cache DIR] [--seek-ff] [--warmup-window N] [--checkpoint-every N]
+ *       [--trace-cache DIR] [--warmup-window N [--seek-ff]]
+ *       [--checkpoint-every N]
  *       [--configs fig8|"(N+M),..."|none]
  *       [--schemes fig4|none] [--insts N] [--study-insts N] [--scale N]
  *       [--timing-json F] [--workload-dir DIR]
@@ -50,10 +51,18 @@
  *       --jobs value; wall-clock/speedup metering (plus trace
  *       compression ratio and decode MB/s when a cache is used) goes
  *       to stdout and (optionally) the separate --timing-json file.
- *       --seek-ff resolves each fast-forward to the nearest recorded
- *       checkpoint and seeks the trace there instead of replaying
- *       the prefix; reports are bit-identical, only wall clock
- *       changes.
+ *       --warmup-window N warms only from the last N fast-forward
+ *       instructions, which changes results.  --seek-ff, which needs
+ *       --warmup-window, then seeks each fast-forward to the nearest
+ *       recorded checkpoint instead of replaying the prefix; reports
+ *       are byte-identical to the same window without --seek-ff.
+ *
+ *   arl_sim figure <name|all> [--scale N] [--insts N] [--jobs N]
+ *       [--trace-cache DIR]
+ *       Reproduce one of the paper's tables and figures, or all of
+ *       them: run its grid, print its table and "paper:" footer, and
+ *       check its claims (one PASS or FAIL line each; exit 2 on any
+ *       FAIL).  --insts is the timing figures' timed window.
  *
  *   arl_sim monitor <file.jsonl> [--follow] [--refresh-ms N]
  *       [--stall-sec N] [--timeout-sec N]
@@ -102,7 +111,10 @@
  * numeric value, or a stray positional argument aborts with exit
  * code 1 instead of silently running with defaults.
  *
- * Observability flags, accepted by every simulating subcommand:
+ * Observability flags, each accepted only where it is honoured (the
+ * report sinks on every simulating subcommand, intervals on run,
+ * predict and time, the tracers on unsampled time) and an unknown
+ * flag anywhere else:
  *
  *   --stats-json <file>   write an obs::Report JSON document
  *   --stats-csv <file>    flat workload,config,stat,value CSV
@@ -116,9 +128,9 @@
  *                         they are captured instead of holding them
  *                         in memory (needs --interval; the report's
  *                         "intervals" section is then omitted)
- *   --pipetrace <file>    pipeline event trace (time only)
+ *   --pipetrace <file>    pipeline event trace
  *   --pipetrace-max <N>   cap trace at N events (0 = unlimited)
- *   --chrome-trace <file> Chrome Trace Event timeline (time only)
+ *   --chrome-trace <file> Chrome Trace Event timeline
  *   --chrome-trace-max <N> cap at N instruction spans (0 = unlimited)
  *   --quiet               suppress info/warn output AND the human
  *                         tables/headers, so piped --stats-csv -
@@ -157,6 +169,7 @@
 #include "common/logging.hh"
 #include "core/experiment.hh"
 #include "corpus/corpus.hh"
+#include "figures/figures.hh"
 #include "isa/inst.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/hooks.hh"
@@ -211,28 +224,35 @@ isNonNegativeInt(const std::string &value)
     return true;
 }
 
+/** The report sinks, accepted by every simulating subcommand. */
+const std::vector<FlagSpec> kReportFlags = {
+    {"stats-json", FlagKind::String}, {"stats-csv", FlagKind::String}};
+
+/** Interval sampling, accepted by run, predict and time. */
+const std::vector<FlagSpec> kIntervalFlags = {
+    {"interval", FlagKind::Int}, {"interval-stream", FlagKind::String}};
+
+/** The pipeline tracers, accepted by time only. */
+const std::vector<FlagSpec> kTracerFlags = {
+    {"pipetrace", FlagKind::String}, {"pipetrace-max", FlagKind::Int},
+    {"chrome-trace", FlagKind::String}, {"chrome-trace-max", FlagKind::Int}};
+
 /**
  * Strict flag parser for everything after the positionals.
  *
- * Each subcommand declares its accepted flags via parse(); the
- * shared logging flags (and, for simulating subcommands, the
- * observability flags) are accepted implicitly.  An unknown flag, a
- * missing or malformed value (integer flags demand a non-negative
- * integer), a repeated flag, or a stray positional is a usage error:
- * message + exit 1.  Strictness is deliberate — a typo must never
- * silently run with defaults, and a duplicated flag must never
- * silently drop one of the two values the user thought they set.
+ * Each subcommand declares its own flags and the shared families it
+ * honours via parse(); only the logging and profiling flags are
+ * accepted everywhere, so no flag is ever silently ignored.  An
+ * unknown flag, a missing or malformed value (integer flags demand a
+ * non-negative integer), a repeated flag, or a stray positional is a
+ * usage error: message + exit 1.  Strictness is deliberate — a typo
+ * must never silently run with defaults, and a duplicated flag must
+ * never silently drop one of the two values the user thought they
+ * set.
  */
 class Args
 {
   public:
-    /** Which implicit flag family a subcommand also accepts. */
-    enum class Common : std::uint8_t
-    {
-        Obs,     ///< observability + logging flags
-        LogOnly  ///< logging flags only (non-simulating commands)
-    };
-
     Args(int argc, char **argv, int first)
     {
         for (int i = first; i < argc; ++i)
@@ -240,36 +260,23 @@ class Args
     }
 
     void
-    parse(const std::vector<FlagSpec> &specs,
-          Common common = Common::Obs)
+    parse(std::vector<FlagSpec> specs,
+          std::initializer_list<const std::vector<FlagSpec> *> families =
+              {})
     {
-        static const FlagSpec log_specs[] = {
+        static const std::vector<FlagSpec> log_specs = {
             {"quiet", FlagKind::Bool},
             {"log-level", FlagKind::String},
             {"profile", FlagKind::Bool},
             {"profile-json", FlagKind::String},
         };
-        static const FlagSpec obs_specs[] = {
-            {"stats-json", FlagKind::String},
-            {"stats-csv", FlagKind::String},
-            {"interval", FlagKind::Int},
-            {"interval-stream", FlagKind::String},
-            {"pipetrace", FlagKind::String},
-            {"pipetrace-max", FlagKind::Int},
-            {"chrome-trace", FlagKind::String},
-            {"chrome-trace-max", FlagKind::Int},
-        };
+        specs.insert(specs.end(), log_specs.begin(), log_specs.end());
+        for (const std::vector<FlagSpec> *family : families)
+            specs.insert(specs.end(), family->begin(), family->end());
         auto find = [&](const std::string &name) -> const FlagSpec * {
             for (const FlagSpec &spec : specs)
                 if (name == spec.name)
                     return &spec;
-            for (const FlagSpec &spec : log_specs)
-                if (name == spec.name)
-                    return &spec;
-            if (common == Common::Obs)
-                for (const FlagSpec &spec : obs_specs)
-                    if (name == spec.name)
-                        return &spec;
             return nullptr;
         };
 
@@ -553,11 +560,8 @@ cmdList()
 int
 cmdRun(const std::string &target, Args &args)
 {
-    std::vector<FlagSpec> accepted = {{"scale", FlagKind::Int},
-                                      {"max-insts", FlagKind::Int}};
-    accepted.insert(accepted.end(), kTelemetryFlags.begin(),
-                    kTelemetryFlags.end());
-    args.parse(accepted);
+    args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}},
+               {&kReportFlags, &kIntervalFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
     auto prog = loadTarget(target,
                            static_cast<unsigned>(args.flagInt("scale", 1)));
@@ -639,7 +643,8 @@ cmdRun(const std::string &target, Args &args)
 int
 cmdProfile(const std::string &target, Args &args)
 {
-    args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}});
+    args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}},
+               {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
     auto prog = loadTarget(target,
                            static_cast<unsigned>(args.flagInt("scale", 1)));
@@ -715,7 +720,8 @@ cmdPredict(const std::string &target, Args &args)
                 {"cid-bits", FlagKind::Int},
                 {"two-bit", FlagKind::Bool},
                 {"hints", FlagKind::String},
-                {"scale", FlagKind::Int}});
+                {"scale", FlagKind::Int}},
+               {&kReportFlags, &kIntervalFlags});
     ObsOptions opts = ObsOptions::parse(args);
     unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
     auto prog = loadTarget(target, scale);
@@ -930,13 +936,9 @@ cmdTime(const std::string &target, Args &args)
         {"verbose", FlagKind::Bool},   {"cpi-stack", FlagKind::Bool},
         {"workload-dir", FlagKind::String},
     };
-    accepted.insert(accepted.end(), kContentionFlags.begin(),
-                    kContentionFlags.end());
-    accepted.insert(accepted.end(), kSamplingFlags.begin(),
-                    kSamplingFlags.end());
-    accepted.insert(accepted.end(), kTelemetryFlags.begin(),
-                    kTelemetryFlags.end());
-    args.parse(accepted);
+    args.parse(accepted,
+               {&kReportFlags, &kIntervalFlags, &kTracerFlags,
+                &kContentionFlags, &kSamplingFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
     unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
     // With --workload-dir the target is resolved inside the corpus
@@ -1020,8 +1022,8 @@ cmdTime(const std::string &target, Args &args)
     if (sampling_spec.sampling) {
         if (!opts.tracePath.empty() || !opts.chromePath.empty() ||
             opts.interval)
-            warn("--sampling: pipetrace/chrome-trace/interval sinks "
-                 "do not apply to sampled runs; ignoring them");
+            badUsage("--pipetrace, --chrome-trace and --interval do "
+                     "not apply to --sampling runs");
         sampling_spec.configs = configs;
         sampling_spec.jobs = 1;
         sampling_spec.telemetry = telemetry.get();
@@ -1032,8 +1034,7 @@ cmdTime(const std::string &target, Args &args)
         w.warmup = workload_warmup;
         w.timed = timed;
         sampling_spec.workloads.push_back(std::move(w));
-        sweep::SweepResult result =
-            core::Experiment::sweep(sampling_spec);
+        sweep::SweepResult result = sweep::runSweep(sampling_spec);
         if (telemetry) {
             std::uint64_t total = 0;
             for (const auto &point : result.timing)
@@ -1168,13 +1169,8 @@ cmdSweep(const std::string &target, Args &args)
         {"workload-dir", FlagKind::String},
         {"telemetry-stall-sec", FlagKind::Int},
     };
-    accepted.insert(accepted.end(), kContentionFlags.begin(),
-                    kContentionFlags.end());
-    accepted.insert(accepted.end(), kSamplingFlags.begin(),
-                    kSamplingFlags.end());
-    accepted.insert(accepted.end(), kTelemetryFlags.begin(),
-                    kTelemetryFlags.end());
-    args.parse(accepted);
+    args.parse(accepted, {&kReportFlags, &kContentionFlags,
+                          &kSamplingFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
     unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
     InstCount timed =
@@ -1189,14 +1185,14 @@ cmdSweep(const std::string &target, Args &args)
         return rc;
     spec.checkpointEvery = static_cast<InstCount>(
         args.flagInt("checkpoint-every", 0));
-    // --seek-ff needs a bounded warming window to have a prefix to
-    // skip; default to one checkpoint block when not given.
+    // --seek-ff skips only the prefix before a bounded warming
+    // window, and the window's size changes the results, so the user
+    // chooses it; no window is a usage error, never a silent default.
     auto warmup_window =
         static_cast<InstCount>(args.flagInt("warmup-window", 0));
     if (spec.seekFastForward && warmup_window == 0)
-        warmup_window = spec.checkpointEvery
-                            ? spec.checkpointEvery
-                            : trace::DefaultBlockRecords;
+        badUsage("--seek-ff needs --warmup-window N (a bounded warming "
+                 "window changes results; pick one per study)");
 
     ooo::ContentionKnobs knobs = parseContentionKnobs(args);
     std::string configs_spec = args.flag("configs", "fig8");
@@ -1286,7 +1282,7 @@ cmdSweep(const std::string &target, Args &args)
     spec.telemetryStallSec = static_cast<double>(
         args.flagInt("telemetry-stall-sec", 30));
 
-    sweep::SweepResult result = core::Experiment::sweep(spec);
+    sweep::SweepResult result = sweep::runSweep(spec);
 
     if (telemetry) {
         std::uint64_t total = 0;
@@ -1370,6 +1366,63 @@ cmdSweep(const std::string &target, Args &args)
 }
 
 /**
+ * Reproduce one of the paper's tables or figures (or all of them):
+ * run its grid, print its table, and check its claims.  Exit 2 when
+ * any claim fails, so a regression in a reproduced result fails CI.
+ */
+int
+cmdFigure(const std::string &target, Args &args)
+{
+    args.parse({{"scale", FlagKind::Int}, {"insts", FlagKind::Int},
+                {"jobs", FlagKind::Int}, {"trace-cache", FlagKind::String}},
+               {&kReportFlags});
+    ObsOptions opts = ObsOptions::parse(args);
+    std::vector<std::string> chosen;
+    std::string known;
+    for (const std::string &name : figures::names()) {
+        known += " " + name;
+        if (target == "all" || target == name)
+            chosen.push_back(name);
+    }
+    if (chosen.empty())
+        badUsage("unknown figure '" + target + "' (want all or one of:" +
+                 known + ")");
+    figures::Options fopts;
+    fopts.scale = static_cast<unsigned>(args.flagInt("scale", 1));
+    fopts.insts = static_cast<InstCount>(args.flagInt("insts", 400000));
+    fopts.jobs = static_cast<unsigned>(args.flagInt("jobs", 1));
+    fopts.traceCacheDir = args.flag("trace-cache", "");
+
+    obs::Report report;
+    report.command = "figure";
+    std::size_t claims = 0;
+    unsigned failed = 0;
+    for (const std::string &name : chosen) {
+        obs::ProfScope prof("figure");
+        figures::Outcome outcome = figures::run(name, fopts);
+        claims += outcome.verdicts.size();
+        failed += outcome.failed;
+        if (!quietOutput()) {
+            std::printf("%s%s", name == chosen.front() ? "" : "\n",
+                        outcome.text.c_str());
+            std::fflush(stdout);
+        } else {
+            for (const std::string &verdict : outcome.verdicts)
+                if (verdict.rfind("FAIL", 0) == 0)
+                    std::fprintf(stderr, "arl_sim: %s: %s\n",
+                                 name.c_str(), verdict.c_str());
+        }
+        report.runs.insert(report.runs.end(), outcome.runs.begin(),
+                           outcome.runs.end());
+    }
+    if (chosen.size() > 1 && !quietOutput())
+        std::printf("\nfigure: %zu figures, %zu claims, %u failed\n",
+                    chosen.size(), claims, failed);
+    int rc = opts.wantsReport() ? emitReport(report, opts) : 0;
+    return failed ? 2 : rc;
+}
+
+/**
  * Conformance-grade a corpus directory: assemble, run, and diff every
  * checked-in `.s` program against its sidecar manifest.  Exit 0 when
  * all programs conform, 1 when the directory itself is unusable
@@ -1380,7 +1433,7 @@ cmdSweep(const std::string &target, Args &args)
 int
 cmdGrade(const std::string &dir, Args &args)
 {
-    args.parse({});
+    args.parse({}, {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
 
     std::vector<corpus::Entry> entries;
@@ -1458,7 +1511,8 @@ cmdRecord(const std::string &target, Args &args)
                 {"trace-format", FlagKind::String},
                 {"block-records", FlagKind::Int},
                 {"max-insts", FlagKind::Int},
-                {"scale", FlagKind::Int}});
+                {"scale", FlagKind::Int}},
+               {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
     std::string out_path = args.flag("out", target + ".trace");
     trace::TraceFormat format = trace::TraceFormat::V2;
@@ -1509,10 +1563,8 @@ cmdRecord(const std::string &target, Args &args)
 int
 cmdReplay(const std::string &trace_path, Args &args)
 {
-    std::vector<FlagSpec> accepted = {{"seek", FlagKind::Int}};
-    accepted.insert(accepted.end(), kTelemetryFlags.begin(),
-                    kTelemetryFlags.end());
-    args.parse(accepted);
+    args.parse({{"seek", FlagKind::Int}},
+               {&kReportFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
     trace::TraceReader reader(trace_path);
     auto skip = static_cast<InstCount>(args.flagInt("seek", 0));
@@ -1834,8 +1886,7 @@ cmdMonitor(const std::string &path, Args &args)
     args.parse({{"follow", FlagKind::Bool},
                 {"refresh-ms", FlagKind::Int},
                 {"stall-sec", FlagKind::Int},
-                {"timeout-sec", FlagKind::Int}},
-               Args::Common::LogOnly);
+                {"timeout-sec", FlagKind::Int}});
     const bool follow = args.has("follow");
     long refresh_ms = args.flagInt("refresh-ms", 500);
     if (refresh_ms <= 0)
@@ -2171,7 +2222,7 @@ validateTelemetry(const std::string &path, const std::string &content)
 int
 cmdValidate(const std::string &path, Args &args)
 {
-    args.parse({}, Args::Common::LogOnly);
+    args.parse({});
     std::ifstream file(path);
     if (!file)
         return invalid(path, "cannot open");
@@ -2213,7 +2264,7 @@ cmdValidate(const std::string &path, Args &args)
 int
 cmdDisasm(const std::string &target, Args &args)
 {
-    args.parse({}, Args::Common::LogOnly);
+    args.parse({});
     auto prog = loadTarget(target, 1);
     for (std::size_t i = 0; i < prog->text.size(); ++i) {
         Addr pc = prog->textBase + static_cast<Addr>(i * 4);
@@ -2243,10 +2294,13 @@ usage()
         "  sweep <w[,w...]|all|none> [flags] parallel experiment sweep\n"
         "    [--jobs N] [--trace-cache DIR] [--configs fig8|\"(N+M),..\"]\n"
         "    [--schemes fig4] [--insts N] [--study-insts N]\n"
-        "    [--seek-ff] [--warmup-window N]\n"
+        "    [--warmup-window N [--seek-ff]]\n"
         "    [--checkpoint-every N] [--timing-json F]\n"
         "    [--workload-dir DIR]  add corpus .s programs as workload\n"
         "                          rows (target 'none' = corpus only)\n"
+        "  figure <name|all> [--scale N] [--insts N] [--jobs N]\n"
+        "    [--trace-cache DIR]        a paper table/figure and its\n"
+        "                               checked claims (exit 2 on FAIL)\n"
         "  grade <dir>                  conformance-grade a corpus dir\n"
         "    assemble + run every .s against its sidecar manifest;\n"
         "    exit 0 all pass, 1 unusable dir, 2 conformance failures\n"
@@ -2278,12 +2332,15 @@ usage()
         "                            window (default 5000)\n"
         "  --sampling-verify         also run the full population and\n"
         "                            report the measured CPI error\n"
-        "observability (any simulating command; F = \"-\" for stdout):\n"
-        "  --stats-json F   --stats-csv F   --interval N\n"
-        "  --interval-stream F   stream sampled rows as CSV (needs\n"
-        "                        --interval; O(1) sampler memory)\n"
-        "  --pipetrace F [--pipetrace-max N]   (time only)\n"
-        "  --chrome-trace F [--chrome-trace-max N]   (time only)\n"
+        "reports (any simulating command; F = \"-\" for stdout):\n"
+        "  --stats-json F   --stats-csv F\n"
+        "interval sampling (run, predict, time):\n"
+        "  --interval N   --interval-stream F   stream sampled rows as\n"
+        "                 CSV (needs --interval; O(1) sampler memory)\n"
+        "pipeline tracing (time only):\n"
+        "  --pipetrace F [--pipetrace-max N]\n"
+        "  --chrome-trace F [--chrome-trace-max N]\n"
+        "logging (any command):\n"
         "  --quiet   --log-level debug|info|warn|quiet\n"
         "telemetry (run, time, replay, sweep):\n"
         "  --telemetry F             append heartbeat JSONL records\n"
@@ -2383,7 +2440,7 @@ main(int argc, char **argv)
     std::string command = argv[1];
     if (command == "list") {
         Args list_args(argc, argv, 2);
-        list_args.parse({}, Args::Common::LogOnly);
+        list_args.parse({});
         return finishProfile(profile_json, cmdList());
     }
     if (argc < 3) {
@@ -2406,6 +2463,8 @@ main(int argc, char **argv)
             return cmdTime(target, args);
         if (command == "sweep")
             return cmdSweep(target, args);
+        if (command == "figure")
+            return cmdFigure(target, args);
         if (command == "grade")
             return cmdGrade(target, args);
         if (command == "record")
