@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hh"
+#include "sweep/sweep.hh"
 #include "workloads/workloads.hh"
 
 using namespace arl;
@@ -34,22 +34,28 @@ main(int argc, char **argv)
                 info.paperAnalog.c_str(), (unsigned long long)timed,
                 (unsigned long long)info.warmupInsts);
 
-    std::vector<ooo::MachineConfig> configs = {
+    // One workload row, four machine configurations: a sweep whose
+    // points share one recorded trace.
+    sweep::WorkloadSpec row;
+    row.name = info.name;
+    row.warmup = info.warmupInsts;
+    row.timed = timed;
+    sweep::SweepSpec spec;
+    spec.workloads = {row};
+    spec.configs = {
         ooo::MachineConfig::nPlusM(2, 0),
         ooo::MachineConfig::nPlusM(2, 2),
         ooo::MachineConfig::nPlusM(3, 3),
         ooo::MachineConfig::nPlusM(16, 0),
     };
+    sweep::SweepResult result = sweep::runSweep(spec);
 
-    core::Experiment experiment(info.build(1));
-    auto results =
-        experiment.timingSweep(configs, info.warmupInsts, timed);
-
-    double base = static_cast<double>(results[0].cycles);
+    double base = static_cast<double>(result.timing[0].stats.cycles);
     std::printf("%-8s %10s %6s %8s %7s %8s %8s %7s\n", "config",
                 "cycles", "IPC", "speedup", "LVAQ%", "LVChit%",
                 "regmis", "fastfwd");
-    for (const auto &stats : results) {
+    for (const auto &point : result.timing) {
+        const ooo::OooStats &stats = point.stats;
         double mem_ops =
             static_cast<double>(stats.loads + stats.stores);
         double lvaq_pct =

@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include "common/logging.hh"
-#include "obs/hooks.hh"
 #include "sim/simulator.hh"
 
 namespace arl::core
@@ -94,47 +93,6 @@ Experiment::regionStudy(const std::vector<NamedScheme> &schemes,
     sim::SimulatorSource source(simulator);
     return sweep::runRegionPass(prog->name, source, specs, max_insts,
                                 use_hints ? &hints : nullptr);
-}
-
-TimingResult
-Experiment::timingStudy(const ooo::MachineConfig &config,
-                        InstCount warmup_insts,
-                        InstCount max_insts,
-                        obs::Hooks *hooks,
-                        std::shared_ptr<sim::StepSource> step_source,
-                        InstCount warmup_window) const
-{
-    ooo::OooCore core(config, prog, std::move(step_source));
-    if (hooks)
-        core.attachObs(hooks);
-    if (warmup_insts)
-        core.warmup(warmup_insts, warmup_window);
-    // Sampling (re)starts here so the baseline reflects the
-    // post-warmup state and the frozen name set includes every stat
-    // the core just registered.
-    if (hooks)
-        hooks->restartSampling();
-    TimingResult result = core.run(max_insts);
-    // The registry's live entries point into `core`, which dies at
-    // return; flush the trailing partial sampling interval, then
-    // freeze the values so reports stay valid.
-    if (hooks) {
-        hooks->finishSampling(result.instructions);
-        hooks->finalize();
-    }
-    return result;
-}
-
-std::vector<TimingResult>
-Experiment::timingSweep(const std::vector<ooo::MachineConfig> &configs,
-                        InstCount warmup_insts,
-                        InstCount max_insts) const
-{
-    std::vector<TimingResult> results;
-    results.reserve(configs.size());
-    for (const ooo::MachineConfig &config : configs)
-        results.push_back(timingStudy(config, warmup_insts, max_insts));
-    return results;
 }
 
 } // namespace arl::core

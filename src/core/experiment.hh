@@ -7,17 +7,18 @@
  *  - a *region study* (paper §3): run a program functionally and
  *    collect the per-instruction region classification, the
  *    sliding-window interleaving statistics, and the accuracy of a
- *    set of region-prediction schemes;
+ *    set of region-prediction schemes — Experiment::regionStudy, or
+ *    a sweep::SweepSpec with schemes for a grid;
  *
  *  - a *timing study* (paper §4): run a program through the
  *    out-of-order data-decoupled core under one or more machine
- *    configurations and compare cycle counts.
+ *    configurations and compare cycle counts — a sweep::SweepSpec
+ *    with configs, run by sweep::runSweep (one row for one program).
  *
- * Experiment wraps both behind a small API so examples stay
- * one-screen programs; grids of either run through sweep::runSweep.
- * Everything underneath is reachable directly (sim::Simulator,
- * predict::RegionPredictor, ooo::OooCore) when finer control is
- * needed.
+ * This header adds the scheme sets and the one-program region study
+ * so examples stay one-screen programs.  Everything underneath is
+ * reachable directly (sim::Simulator, predict::RegionPredictor,
+ * ooo::OooCore) when finer control is needed.
  */
 
 #ifndef ARL_CORE_EXPERIMENT_HH
@@ -28,17 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "ooo/config.hh"
-#include "ooo/core.hh"
 #include "predict/compiler_hints.hh"
 #include "predict/region_predictor.hh"
 #include "sweep/sweep.hh"
 #include "vm/program.hh"
-
-namespace arl::obs
-{
-struct Hooks;
-}
 
 namespace arl::core
 {
@@ -66,10 +60,7 @@ std::vector<NamedScheme> twoBitSchemes();
 /** Results of a region study (the sweep engine's region row). */
 using RegionStudyResult = sweep::RegionPoint;
 
-/** Results of one timing configuration. */
-using TimingResult = ooo::OooStats;
-
-/** Facade over the functional and timing simulators. */
+/** Facade over one program's functional simulation. */
 class Experiment
 {
   public:
@@ -91,35 +82,6 @@ class Experiment
     RegionStudyResult regionStudy(const std::vector<NamedScheme> &schemes,
                                   bool use_hints = false,
                                   InstCount max_insts = 0);
-
-    /**
-     * Run the §4 timing methodology for one machine configuration.
-     *
-     * @param warmup_insts functional fast-forward before timing.
-     * @param max_insts timed instruction budget (0 = to completion).
-     * @param hooks optional observability context: the core registers
-     *        its stats into @p hooks->registry, (re)starts interval
-     *        sampling after warmup, and emits pipeline-trace events
-     *        when the hooks carry a tracer.
-     * @param step_source optional committed-stream source (e.g. a
-     *        trace::ReplaySource); null embeds a live functional
-     *        simulator.  Timing is bit-identical either way.
-     * @param warmup_window warm microarchitectural state only from
-     *        the last N fast-forward instructions (0 = all; see
-     *        OooCore::warmup).  The sweep engine combines this with
-     *        trace checkpoints for seek-based fast-forward.
-     */
-    TimingResult timingStudy(
-        const ooo::MachineConfig &config, InstCount warmup_insts = 0,
-        InstCount max_insts = 0, obs::Hooks *hooks = nullptr,
-        std::shared_ptr<sim::StepSource> step_source = nullptr,
-        InstCount warmup_window = 0) const;
-
-    /** timingStudy over a set of configurations. */
-    std::vector<TimingResult>
-    timingSweep(const std::vector<ooo::MachineConfig> &configs,
-                InstCount warmup_insts = 0,
-                InstCount max_insts = 0) const;
 
     /** Build profile-based compiler hints (one functional pass). */
     predict::CompilerHints buildHints(InstCount max_insts = 0) const;

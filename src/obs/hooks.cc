@@ -13,17 +13,8 @@ Hooks::startSampling()
     if (intervalEvery == 0 || sampler)
         return;
     sampler = std::make_unique<IntervalSampler>(registry, intervalEvery);
-    // Re-attached on every (re)start so Experiment::timingStudy's
-    // restartSampling() keeps streaming to the same sink.
     if (intervalStream)
         sampler->setStream(intervalStream);
-}
-
-void
-Hooks::restartSampling()
-{
-    sampler.reset();
-    startSampling();
 }
 
 bool

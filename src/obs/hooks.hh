@@ -61,9 +61,6 @@ struct Hooks
      */
     void startSampling();
 
-    /** Reset the sampler (new run over the same registrations). */
-    void restartSampling();
-
     /**
      * Open @p path and attach a PipeTracer writing to it.
      * @param max_events event cap (0 = unlimited).
@@ -114,7 +111,8 @@ struct Hooks
      * are still alive.  Live counter/gauge/formula entries point into
      * the components that registered them, so a snapshot taken after
      * those objects are destroyed reads freed memory; call this at
-     * the end of the run (Experiment::timingStudy does) and
+     * the end of the run (a sweep timing job does, on its own Hooks
+     * or on the caller's SweepSpec::hooks entry) and
      * RunRecord::fromHooks will use the captured values.
      */
     void finalize() { finalSnapshot = registry.snapshot(); finalized = true; }

@@ -247,6 +247,10 @@ class OooCore
      */
     cache::Hierarchy &memHierarchy() { return hierarchy; }
 
+    /** Instructions pulled from the step source so far, warmup
+     *  included: what a recording of this run's stream would hold. */
+    InstCount delivered() const { return stepSrc->delivered(); }
+
     /**
      * Whether in-flight instruction @p seq (0 = the first dispatched)
      * was selected for issue on a predicted input value since it

@@ -280,6 +280,125 @@ testStallMs()
     return (end && *end == '\0') ? v : 0;
 }
 
+/** What one timing job measured. */
+struct JobRun
+{
+    ooo::OooStats stats;
+    obs::StatsRegistry::Snapshot snapshot;
+    /** Instructions the job's stream delivered, warmup included. */
+    InstCount delivered = 0;
+};
+
+/**
+ * Run timing job @p tj of row @p row over @p trace, or, when @p trace
+ * is empty (a live row), over the core's own functional simulator.
+ * Every job is one sequence — seek, warm, time, finalize — over its
+ * own window: an exact point or a verify run times the workload's
+ * window after its warmup (seeking to a checkpoint first under
+ * seekFastForward), and a phase representative seeks to its warmup
+ * window, warms functionally and then through the pipeline, and
+ * times only its interval.
+ *
+ * @param hooks the point's caller-owned context (SweepSpec::hooks),
+ *        or null for a private one.
+ */
+JobRun
+runTimingJob(const SweepSpec &spec, const Prepared &row,
+             const RowTrace &trace, const TimingJob &tj, std::size_t job,
+             obs::Hooks *hooks, std::atomic<std::uint64_t> &seek_skipped)
+{
+    const WorkloadSpec &w = spec.workloads[tj.wi];
+    const bool sample = tj.rep >= 0;
+    obs::ProfScope prof(sample                         ? "sweep/sample"
+                        : tj.rep == TimingJob::Verify ? "sweep/verify"
+                                                      : "sweep/simulate",
+                        obs::ProfScope::Mode::Absolute);
+    ooo::MachineConfig config = spec.configs[tj.ci];
+    if (spec.cpiStack)
+        config.cpiStack = true;
+
+    // Skip `seek` records, warm the next `warm` functionally (state
+    // only from the last `warm_last`; 0 = all), run `detail` through
+    // the pipeline with the statistics fenced off, then time `timed`
+    // (0 = to completion).
+    InstCount seek = 0, warm = w.warmup, warm_last = w.warmupWindow;
+    InstCount detail = 0, timed = w.timed;
+    if (sample) {
+        // The warmup window splits into a functional prefix and a
+        // short detailed tail; runSample fences the statistics
+        // between the tail and the timed interval, so the window
+        // starts with a full ROB and live contention state but clean
+        // counters.
+        const sampling::Representative &rep =
+            row.plan.reps[static_cast<std::size_t>(tj.rep)];
+        seek = rep.warmupStart;
+        detail = rep.detail;
+        warm = rep.start - rep.warmupStart - rep.detail;
+        warm_last = 0;
+        timed = rep.length;
+    } else if (spec.seekFastForward && w.warmupWindow &&
+               w.warmupWindow < w.warmup) {
+        // Checkpointed fast-forward: skip decoding the prefix up to
+        // the nearest checkpoint that still leaves the full warming
+        // window to consume.  Functional and seeked paths warm the
+        // identical final records, so the timed window (and the
+        // report) is bit-identical either way.
+        seek = trace.checkpointAtOrBelow(w.warmup - w.warmupWindow);
+        warm -= seek;
+    }
+
+    std::shared_ptr<sim::StepSource> source;
+    if (trace) {
+        source = trace.source();
+        if (seek) {
+            obs::ProfScope prof_seek("seek");
+            source->seekTo(seek);
+            seek_skipped.fetch_add(seek, std::memory_order_relaxed);
+        }
+    }
+    ooo::OooCore core(config, row.program, source);
+    obs::Hooks own;
+    obs::Hooks &h = hooks ? *hooks : own;
+    core.attachObs(&h);
+    std::unique_ptr<obs::TelemetryScope> tscope;
+    if (spec.telemetry) {
+        // The rep index (a representative's, or Exact / Verify)
+        // rides on every record of this job.  A live row run to
+        // completion cannot know its length up front: total 0.
+        std::uint64_t total = timed;
+        if (!total && trace && trace.size() > w.warmup)
+            total = trace.size() - w.warmup;
+        tscope = std::make_unique<obs::TelemetryScope>(
+            spec.telemetry, static_cast<int>(job), w.name, config.name,
+            static_cast<int>(tj.rep), total);
+        tscope->start();
+        h.telemetry = tscope.get();
+        if (job == 0 && testStallMs())
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(testStallMs()));
+    }
+    if (warm)
+        core.warmup(warm, warm_last);
+    // Sampling starts after warmup, so its baseline is the warmed
+    // state and its frozen name set holds every stat the core
+    // registered.
+    h.startSampling();
+    JobRun out;
+    out.stats = sample ? core.runSample(timed, detail) : core.run(timed);
+    h.finishSampling(out.stats.instructions);
+    if (tscope)
+        tscope->done(out.stats.instructions, out.stats.cycles);
+    h.telemetry = nullptr;
+    // The registry's live entries point into `core`, which dies at
+    // return: freeze the values while it lives.
+    h.finalize();
+    out.snapshot = h.finalSnapshot;
+    out.delivered = core.delivered();
+    prof.addGuestInsts(warm + detail + out.stats.instructions);
+    prof.addGuestCycles(out.stats.cycles);
+    return out;
+}
+
 /** Insert @p name into the sorted snapshot @p snapshot. */
 void
 insertStat(obs::StatsRegistry::Snapshot &snapshot,
@@ -325,11 +444,9 @@ runSweep(const SweepSpec &spec)
     const bool hinted = std::any_of(
         spec.schemes.begin(), spec.schemes.end(),
         [](const SchemeSpec &s) { return s.config.useCompilerHints; });
-    // With no timing configs, each row's only consumer is its single
-    // region pass: stream it from a live simulator instead of
-    // recording a trace that would be replayed exactly once.
-    const bool stream_region = nc == 0;
     const bool sampled = spec.sampling && nc != 0;
+    if (!spec.hooks.empty() && (sampled || spec.hooks.size() != nw * nc))
+        fatal("sweep: hooks need one entry per exact timing point");
     // A row's full-window readers are its exact timing points, its
     // verify runs and its region pass; sampled representatives read
     // a block or two each and do not count.  A decoded copy pays off
@@ -363,6 +480,16 @@ runSweep(const SweepSpec &spec)
         cache_dir.clear();
     }
 
+    // A row records its trace only when something reuses the
+    // recording: several full-window readers, a sampling plan,
+    // checkpointed fast-forward, or a trace cache on a timing grid.
+    // Every other row is live: its one reader streams from a
+    // functional simulator running beside it (a timing point's
+    // OooCore embeds one), so nothing is recorded to be read once.
+    const bool live_rows =
+        full_readers <= 1 && !sampled &&
+        (nc == 0 || (!spec.seekFastForward && cache_dir.empty()));
+
     SweepResult result;
     result.numConfigs = nc;
     result.jobs = jobs;
@@ -372,7 +499,7 @@ runSweep(const SweepSpec &spec)
     obs::ProfScope prof_sweep("sweep");
 
     // ---- Phase 1: build each program once, trace each stream once
-    // (unless the region passes stream it live).
+    // (unless the rows are live).
     std::vector<Prepared> prep(nw);
     runJobs(nw, jobs, [&](std::size_t wi) {
         obs::ProfScope prof("sweep/prepare",
@@ -382,7 +509,7 @@ runSweep(const SweepSpec &spec)
         Prepared p;
         std::string source;
         p.program = buildProgram(w, &source);
-        if (stream_region) {
+        if (live_rows) {
             p.seconds = secondsSince(start);
             prep[wi] = std::move(p);
             return;
@@ -468,7 +595,7 @@ runSweep(const SweepSpec &spec)
     for (const Prepared &p : prep) {
         result.serialSecondsEstimate += p.seconds;
         if (!p.trace)
-            continue;  // streamed row: counted after its pass
+            continue;  // live row: counted after its job
         result.traceInstructions += p.trace.size();
         result.traceDiskBytes += p.diskBytes;
         if (p.diskBytes)
@@ -487,7 +614,7 @@ runSweep(const SweepSpec &spec)
     // job; the coordinator folds them back together afterwards, in
     // declaration order, so sampled reports keep the byte-identity
     // guarantee across --jobs values.  Region passes ride at the
-    // end either way, replaying the trace or, in a region-only grid,
+    // end either way, replaying the trace or, in a live row,
     // streaming from a per-job live simulator.
     std::vector<TimingJob> tjobs;
     std::vector<sampling::RepMeasurement> rep_meas;
@@ -531,6 +658,8 @@ runSweep(const SweepSpec &spec)
     for (const TimingJob &tj : tjobs)
         remaining[tj.wi].fetch_add(1, std::memory_order_relaxed);
     std::atomic<std::uint64_t> seek_skipped{0};
+    // Instructions the live rows' readers streamed.
+    std::atomic<std::uint64_t> streamed{0};
 
     // Coordinator watchdog: while the grid drains, flag any started
     // job whose heartbeat has been silent longer than the stall
@@ -582,151 +711,33 @@ runSweep(const SweepSpec &spec)
         const WorkloadSpec &w = spec.workloads[wi];
         RowTrace trace_handle = prep[wi].trace;
 
-        if (job < timing_jobs && tjobs[job].rep == TimingJob::Exact) {
+        if (job < timing_jobs) {
             const TimingJob &tj = tjobs[job];
-            obs::ProfScope prof("sweep/simulate",
-                                obs::ProfScope::Mode::Absolute);
-            ooo::MachineConfig config = spec.configs[tj.ci];
-            if (spec.cpiStack)
-                config.cpiStack = true;
-            auto source = trace_handle.source();
-            // Checkpointed fast-forward: skip decoding the prefix up
-            // to the nearest checkpoint that still leaves the full
-            // warming window to consume.  Functional and seeked
-            // paths warm the identical final records, so the timed
-            // window (and the report) is bit-identical either way.
-            InstCount window = w.warmup;
-            if (w.warmupWindow && w.warmupWindow < window)
-                window = w.warmupWindow;
-            InstCount ff_skip = 0;
-            if (spec.seekFastForward && w.warmup > window) {
-                ff_skip = trace_handle.checkpointAtOrBelow(w.warmup -
-                                                           window);
-                if (ff_skip) {
-                    obs::ProfScope prof_seek("seek");
-                    source->seekTo(ff_skip);
-                    seek_skipped.fetch_add(
-                        ff_skip, std::memory_order_relaxed);
-                }
-            }
-            ooo::OooCore core(config, prep[wi].program, source);
-            obs::Hooks hooks;
-            core.attachObs(&hooks);
-            std::unique_ptr<obs::TelemetryScope> tscope;
-            if (spec.telemetry) {
-                std::uint64_t total = w.timed;
-                if (!total && trace_handle.size() > w.warmup)
-                    total = trace_handle.size() - w.warmup;
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(TimingJob::Exact),
-                    total);
-                tscope->start();
-                hooks.telemetry = tscope.get();
-                if (job == 0 && testStallMs())
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(testStallMs()));
-            }
-            if (w.warmup)
-                core.warmup(w.warmup - ff_skip, window);
-            TimingPoint point;
-            point.workload = w.name;
-            point.config = config.name;
-            point.stats = core.run(w.timed);
-            if (tscope)
-                tscope->done(point.stats.instructions,
-                             point.stats.cycles);
-            hooks.finalize();
-            point.snapshot = std::move(hooks.finalSnapshot);
-            prof.addGuestInsts(w.warmup - ff_skip +
-                               point.stats.instructions);
-            prof.addGuestCycles(point.stats.cycles);
-            result.timing[tj.wi * nc + tj.ci] = std::move(point);
-        } else if (job < timing_jobs && tjobs[job].rep >= 0) {
-            // One phase representative: seek to the warmup window,
-            // warm functionally, then time only the interval.
-            const TimingJob &tj = tjobs[job];
-            obs::ProfScope prof("sweep/sample",
-                                obs::ProfScope::Mode::Absolute);
-            ooo::MachineConfig config = spec.configs[tj.ci];
-            if (spec.cpiStack)
-                config.cpiStack = true;
-            const sampling::Representative &rep =
-                prep[wi].plan.reps[static_cast<std::size_t>(tj.rep)];
-            auto source = trace_handle.source();
-            if (rep.warmupStart) {
-                source->seekTo(rep.warmupStart);
-                seek_skipped.fetch_add(rep.warmupStart,
+            const std::size_t index = tj.wi * nc + tj.ci;
+            JobRun run = runTimingJob(
+                spec, prep[wi], trace_handle, tj, job,
+                spec.hooks.empty() ? nullptr : spec.hooks[index],
+                seek_skipped);
+            if (tj.rep == TimingJob::Exact) {
+                if (live_rows)
+                    streamed.fetch_add(run.delivered,
                                        std::memory_order_relaxed);
+                TimingPoint &point = result.timing[index];
+                point.workload = w.name;
+                point.config = spec.configs[tj.ci].name;
+                point.stats = std::move(run.stats);
+                point.snapshot = std::move(run.snapshot);
+            } else if (tj.rep >= 0) {
+                rep_meas[tj.slot] = {run.stats.cycles,
+                                     run.stats.instructions};
+                rep_snaps[tj.slot] = std::move(run.snapshot);
+            } else {
+                // Verify: the exact flow an unsampled timing point
+                // runs, so the measured error compares the estimate
+                // against the number the sampled run replaces.
+                verify_meas[tj.slot] = {run.stats.cycles,
+                                        run.stats.instructions};
             }
-            ooo::OooCore core(config, prep[wi].program, source);
-            obs::Hooks hooks;
-            core.attachObs(&hooks);
-            std::unique_ptr<obs::TelemetryScope> tscope;
-            if (spec.telemetry) {
-                // Sampled points are monitorable per representative:
-                // the rep index rides on every record of this job.
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(tj.rep),
-                    rep.length);
-                tscope->start();
-                hooks.telemetry = tscope.get();
-            }
-            // The warmup window splits into a functional prefix and
-            // a short detailed tail; runSample fences the statistics
-            // between the tail and the timed interval, so the window
-            // starts with a full ROB and live contention state but
-            // clean counters.
-            const InstCount warm = rep.start - rep.warmupStart;
-            if (warm > rep.detail)
-                core.warmup(warm - rep.detail, 0);
-            ooo::OooStats stats =
-                core.runSample(rep.length, rep.detail);
-            if (tscope)
-                tscope->done(stats.instructions, stats.cycles);
-            hooks.finalize();
-            rep_meas[tj.slot] = {stats.cycles, stats.instructions};
-            rep_snaps[tj.slot] = std::move(hooks.finalSnapshot);
-            prof.addGuestInsts(rep.start - rep.warmupStart +
-                               stats.instructions);
-            prof.addGuestCycles(stats.cycles);
-        } else if (job < timing_jobs) {
-            // Verify: the exact flow an unsampled timing point runs
-            // (functional warmup, then the full timed window), so
-            // the measured error compares the estimate against the
-            // number the sampled run replaces.
-            const TimingJob &tj = tjobs[job];
-            obs::ProfScope prof("sweep/verify",
-                                obs::ProfScope::Mode::Absolute);
-            ooo::MachineConfig config = spec.configs[tj.ci];
-            if (spec.cpiStack)
-                config.cpiStack = true;
-            ooo::OooCore core(config, prep[wi].program,
-                              trace_handle.source());
-            obs::Hooks hooks;
-            core.attachObs(&hooks);
-            std::unique_ptr<obs::TelemetryScope> tscope;
-            if (spec.telemetry) {
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(TimingJob::Verify),
-                    w.timed);
-                tscope->start();
-                hooks.telemetry = tscope.get();
-            }
-            InstCount window = w.warmup;
-            if (w.warmupWindow && w.warmupWindow < window)
-                window = w.warmupWindow;
-            if (w.warmup)
-                core.warmup(w.warmup, window);
-            ooo::OooStats stats = core.run(w.timed);
-            if (tscope)
-                tscope->done(stats.instructions, stats.cycles);
-            verify_meas[tj.slot] = {stats.cycles,
-                                    stats.instructions};
-            prof.addGuestInsts(w.warmup + stats.instructions);
-            prof.addGuestCycles(stats.cycles);
         } else {
             obs::ProfScope prof("sweep/regionstudy",
                                 obs::ProfScope::Mode::Absolute);
@@ -765,6 +776,9 @@ runSweep(const SweepSpec &spec)
                 w.name, *source, spec.schemes, w.studyInsts,
                 hinted ? &hints : nullptr, tscope.get());
             prof.addGuestInsts(point.instructions);
+            if (live_rows)
+                streamed.fetch_add(point.instructions,
+                                   std::memory_order_relaxed);
             result.region[wi] = std::move(point);
         }
 
@@ -784,9 +798,8 @@ runSweep(const SweepSpec &spec)
             result.serialSecondsEstimate += s;
         result.seekSkippedRecords =
             seek_skipped.load(std::memory_order_relaxed);
-        if (stream_region)
-            for (const RegionPoint &point : result.region)
-                result.traceInstructions += point.instructions;
+        result.traceInstructions +=
+            streamed.load(std::memory_order_relaxed);
         if (sampled) {
             // Fold per-representative measurements back into one
             // extrapolated point per grid cell.  Cursor order here

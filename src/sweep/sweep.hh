@@ -8,21 +8,28 @@
  * grid point re-builds and re-simulates its workload from scratch;
  * this engine instead
  *
- *  1. builds each workload's Program once and, when the grid has
- *     timing configs, records its dynamic instruction trace once
- *     (optionally persisted in an on-disk trace cache) — decoded
- *     when several jobs read the whole stream, else kept as its v2
- *     encoding and replayed a block at a time — then
+ *  1. builds each workload's Program once and, when something reuses
+ *     the recording (several full-window readers, a sampling plan,
+ *     checkpointed fast-forward, or a trace cache on a timing grid),
+ *     records its dynamic instruction trace once (optionally
+ *     persisted in an on-disk trace cache) — decoded when several
+ *     jobs read the whole stream, else kept as its v2 encoding and
+ *     replayed a block at a time — then
  *  2. shards the grid across a thread pool, replaying the shared
  *     immutable trace into per-job OooCores / predictors, each with
- *     its own obs::StatsRegistry — a region-only grid (no configs)
- *     records nothing: each row's single region pass streams from
- *     its own live functional simulator instead — and
+ *     its own obs::StatsRegistry — a row nothing reuses is a *live
+ *     row* and records nothing: its one reader (a timing point's
+ *     OooCore or a region pass) streams from its own functional
+ *     simulator instead — and
  *  3. merges results in declaration (workload-major, config-minor)
  *     order, so the output is byte-identical no matter how many
  *     worker threads ran — `--jobs 1` and `--jobs N` produce the
  *     same report (tests/test_differential.cc asserts this, and
  *     tests/golden/ pins the numbers).
+ *
+ * Every timing number the tools print comes from here: `arl_sim
+ * time` is a one-row sweep, and its tracers and interval sampler
+ * ride on caller-owned per-point Hooks (SweepSpec::hooks).
  *
  * Determinism rests on two facts: trace recording is
  * bit-reproducible, and trace replay into an OooCore or a region
@@ -52,6 +59,11 @@
 #include "profile/window_profiler.hh"
 #include "sim/step_source.hh"
 #include "trace/trace.hh"
+
+namespace arl::obs
+{
+struct Hooks;
+}
 
 namespace arl::sweep
 {
@@ -116,8 +128,9 @@ struct SweepSpec
      * Entries are v2 files keyed by workload, scale and window
      * length; recording is bit-reproducible, so hits are
      * byte-equivalent to fresh recordings.  Only grids with timing
-     * configs record traces: a region-only sweep never reads or
-     * writes the cache.
+     * configs use it: a cache makes every row of such a grid record
+     * (or load) its trace, even a row with one reader, while a
+     * region-only sweep never reads or writes the cache.
      */
     std::string traceCacheDir;
     /**
@@ -125,8 +138,10 @@ struct SweepSpec
      * recorded checkpoint at or below (warmup - warmupWindow) and
      * seek the trace there instead of replaying the prefix.  Results
      * are bit-identical to functional fast-forward with the same
-     * warmupWindow; only wall-clock changes.  Workloads without
-     * checkpoints silently fall back to functional fast-forward.
+     * warmupWindow; only wall-clock changes.  Seeking needs a
+     * recording, so every timing row records its trace.  Workloads
+     * without checkpoints silently fall back to functional
+     * fast-forward.
      */
     bool seekFastForward = false;
     /**
@@ -183,6 +198,19 @@ struct SweepSpec
     obs::TelemetryChannel *telemetry = nullptr;
     /** Watchdog stall threshold in seconds (0 = no watchdog). */
     double telemetryStallSec = 30.0;
+    /**
+     * Optional caller-owned observability contexts (non-owning), one
+     * per exact timing point in result order (workload-major,
+     * config-minor); empty by default, when every job keeps a
+     * private Hooks.  A point given one registers its core's stats
+     * into it, arms its interval sampler after warmup, flushes the
+     * sampler after the run, and leaves the final snapshot in place
+     * for obs::RunRecord::fromHooks — so pipeline and Chrome tracers
+     * and interval sinks attached beforehand see exactly the timed
+     * window.  Exact sweeps only: a sampled sweep given hooks is
+     * fatal.
+     */
+    std::vector<obs::Hooks *> hooks;
 };
 
 /** Result of one timing grid point. */
@@ -227,9 +255,9 @@ struct SweepResult
     /** Sum of per-job times: what a serial run would have cost. */
     double serialSecondsEstimate = 0.0;
     /**
-     * Instructions recorded per workload, summed; a streamed
-     * (region-only) row counts the instructions it studied, which is
-     * what recording it would have captured.
+     * Instructions recorded per workload, summed; a live row counts
+     * the instructions it streamed to its reader, which is what
+     * recording it would have captured.
      */
     std::uint64_t traceInstructions = 0;
     std::uint64_t traceCacheHits = 0;

@@ -12,7 +12,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/experiment.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/histogram.hh"
@@ -20,7 +19,7 @@
 #include "obs/json.hh"
 #include "obs/stats_registry.hh"
 #include "ooo/config.hh"
-#include "workloads/workloads.hh"
+#include "sweep/sweep.hh"
 
 using namespace arl;
 
@@ -38,6 +37,25 @@ testKnobs()
     knobs.busCycles = 2;
     knobs.tlbMissLatency = 20;
     return knobs;
+}
+
+/**
+ * Time li_like (5,000 warmup, 20,000 timed instructions) under each
+ * of @p configs, every point reporting into its entry of @p hooks.
+ */
+sweep::SweepResult
+timeLiLike(const std::vector<ooo::MachineConfig> &configs,
+           std::vector<obs::Hooks *> hooks)
+{
+    sweep::WorkloadSpec w;
+    w.name = "li_like";
+    w.warmup = 5'000;
+    w.timed = 20'000;
+    sweep::SweepSpec spec;
+    spec.workloads = {w};
+    spec.configs = configs;
+    spec.hooks = std::move(hooks);
+    return sweep::runSweep(spec);
 }
 
 /** Sum of every "<prefix>." leaf except "<prefix>.total". */
@@ -251,11 +269,12 @@ TEST(CpiStackIntegration, ContendedStackSumsToTotalCycles)
 {
     ooo::MachineConfig config = ooo::MachineConfig::nPlusM(2, 0);
     config.applyContention(testKnobs());
-    core::Experiment experiment(workloads::buildWorkload("li_like", 1));
     obs::Hooks hooks;
-    auto stats =
-        experiment.timingStudy(config, 5'000, 20'000, &hooks);
+    auto result = timeLiLike({config}, {&hooks});
+    const ooo::OooStats &stats = result.timing[0].stats;
     auto snapshot = hooks.finalSnapshot;
+    // The caller's hooks keep the point's final snapshot.
+    EXPECT_EQ(snapshot, result.timing[0].snapshot);
     const double cycles = snapshotValue(snapshot, "ooo.cycles");
     EXPECT_GT(cycles, 0.0);
     EXPECT_EQ(snapshotValue(snapshot, "ooo.cpi_stack.total"), cycles);
@@ -270,29 +289,26 @@ TEST(CpiStackIntegration, ForcedIdealStackSumsToTotalCycles)
 {
     ooo::MachineConfig config = ooo::MachineConfig::nPlusM(3, 1);
     config.cpiStack = true;  // observation-only force on an ideal run
-    core::Experiment experiment(workloads::buildWorkload("li_like", 1));
-    obs::Hooks hooks;
-    auto stats =
-        experiment.timingStudy(config, 5'000, 20'000, &hooks);
-    auto snapshot = hooks.finalSnapshot;
-    EXPECT_EQ(stackLeafSum(snapshot, "ooo.cpi_stack"),
+    ooo::MachineConfig plain = ooo::MachineConfig::nPlusM(3, 1);
+    obs::Hooks hooks, plain_hooks;
+    auto result = timeLiLike({config, plain}, {&hooks, &plain_hooks});
+    const ooo::OooStats &stats = result.timing[0].stats;
+    EXPECT_EQ(stackLeafSum(hooks.finalSnapshot, "ooo.cpi_stack"),
               static_cast<double>(stats.cycles));
 
     // Forcing the stack must not change a single timing number.
-    ooo::MachineConfig plain = ooo::MachineConfig::nPlusM(3, 1);
-    obs::Hooks plain_hooks;
-    auto plain_stats =
-        experiment.timingStudy(plain, 5'000, 20'000, &plain_hooks);
+    const ooo::OooStats &plain_stats = result.timing[1].stats;
     EXPECT_EQ(plain_stats.cycles, stats.cycles);
     EXPECT_EQ(plain_stats.instructions, stats.instructions);
+    EXPECT_FALSE(
+        snapshotHasSubstring(plain_hooks.finalSnapshot, "cpi_stack"));
 }
 
 TEST(CpiStackIntegration, IdealRunRegistersNoStackKeys)
 {
     ooo::MachineConfig config = ooo::MachineConfig::nPlusM(2, 0);
-    core::Experiment experiment(workloads::buildWorkload("li_like", 1));
     obs::Hooks hooks;
-    experiment.timingStudy(config, 5'000, 20'000, &hooks);
+    timeLiLike({config}, {&hooks});
     EXPECT_FALSE(snapshotHasSubstring(hooks.finalSnapshot, "cpi_stack"));
     EXPECT_FALSE(
         snapshotHasSubstring(hooks.finalSnapshot, "load_to_use"));
@@ -300,13 +316,14 @@ TEST(CpiStackIntegration, IdealRunRegistersNoStackKeys)
 
 TEST(IntervalSampler, SamplesContentionStatsOnlyWhenKnobsSet)
 {
-    core::Experiment experiment(workloads::buildWorkload("li_like", 1));
-
     ooo::MachineConfig contended = ooo::MachineConfig::nPlusM(2, 0);
     contended.applyContention(testKnobs());
-    obs::Hooks hooks;
+    ooo::MachineConfig ideal = ooo::MachineConfig::nPlusM(2, 0);
+    obs::Hooks hooks, ideal_hooks;
     hooks.intervalEvery = 5'000;
-    experiment.timingStudy(contended, 5'000, 20'000, &hooks);
+    ideal_hooks.intervalEvery = 5'000;
+    timeLiLike({contended, ideal}, {&hooks, &ideal_hooks});
+
     ASSERT_NE(hooks.sampler, nullptr);
     const auto &names = hooks.sampler->names();
     auto has = [&](const std::string &name) {
@@ -329,12 +346,12 @@ TEST(IntervalSampler, SamplesContentionStatsOnlyWhenKnobsSet)
     for (std::size_t s = 1; s < samples.size(); ++s)
         EXPECT_GE(samples[s].values[cycles_col],
                   samples[s - 1].values[cycles_col]);
+    // Armed after warmup and flushed after the run: one row per
+    // 5,000 timed instructions, the last one at the final commit.
+    EXPECT_EQ(samples.size(), 4u);
+    EXPECT_EQ(samples.back().at, 20'000u);
 
     // Zero knobs: no contention or cpi_stack columns to sample.
-    ooo::MachineConfig ideal = ooo::MachineConfig::nPlusM(2, 0);
-    obs::Hooks ideal_hooks;
-    ideal_hooks.intervalEvery = 5'000;
-    experiment.timingStudy(ideal, 5'000, 20'000, &ideal_hooks);
     ASSERT_NE(ideal_hooks.sampler, nullptr);
     for (const auto &name : ideal_hooks.sampler->names()) {
         EXPECT_EQ(name.find("cpi_stack"), std::string::npos) << name;

@@ -541,7 +541,9 @@ TEST(Differential, EncodedRowsMatchDecodedRows)
     // holds rows as their v2 encoding; the two-config grid (with the
     // verify pass when sampled) holds them decoded.  The shared
     // (3+3) points must agree, from cold and warm caches, with each
-    // representation reading entries the other one wrote.
+    // representation reading entries the other one wrote — and, in
+    // the exact case, with an uncached one-config grid, whose rows
+    // are live and record nothing.
     struct Case
     {
         const char *name;
@@ -592,6 +594,21 @@ TEST(Differential, EncodedRowsMatchDecodedRows)
             runs.emplace_back(std::move(cold), one_first ? 0 : 1);
             runs.emplace_back(std::move(warm), one_first ? 1 : 0);
         }
+        if (!c.seekFf && !c.sampled) {
+            // Uncached, nothing reuses a one-config row: it is live,
+            // streamed from each core's own functional simulator,
+            // and counts the instructions it delivered.
+            sweep::SweepSpec live = one;
+            live.traceCacheDir.clear();
+            sweep::SweepResult streamed = sweep::runSweep(live);
+            EXPECT_EQ(streamed.traceCacheMisses, 0u);
+            EXPECT_EQ(streamed.traceDiskBytes, 0u);
+            runs.emplace_back(std::move(streamed), 0);
+        }
+        for (std::size_t r = 1; r < runs.size(); ++r)
+            EXPECT_EQ(runs[r].first.traceInstructions,
+                      runs[0].first.traceInstructions)
+                << "run " << r;
         for (std::size_t wi = 0; wi < wide.workloads.size(); ++wi) {
             const std::string want =
                 pointJson(runs[0].first, wi, runs[0].second, drop_verify);

@@ -1,17 +1,42 @@
 /**
  * @file
  * Facade and cross-module integration tests: the Experiment API's
- * region and timing studies, scheme construction, hint interaction,
- * and the paper's headline invariants at reduced scale.
+ * region studies, one-row timing sweeps, scheme construction, hint
+ * interaction, and the paper's headline invariants at reduced scale.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "sweep/sweep.hh"
 #include "workloads/workloads.hh"
 
 using namespace arl;
 using core::Experiment;
+
+namespace
+{
+
+/** Time @p workload under @p configs: a one-row sweep. */
+std::vector<ooo::OooStats>
+timeWorkload(const std::string &workload, InstCount warmup,
+             InstCount timed,
+             const std::vector<ooo::MachineConfig> &configs)
+{
+    sweep::WorkloadSpec w;
+    w.name = workload;
+    w.warmup = warmup;
+    w.timed = timed;
+    sweep::SweepSpec spec;
+    spec.workloads = {w};
+    spec.configs = configs;
+    std::vector<ooo::OooStats> results;
+    for (const sweep::TimingPoint &point : sweep::runSweep(spec).timing)
+        results.push_back(point.stats);
+    return results;
+}
+
+} // namespace
 
 TEST(ExperimentSchemes, Figure4SetIsComplete)
 {
@@ -82,12 +107,11 @@ TEST(ExperimentHints, ProfilePassMatchesDirectConstruction)
 
 TEST(ExperimentTiming, SweepPreservesConfigOrder)
 {
-    Experiment experiment(workloads::buildWorkload("vortex_like", 1));
     std::vector<ooo::MachineConfig> configs = {
         ooo::MachineConfig::nPlusM(2, 0),
         ooo::MachineConfig::nPlusM(3, 3),
     };
-    auto results = experiment.timingSweep(configs, 10'000, 100'000);
+    auto results = timeWorkload("vortex_like", 10'000, 100'000, configs);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].configName, "(2+0)");
     EXPECT_EQ(results[1].configName, "(3+3)");
@@ -129,12 +153,10 @@ TEST(IntegrationHeadline, DecouplingRecoversBandwidth)
     // (2+2) decoupled design beats the (2+0) baseline, and the
     // (16+0) bound beats (2+0) as well.
     const auto &info = workloads::workloadByName("vortex_like");
-    Experiment experiment(info.build(1));
-    auto results = experiment.timingSweep(
-        {ooo::MachineConfig::nPlusM(2, 0),
-         ooo::MachineConfig::nPlusM(2, 2),
-         ooo::MachineConfig::nPlusM(16, 0)},
-        info.warmupInsts, 200'000);
+    auto results = timeWorkload(info.name, info.warmupInsts, 200'000,
+                                {ooo::MachineConfig::nPlusM(2, 0),
+                                 ooo::MachineConfig::nPlusM(2, 2),
+                                 ooo::MachineConfig::nPlusM(16, 0)});
     double base = static_cast<double>(results[0].cycles);
     EXPECT_GT(base / results[1].cycles, 1.2) << "(2+2) speedup";
     EXPECT_GT(base / results[2].cycles, 1.05) << "(16+0) speedup";

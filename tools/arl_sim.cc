@@ -23,13 +23,16 @@
  *       [--insts N] [--all-configs] [--scale N] [--no-vp] [--no-ff]
  *       [--warmup-window N] [--cpi-stack] [--workload-dir DIR]
  *       [contention flags]
- *       The paper's §4 timing methodology (warmup + timed window).
- *       --warmup-window warms microarchitectural state only from the
- *       last N fast-forward instructions (0 = all).  --cpi-stack
+ *       The paper's §4 timing methodology (warmup + timed window),
+ *       run as a one-row sweep.  --warmup-window warms
+ *       microarchitectural state only from the last N fast-forward
+ *       instructions (0 = all), sampled or not.  --cpi-stack
  *       forces per-cycle stall attribution (ooo.cpi_stack.*) on
  *       ideal configs; contended configs always account.  With
  *       --workload-dir the target names a corpus program (by file
- *       stem) instead of a registry workload.
+ *       stem) instead of a registry workload (no --scale).
+ *       --all-configs runs the Figure-8 suite (no --config or
+ *       --l1-lat).
  *
  *   arl_sim grade <dir> [--stats-json F] [--stats-csv F]
  *       Conformance-grade a workload corpus: assemble, run, and diff
@@ -473,7 +476,7 @@ openIntervalStream(const ObsOptions &opts, obs::Hooks &hooks, int *rc)
         return nullptr;
     }
     // Attach to the live sampler when one is armed already; either
-    // way record the sink so every later (re)start re-attaches.
+    // way record the sink so a sampler armed later attaches it too.
     hooks.intervalStream = stream.get();
     if (hooks.sampler)
         hooks.sampler->setStream(stream.get());
@@ -925,6 +928,11 @@ printSampledTable(const std::vector<sweep::TimingPoint> &points)
     }
 }
 
+/**
+ * Time one workload: a one-row sweep over its (N+M) configs, exact or
+ * phase-sampled.  Each exact point gets its own Hooks, so the tracers
+ * and the interval sampler see the first config's timed window.
+ */
 int
 cmdTime(const std::string &target, Args &args)
 {
@@ -940,15 +948,32 @@ cmdTime(const std::string &target, Args &args)
                {&kReportFlags, &kIntervalFlags, &kTracerFlags,
                 &kContentionFlags, &kSamplingFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
-    // With --workload-dir the target is resolved inside the corpus
-    // (by file stem) instead of the compiled-in registry; the
-    // manifest supplies the warmup prefix.
     std::string workload_dir = args.flag("workload-dir", "");
-    std::shared_ptr<const vm::Program> program;
-    std::string source_path;
-    InstCount workload_warmup = 0;
+    if (args.has("all-configs") &&
+        (!args.flag("config", "").empty() ||
+         !args.flag("l1-lat", "").empty()))
+        badUsage("--config and --l1-lat do not apply to --all-configs "
+                 "(the Figure-8 suite fixes both)");
+    if (!workload_dir.empty() && !args.flag("scale", "").empty())
+        badUsage("--scale does not apply to --workload-dir programs");
+
+    sweep::SweepSpec spec;
+    if (int rc = parseSamplingFlags(args, spec))
+        return rc;
+    if (spec.sampling && (!opts.tracePath.empty() ||
+                          !opts.chromePath.empty() || opts.interval))
+        badUsage("--pipetrace, --chrome-trace and --interval do not "
+                 "apply to --sampling runs");
+
+    sweep::WorkloadSpec w;
+    w.timed = static_cast<InstCount>(args.flagInt("insts", 400000));
+    w.warmupWindow =
+        static_cast<InstCount>(args.flagInt("warmup-window", 0));
     if (!workload_dir.empty()) {
+        // The target is resolved inside the corpus (by file stem)
+        // instead of the compiled-in registry; the manifest supplies
+        // the warmup prefix, and assembling it here turns a broken
+        // program into a usage error before the sweep starts.
         std::vector<corpus::Entry> entries;
         std::string error;
         if (!corpus::discoverCorpus(workload_dir, entries, &error)) {
@@ -965,41 +990,37 @@ cmdTime(const std::string &target, Args &args)
                          target.c_str(), workload_dir.c_str());
             return 1;
         }
-        program = corpus::assembleEntry(*found, &error);
-        if (!program) {
+        if (!corpus::assembleEntry(*found, &error)) {
             std::fprintf(stderr, "arl_sim: %s\n", error.c_str());
             return 1;
         }
-        source_path = found->sourcePath;
-        workload_warmup = found->manifest.warmupInsts;
+        w.name = found->name;
+        w.sourcePath = found->sourcePath;
+        w.warmup = found->manifest.warmupInsts;
     } else {
         const auto &info = workloads::workloadByName(target);
-        program = info.build(scale);
-        workload_warmup = info.warmupInsts;
+        w.name = info.name;
+        w.scale = static_cast<unsigned>(args.flagInt("scale", 1));
+        w.warmup = info.warmupInsts;
     }
-    core::Experiment experiment(program);
-    InstCount timed =
-        static_cast<InstCount>(args.flagInt("insts", 400000));
-    auto warmup_window =
-        static_cast<InstCount>(args.flagInt("warmup-window", 0));
+    spec.workloads.push_back(w);
 
-    std::vector<ooo::MachineConfig> configs;
     if (args.has("all-configs")) {
-        configs = ooo::MachineConfig::figure8Suite();
+        spec.configs = ooo::MachineConfig::figure8Suite();
     } else {
-        std::string spec = args.flag("config", "(2+0)");
+        std::string config = args.flag("config", "(2+0)");
         unsigned n = 2, m = 0;
-        if (std::sscanf(spec.c_str(), "(%u+%u)", &n, &m) != 2) {
+        if (std::sscanf(config.c_str(), "(%u+%u)", &n, &m) != 2) {
             std::fprintf(stderr,
                          "arl_sim: bad --config '%s' (want \"(N+M)\")\n",
-                         spec.c_str());
+                         config.c_str());
             return 1;
         }
-        configs.push_back(ooo::MachineConfig::nPlusM(
+        spec.configs.push_back(ooo::MachineConfig::nPlusM(
             n, m, static_cast<unsigned>(args.flagInt("l1-lat", 2))));
     }
     ooo::ContentionKnobs knobs = parseContentionKnobs(args);
-    for (auto &config : configs) {
+    for (auto &config : spec.configs) {
         if (args.has("no-vp"))
             config.valuePrediction = false;
         if (args.has("no-ff"))
@@ -1009,143 +1030,95 @@ cmdTime(const std::string &target, Args &args)
         config.applyContention(knobs);
     }
 
-    // Phase-sampled timing is routed through the sweep engine (it
-    // owns the representative scheduling and the deterministic
-    // merge); a single-workload grid keeps the CLI surface the same.
-    sweep::SweepSpec sampling_spec;
-    if (int rc = parseSamplingFlags(args, sampling_spec))
+    int rc = 0;
+    auto telemetry = openTelemetry(opts, "time", &rc);
+    if (rc)
         return rc;
-    int trc = 0;
-    auto telemetry = openTelemetry(opts, "time", &trc);
-    if (trc)
-        return trc;
-    if (sampling_spec.sampling) {
-        if (!opts.tracePath.empty() || !opts.chromePath.empty() ||
-            opts.interval)
-            badUsage("--pipetrace, --chrome-trace and --interval do "
-                     "not apply to --sampling runs");
-        sampling_spec.configs = configs;
-        sampling_spec.jobs = 1;
-        sampling_spec.telemetry = telemetry.get();
-        sweep::WorkloadSpec w;
-        w.name = target;
-        w.sourcePath = source_path;
-        w.scale = scale;
-        w.warmup = workload_warmup;
-        w.timed = timed;
-        sampling_spec.workloads.push_back(std::move(w));
-        sweep::SweepResult result = sweep::runSweep(sampling_spec);
-        if (telemetry) {
-            std::uint64_t total = 0;
-            for (const auto &point : result.timing)
-                total += point.stats.instructions;
-            telemetry->emitFinal(total);
+    spec.telemetry = telemetry.get();
+
+    // Exact points report through their own Hooks; the tracers and
+    // the interval stream attach to the first config's only.
+    const std::string &first = spec.configs.front().name;
+    if (!opts.tracePath.empty() && spec.configs.size() > 1)
+        warn("--pipetrace with multiple configs: tracing only '%s'",
+             first.c_str());
+    if (!opts.chromePath.empty() && spec.configs.size() > 1)
+        warn("--chrome-trace with multiple configs: tracing only '%s'",
+             first.c_str());
+    if (!opts.intervalStreamPath.empty() && spec.configs.size() > 1)
+        warn("--interval-stream with multiple configs: streaming "
+             "only '%s'", first.c_str());
+    std::vector<obs::Hooks> hooks(spec.sampling ? 0
+                                                : spec.configs.size());
+    std::unique_ptr<std::ofstream> interval_stream;
+    if (!hooks.empty()) {
+        for (obs::Hooks &h : hooks) {
+            h.intervalEvery = opts.interval;
+            spec.hooks.push_back(&h);
         }
-        obs::Report report;
-        report.command = "time";
-        for (const auto &point : result.timing) {
-            obs::RunRecord record;
-            record.workload = point.workload;
-            record.config = point.config;
-            record.stats = point.snapshot;
-            record.sampling = point.sampling;
-            report.runs.push_back(std::move(record));
-        }
-        if (!quietOutput()) {
-            std::printf("%-12s %12s %6s\n", "config", "cycles(est)",
-                        "IPC");
-            for (const auto &point : result.timing)
-                std::printf("%-12s %12llu %6.2f\n",
-                            point.config.c_str(),
-                            (unsigned long long)point.stats.cycles,
-                            point.stats.ipc());
-            printSampledTable(result.timing);
-        }
-        return emitReport(report, opts);
+        if (!opts.tracePath.empty() &&
+            !hooks[0].openTrace(opts.tracePath, opts.traceMax))
+            return 1;
+        if (!opts.chromePath.empty() &&
+            !hooks[0].openChromeTrace(opts.chromePath, opts.chromeMax))
+            return 1;
+        interval_stream = openIntervalStream(opts, hooks[0], &rc);
+        if (rc)
+            return rc;
     }
 
-    if (!opts.tracePath.empty() && configs.size() > 1)
-        warn("--pipetrace with multiple configs: tracing only '%s'",
-             configs.front().name.c_str());
-    if (!opts.chromePath.empty() && configs.size() > 1)
-        warn("--chrome-trace with multiple configs: tracing only '%s'",
-             configs.front().name.c_str());
-    if (!opts.intervalStreamPath.empty() && configs.size() > 1)
-        warn("--interval-stream with multiple configs: streaming "
-             "only '%s'", configs.front().name.c_str());
+    sweep::SweepResult result = sweep::runSweep(spec);
 
-    // Each configuration gets a fresh Hooks: the core re-registers
-    // the same stat names on every run.
     obs::Report report;
     report.command = "time";
-    std::vector<ooo::OooStats> results;
-    results.reserve(configs.size());
     std::uint64_t total_insts = 0;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        obs::Hooks hooks;
-        hooks.intervalEvery = opts.interval;
-        if (i == 0 && !opts.tracePath.empty() &&
-            !hooks.openTrace(opts.tracePath, opts.traceMax))
-            return 1;
-        if (i == 0 && !opts.chromePath.empty() &&
-            !hooks.openChromeTrace(opts.chromePath, opts.chromeMax))
-            return 1;
-        // The sampler itself is (re)armed inside timingStudy, after
-        // the core registers its stats; the sink attaches then.
-        std::unique_ptr<std::ofstream> interval_stream;
-        if (i == 0) {
-            interval_stream = openIntervalStream(opts, hooks, &trc);
-            if (trc)
-                return trc;
-        }
-        std::unique_ptr<obs::TelemetryScope> tscope;
-        if (telemetry) {
-            tscope = std::make_unique<obs::TelemetryScope>(
-                telemetry.get(), static_cast<int>(i), target,
-                configs[i].name, -1, timed);
-            tscope->start();
-            hooks.telemetry = tscope.get();
-        }
-        {
-            obs::ProfScope prof("time/simulate",
-                                obs::ProfScope::Mode::Absolute);
-            results.push_back(experiment.timingStudy(
-                configs[i], workload_warmup, timed, &hooks, nullptr,
-                warmup_window));
-            prof.addGuestInsts(workload_warmup +
-                               results.back().instructions);
-            prof.addGuestCycles(results.back().cycles);
-        }
-        if (tscope)
-            tscope->done(results.back().instructions,
-                         results.back().cycles);
-        total_insts += results.back().instructions;
-        hooks.finishChromeTrace(target + " " + configs[i].name);
-        if (opts.wantsReport())
+    for (std::size_t i = 0; i < result.timing.size(); ++i) {
+        const sweep::TimingPoint &point = result.timing[i];
+        total_insts += point.stats.instructions;
+        if (!hooks.empty()) {
             report.runs.push_back(obs::RunRecord::fromHooks(
-                target, configs[i].name, hooks));
+                point.workload, point.config, hooks[i]));
+            continue;
+        }
+        obs::RunRecord record;
+        record.workload = point.workload;
+        record.config = point.config;
+        record.stats = point.snapshot;
+        record.sampling = point.sampling;
+        report.runs.push_back(std::move(record));
     }
+    if (!hooks.empty())
+        hooks[0].finishChromeTrace(w.name + " " + first);
     if (telemetry)
         telemetry->emitFinal(total_insts);
 
     if (quietOutput())
         return emitReport(report, opts);
-    if (args.has("verbose")) {
-        for (const auto &stats : results)
-            std::printf("%s\n", stats.dump().c_str());
-        return emitReport(report, opts);
-    }
-    std::printf("%-12s %10s %6s %8s %8s %8s\n", "config", "cycles",
-                "IPC", "LVAQ%", "regmis", "fwd");
-    for (const auto &stats : results) {
-        double mem_ops =
-            static_cast<double>(stats.loads + stats.stores);
-        std::printf("%-12s %10llu %6.2f %7.1f%% %8llu %8llu\n",
-                    stats.configName.c_str(),
-                    (unsigned long long)stats.cycles, stats.ipc(),
-                    mem_ops ? 100.0 * stats.lvaqSteered / mem_ops : 0.0,
-                    (unsigned long long)stats.regionMispredictions,
-                    (unsigned long long)stats.forwardedLoads);
+    if (spec.sampling) {
+        std::printf("%-12s %12s %6s\n", "config", "cycles(est)", "IPC");
+        for (const auto &point : result.timing)
+            std::printf("%-12s %12llu %6.2f\n", point.config.c_str(),
+                        (unsigned long long)point.stats.cycles,
+                        point.stats.ipc());
+        printSampledTable(result.timing);
+    } else if (args.has("verbose")) {
+        for (const auto &point : result.timing)
+            std::printf("%s\n", point.stats.dump().c_str());
+    } else {
+        std::printf("%-12s %10s %6s %8s %8s %8s\n", "config", "cycles",
+                    "IPC", "LVAQ%", "regmis", "fwd");
+        for (const auto &point : result.timing) {
+            const ooo::OooStats &stats = point.stats;
+            double mem_ops =
+                static_cast<double>(stats.loads + stats.stores);
+            std::printf("%-12s %10llu %6.2f %7.1f%% %8llu %8llu\n",
+                        stats.configName.c_str(),
+                        (unsigned long long)stats.cycles, stats.ipc(),
+                        mem_ops ? 100.0 * stats.lvaqSteered / mem_ops
+                                : 0.0,
+                        (unsigned long long)stats.regionMispredictions,
+                        (unsigned long long)stats.forwardedLoads);
+        }
     }
     return emitReport(report, opts);
 }
