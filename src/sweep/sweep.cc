@@ -92,11 +92,10 @@ traceNeed(const WorkloadSpec &w, bool region_grid)
 }
 
 /**
- * Cache file name; entries are v2, and the "-v2" tag keeps them from
- * aliasing v1 files an older sweep may have left under the untagged
- * key.  Corpus workloads (sourcePath set) carry the source bytes'
- * CRC32 in the key — the registry namespace is never aliased and
- * editing the `.s` file invalidates its entry.
+ * Cache file name, ending in the "-v2" tag of the trace format.
+ * Corpus workloads (sourcePath set) carry the source bytes' CRC32 in
+ * the key — the registry namespace is never aliased and editing the
+ * `.s` file invalidates its entry.
  */
 std::string
 traceCacheKey(const WorkloadSpec &w, InstCount need,
@@ -214,13 +213,11 @@ struct RowTrace
         return t;
     }
 
-    /** Write the stream to @p path as v2 (the same bytes either way). */
+    /** Write the stream to @p path (the same bytes either way). */
     bool
     trySave(const std::string &path, std::uint64_t &bytes) const
     {
-        return decoded ? trace::trySaveTrace(path, *decoded,
-                                             trace::TraceFormat::V2,
-                                             bytes)
+        return decoded ? trace::trySaveTrace(path, *decoded, bytes)
                        : trace::trySaveEncoded(path, *encoded, bytes);
     }
 
@@ -598,9 +595,6 @@ runSweep(const SweepSpec &spec)
             continue;  // live row: counted after its job
         result.traceInstructions += p.trace.size();
         result.traceDiskBytes += p.diskBytes;
-        if (p.diskBytes)
-            result.traceV1EquivBytes +=
-                64 + sizeof(trace::TraceRecord) * p.trace.size();
         result.traceDecodeSeconds += p.decodeSeconds;
         if (p.cacheHit)
             ++result.traceCacheHits;
@@ -971,6 +965,16 @@ SweepResult::toReport(const std::string &command) const
     return report;
 }
 
+double
+SweepResult::compressionRatio() const
+{
+    if (!traceDiskBytes)
+        return 0.0;
+    const double raw_bytes =
+        static_cast<double>(sizeof(trace::TraceRecord) * traceInstructions);
+    return raw_bytes / traceDiskBytes;
+}
+
 void
 SweepResult::addTimingStats(obs::StatsRegistry &registry) const
 {
@@ -983,11 +987,7 @@ SweepResult::addTimingStats(obs::StatsRegistry &registry) const
     registry.counter("sweep.trace.cache_hits") = traceCacheHits;
     registry.counter("sweep.trace.cache_misses") = traceCacheMisses;
     registry.counter("sweep.trace.disk_bytes") = traceDiskBytes;
-    registry.counter("sweep.trace.v1_equiv_bytes") = traceV1EquivBytes;
-    registry.gauge("sweep.trace.compression_ratio") =
-        traceDiskBytes
-            ? static_cast<double>(traceV1EquivBytes) / traceDiskBytes
-            : 0.0;
+    registry.gauge("sweep.trace.compression_ratio") = compressionRatio();
     registry.gauge("sweep.trace.decode_mbps") =
         traceDecodeSeconds > 0.0
             ? traceDiskBytes / 1e6 / traceDecodeSeconds

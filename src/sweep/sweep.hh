@@ -12,9 +12,9 @@
  *     the recording (several full-window readers, a sampling plan,
  *     checkpointed fast-forward, or a trace cache on a timing grid),
  *     records its dynamic instruction trace once (optionally
- *     persisted in an on-disk trace cache) — decoded when several
- *     jobs read the whole stream, else kept as its v2 encoding and
- *     replayed a block at a time — then
+ *     persisted as a v2 trace file in an on-disk cache) — decoded
+ *     when several jobs read the whole stream, else kept as its v2
+ *     encoding and replayed a block at a time — then
  *  2. shards the grid across a thread pool, replaying the shared
  *     immutable trace into per-job OooCores / predictors, each with
  *     its own obs::StatsRegistry — a row nothing reuses is a *live
@@ -146,7 +146,8 @@ struct SweepSpec
     bool seekFastForward = false;
     /**
      * Checkpoint cadence while recording (0 = DefaultBlockRecords).
-     * Also the v2 block size of cache entries written by this sweep.
+     * Also the v2 block size of cache entries written by this sweep,
+     * so at most v2::MaxBlockRecords when a cache is used.
      */
     InstCount checkpointEvery = 0;
     /**
@@ -264,8 +265,6 @@ struct SweepResult
     std::uint64_t traceCacheMisses = 0;
     /** On-disk bytes of cache entries read or written this run. */
     std::uint64_t traceDiskBytes = 0;
-    /** What the same records cost in v1 (64 + 32 N per workload). */
-    std::uint64_t traceV1EquivBytes = 0;
     /** Wall time spent loading + decoding cache hits. */
     double traceDecodeSeconds = 0.0;
     /** Records skipped by checkpointed fast-forward across all jobs. */
@@ -285,6 +284,14 @@ struct SweepResult
         return wallSeconds > 0.0 ? serialSecondsEstimate / wallSeconds
                                  : 0.0;
     }
+
+    /**
+     * How many times smaller the cache entries are than the same
+     * records as raw 32-byte TraceRecords (0 without a cache).  A grid
+     * that touches the cache records or loads every row, so
+     * traceInstructions counts exactly the cached records.
+     */
+    double compressionRatio() const;
 
     /**
      * One RunRecord per grid point plus a "sweep"/"summary" record of

@@ -425,16 +425,29 @@ writeFooter(std::ostream &out, const Image &image, std::uint64_t offset)
               sizeof(trailer));
 }
 
+/** Size of the file header: magic, version, NUL-padded name. */
+constexpr std::uint64_t HeaderBytes = 64;
+
+/** File offset of the first block (after the header and Meta). */
+constexpr std::uint64_t FirstBlockOffset = HeaderBytes + sizeof(Meta);
+
+/** The header naming @p program (truncated to 55 bytes), then Meta. */
 void
-writeMeta(std::ostream &out, std::uint32_t block_records)
+writeHead(std::ostream &out, const std::string &program,
+          std::uint32_t block_records)
 {
+    char header[HeaderBytes] = {};
+    const std::uint32_t magic = TraceMagic;
+    const std::uint32_t version = TraceVersionV2;
+    std::memcpy(header, &magic, sizeof(magic));
+    std::memcpy(header + 4, &version, sizeof(version));
+    std::strncpy(header + 8, program.c_str(), sizeof(header) - 9);
+    out.write(header, sizeof(header));
+
     Meta meta{};
     meta.blockRecords = block_records;
     out.write(reinterpret_cast<const char *>(&meta), sizeof(meta));
 }
-
-/** File offset of the first block (after TraceHeader and Meta). */
-constexpr std::uint64_t FirstBlockOffset = 64 + sizeof(Meta);
 
 } // namespace
 
@@ -521,9 +534,10 @@ Image::checkpointAtOrBelow(std::uint64_t n) const
 }
 
 void
-writeImage(std::ostream &out, const Image &image)
+writeImage(std::ostream &out, const std::string &program,
+           const Image &image)
 {
-    writeMeta(out, image.blockRecords);
+    writeHead(out, program, image.blockRecords);
     std::uint64_t offset = FirstBlockOffset;
     for (const Block &block : image.blocks) {
         writeBlock(out, block);
@@ -532,17 +546,22 @@ writeImage(std::ostream &out, const Image &image)
     writeFooter(out, image, offset);
 }
 
-Writer::Writer(std::ostream &out, std::uint32_t block_records)
+Writer::Writer(std::ostream &out, const std::string &program,
+               InstCount block_records)
     : Writer(block_records)
 {
     this->out = &out;
-    writeMeta(out, image.blockRecords);
+    writeHead(out, program, image.blockRecords);
 }
 
-Writer::Writer(std::uint32_t block_records) : offset(FirstBlockOffset)
+Writer::Writer(InstCount block_records) : offset(FirstBlockOffset)
 {
-    image.blockRecords =
-        block_records ? block_records : DefaultBlockRecords;
+    ARL_ASSERT(block_records <= MaxBlockRecords,
+               "%llu records per block; a Reader accepts at most %u",
+               (unsigned long long)block_records, MaxBlockRecords);
+    image.blockRecords = block_records
+                             ? static_cast<std::uint32_t>(block_records)
+                             : DefaultBlockRecords;
     pending.reserve(image.blockRecords);
 }
 
@@ -637,15 +656,14 @@ Reader::open(const std::string &path, std::string &err)
         return false;
     }
     fileSize = static_cast<std::uint64_t>(in.tellg());
-    constexpr std::uint64_t MinSize = 64 + sizeof(Meta) +
-                                      sizeof(IndexHeader) +
-                                      sizeof(Trailer);
+    constexpr std::uint64_t MinSize =
+        FirstBlockOffset + sizeof(IndexHeader) + sizeof(Trailer);
     if (fileSize < MinSize) {
         err = "file too small for a v2 trace";
         return false;
     }
 
-    char header[64] = {};
+    char header[HeaderBytes] = {};
     in.seekg(0);
     in.read(header, sizeof(header));
     std::uint32_t magic = 0;
@@ -657,15 +675,15 @@ Reader::open(const std::string &path, std::string &err)
         return false;
     }
     if (version != TraceVersionV2) {
-        err = "not a v2 trace";
+        err = "unsupported trace version " + std::to_string(version);
         return false;
     }
-    header[63] = '\0';
+    header[HeaderBytes - 1] = '\0';
     name = header + 8;
 
     in.read(reinterpret_cast<char *>(&meta), sizeof(meta));
     if (!in || meta.blockRecords == 0 ||
-        meta.blockRecords > (1u << 24)) {
+        meta.blockRecords > MaxBlockRecords) {
         err = "bad v2 meta";
         return false;
     }
@@ -681,7 +699,7 @@ Reader::open(const std::string &path, std::string &err)
     // trailer; any disagreement between trailer, index header, and
     // file size is corruption.
     const std::uint64_t index_end = fileSize - sizeof(Trailer);
-    if (trailer.indexOffset < 64 + sizeof(Meta) ||
+    if (trailer.indexOffset < FirstBlockOffset ||
         trailer.indexOffset + sizeof(IndexHeader) > index_end) {
         err = "index offset out of range";
         return false;
@@ -703,7 +721,7 @@ Reader::open(const std::string &path, std::string &err)
     // — which also bounds every reservation a loader sizes from it.
     // Computed without overflow: the count is untrusted.
     const std::uint64_t block_bytes =
-        trailer.indexOffset - (64 + sizeof(Meta));
+        trailer.indexOffset - FirstBlockOffset;
     const std::uint64_t blocks_expected =
         trailer.totalRecords / meta.blockRecords +
         (trailer.totalRecords % meta.blockRecords != 0);
@@ -729,10 +747,9 @@ Reader::open(const std::string &path, std::string &err)
         return false;
     }
     for (std::size_t b = 0; b < entries.size(); ++b) {
-        const std::uint64_t min_offset = 64 + sizeof(Meta);
         if (entries[b].firstRecord !=
                 static_cast<std::uint64_t>(b) * meta.blockRecords ||
-            entries[b].offset < min_offset ||
+            entries[b].offset < FirstBlockOffset ||
             entries[b].offset + sizeof(BlockHeader) >
                 trailer.indexOffset ||
             (b && entries[b].offset <= entries[b - 1].offset)) {
@@ -781,12 +798,12 @@ Reader::readPayload(std::size_t b, Block &block, std::string &err)
 bool
 Reader::decodeChecked(std::size_t b, const Block &block,
                       std::vector<TraceRecord> &out,
-                      std::vector<isa::DecodedInst> *insts,
+                      std::vector<isa::DecodedInst> &insts,
                       std::string &err)
 {
     Context ctx = contextOf(entries[b]);
     if (!decodeBlock(block.payload.data(), block.payload.size(),
-                     block.header.records, ctx, out, err, insts))
+                     block.header.records, ctx, out, err, &insts))
         return false;
     if (b + 1 < entries.size() && !(ctx == contextOf(entries[b + 1]))) {
         err = "decode context discontinuity between blocks";
@@ -797,11 +814,11 @@ Reader::decodeChecked(std::size_t b, const Block &block,
 
 bool
 Reader::readBlock(std::size_t b, std::vector<TraceRecord> &out,
-                  std::string &err)
+                  std::vector<isa::DecodedInst> &insts, std::string &err)
 {
     Block block;
     return readPayload(b, block, err) &&
-           decodeChecked(b, block, out, nullptr, err);
+           decodeChecked(b, block, out, insts, err);
 }
 
 bool
@@ -815,7 +832,7 @@ Reader::scan(std::vector<TraceRecord> &records,
     for (std::size_t b = 0; b < entries.size(); ++b) {
         const std::size_t first = records.size();
         if (!readPayload(b, block, err) ||
-            !decodeChecked(b, block, records, &insts, err)) {
+            !decodeChecked(b, block, records, insts, err)) {
             err = "block " + std::to_string(b) + ": " + err;
             return false;
         }

@@ -2,8 +2,8 @@
  * @file
  * ARLT v2: delta+varint block encoding with a seekable footer index.
  *
- * v1 spends a fixed 32 bytes per retired instruction.  v2 exploits
- * the stream's structure instead:
+ * A raw TraceRecord spends a fixed 32 bytes per retired instruction.
+ * v2 exploits the stream's structure instead:
  *
  *  - PCs advance sequentially except at taken control transfers, so
  *    a tag bit plus a zigzag delta replaces the absolute PC;
@@ -22,9 +22,9 @@
  * inconsistent fields) fall back to an escape tag carrying the raw
  * 32-byte record, so encode(decode(x)) == x always holds.
  *
- * File layout (little-endian), after the common 64-byte TraceHeader
- * (version = 2):
+ * File layout (little-endian):
  *
+ *     [Header]              magic, version 2, program name (64 B)
  *     [Meta]                blockRecords, reserved
  *     [BlockHeader][payload] * B       CRC32-guarded varint blocks
  *     [IndexHeader][IndexEntry * B]    decode context per block,
@@ -42,12 +42,14 @@
  * a stream read end to end once costs its encoded size (about 5 B
  * per record) instead of decoded records.
  *
- * Everything that parses input here is the non-fatal parser core:
- * malformed input surfaces as error strings, never as crashes or
- * fatal() (tests/test_trace_fuzz.cc hammers this contract).
- * TraceReader and the trace cache wrap it with their own policies.
- * Only Image::decode() panics, on an image that was validated (or
- * encoded) when it was built.
+ * Writer encodes every trace file, streaming it or into an Image that
+ * writeImage() serializes, and Reader parses every file read back.
+ * Everything that parses input here is non-fatal: malformed
+ * input surfaces as error strings, never as crashes or fatal()
+ * (tests/test_trace_fuzz.cc hammers this contract).  TraceReader and
+ * the trace cache wrap it with their own policies.  Only
+ * Image::decode() panics, on an image that was validated (or encoded)
+ * when it was built.
  */
 
 #ifndef ARL_TRACE_FORMAT_V2_HH
@@ -77,7 +79,10 @@ constexpr std::uint32_t TrailerMagic = 0x444e4541;
 /** Trailer flag: the traced program halted inside the window. */
 constexpr std::uint32_t FlagComplete = 1u << 0;
 
-/** Fixed metadata following the TraceHeader. */
+/** Largest block size a Reader accepts (Writer asserts it). */
+constexpr std::uint32_t MaxBlockRecords = 1u << 24;
+
+/** Fixed metadata following the 64-byte file header. */
 struct Meta
 {
     std::uint32_t blockRecords;
@@ -245,13 +250,12 @@ struct Block
 
 /**
  * A v2 body held in memory: everything a v2 file stores after its
- * 64-byte TraceHeader, each block in its own buffer so the image
- * grows without ever copying payload bytes.  A Writer without a
- * stream builds one, Reader::scan() hands over a file's blocks to
- * fill one, and writeImage() serializes it to exactly the bytes a
- * streaming Writer emits for the same records and checkpoints.
- * Immutable once built, so any number of threads may decode its
- * blocks concurrently.
+ * 64-byte header, each block in its own buffer so the image grows
+ * without ever copying payload bytes.  A Writer without a stream
+ * builds one, Reader::scan() hands over a file's blocks to fill one,
+ * and writeImage() serializes it to exactly the bytes a streaming
+ * Writer emits for the same records and checkpoints.  Immutable once
+ * built, so any number of threads may decode its blocks concurrently.
  */
 struct Image
 {
@@ -275,11 +279,12 @@ struct Image
 };
 
 /**
- * Serialize @p image after a TraceHeader the caller wrote.  Shares
- * its block and footer writers with the streaming Writer, so both
- * produce the same file.
+ * Serialize @p image as the whole file of a trace of @p program.
+ * Shares its header, block and footer writers with the streaming
+ * Writer, so both produce the same file.
  */
-void writeImage(std::ostream &out, const Image &image);
+void writeImage(std::ostream &out, const std::string &program,
+                const Image &image);
 
 /**
  * The v2 encoder: buffers records, encodes each block as it fills,
@@ -289,11 +294,16 @@ void writeImage(std::ostream &out, const Image &image);
 class Writer
 {
   public:
-    /** Stream to @p out, positioned after the caller's TraceHeader. */
-    Writer(std::ostream &out, std::uint32_t block_records);
+    /**
+     * Stream the whole file of a trace of @p program to @p out,
+     * starting with its header.  @p block_records is 1..
+     * MaxBlockRecords, or 0 for DefaultBlockRecords.
+     */
+    Writer(std::ostream &out, const std::string &program,
+           InstCount block_records);
 
     /** Keep every block in memory. */
-    explicit Writer(std::uint32_t block_records);
+    explicit Writer(InstCount block_records);
 
     /** Buffer one record; full blocks are encoded and flushed. */
     void append(const TraceRecord &rec);
@@ -366,11 +376,14 @@ class Reader
     }
 
     /**
-     * Decode block @p b, appending its records to @p out.
+     * Decode block @p b, appending its records to @p out and their
+     * instructions to @p insts.
      * @return false with @p err set on corruption (CRC mismatch,
-     *         malformed payload, decode-context discontinuity).
+     *         malformed payload, undecodable instruction word,
+     *         decode-context discontinuity).
      */
     bool readBlock(std::size_t b, std::vector<TraceRecord> &out,
+                   std::vector<isa::DecodedInst> &insts,
                    std::string &err);
 
     /**
@@ -395,7 +408,7 @@ class Reader
     bool readPayload(std::size_t b, Block &block, std::string &err);
     bool decodeChecked(std::size_t b, const Block &block,
                        std::vector<TraceRecord> &out,
-                       std::vector<isa::DecodedInst> *insts,
+                       std::vector<isa::DecodedInst> &insts,
                        std::string &err);
 
     std::ifstream in;

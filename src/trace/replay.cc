@@ -53,44 +53,27 @@ recordStream(std::shared_ptr<const vm::Program> program,
     return n;
 }
 
-void
-warnReRecord(const std::string &path, const char *what)
-{
-    warn("trace cache: '%s' %s; re-recording", path.c_str(), what);
-}
-
 /**
- * Read the version of the trace file at @p path into @p version and
- * its size into @p bytes.  A missing file fails silently (a cold
- * cache); anything that is not an ARL trace fails with a warning.
+ * Open the cache entry at @p path.  A missing file fails silently (a
+ * cold cache); any other file that is not a valid trace fails with a
+ * warning.
  */
 bool
-probeTrace(const std::string &path, std::uint64_t &bytes,
-           std::uint32_t &version)
+openV2(const std::string &path, v2::Reader &reader)
 {
-    std::ifstream probe(path, std::ios::binary | std::ios::ate);
-    if (!probe)
+    if (!std::ifstream(path))
         return false;
-    bytes = static_cast<std::uint64_t>(probe.tellg());
-    if (bytes < 64) {
-        warnReRecord(path, "has a bad size");
-        return false;
-    }
-    probe.seekg(0);
-    std::uint32_t magic = 0;
-    probe.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    probe.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (!probe || magic != TraceMagic ||
-        (version != TraceVersion && version != TraceVersionV2)) {
-        warnReRecord(path, "is not an ARL trace");
-        return false;
-    }
-    return true;
+    std::string err;
+    if (reader.open(path, err))
+        return true;
+    warn("trace cache: '%s': %s; re-recording", path.c_str(),
+         err.c_str());
+    return false;
 }
 
 /**
- * Run the shared validator over the v2 file @p reader has open,
- * handing each checked block to @p on_block.
+ * Run the shared validator over the file @p reader has open, handing
+ * each checked block to @p on_block.
  */
 bool
 scanV2(const std::string &path, v2::Reader &reader,
@@ -99,74 +82,34 @@ scanV2(const std::string &path, v2::Reader &reader,
        const std::function<void(v2::Block &)> &on_block)
 {
     std::string err;
-    if (!reader.scan(records, insts, on_block, err)) {
-        warn("trace cache: '%s': %s; re-recording", path.c_str(),
-             err.c_str());
-        return false;
-    }
-    return true;
+    if (reader.scan(records, insts, on_block, err))
+        return true;
+    warn("trace cache: '%s': %s; re-recording", path.c_str(),
+         err.c_str());
+    return false;
 }
 
+/**
+ * The one trace-file writer: open @p path and let @p write emit the
+ * whole file into the stream.  On an I/O error the partial file is
+ * unlinked, since a truncated trace would shadow the path until
+ * something tripped over it.
+ * @param out_bytes file size, valid only on success.
+ */
+template <class Write>
 bool
-openV2(const std::string &path, v2::Reader &reader)
+writeFile(const std::string &path, Write &&write, std::uint64_t &out_bytes)
 {
-    std::string err;
-    if (!reader.open(path, err)) {
-        warn("trace cache: '%s': %s; re-recording", path.c_str(),
-             err.c_str());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
         return false;
-    }
-    return true;
-}
-
-std::shared_ptr<const InMemoryTrace>
-loadTraceV2(const std::string &path)
-{
-    v2::Reader reader;
-    if (!openV2(path, reader))
-        return nullptr;
-    auto trace = std::make_shared<InMemoryTrace>();
-    // Reader::open bounds the record count by the payload bytes, so
-    // these reservations are sized by what the file holds.
-    trace->records.reserve(reader.totalRecords());
-    trace->decoded.reserve(reader.totalRecords());
-    if (!scanV2(path, reader, trace->records, trace->decoded, nullptr))
-        return nullptr;
-    trace->program = reader.program();
-    trace->checkpointEvery = reader.blockRecords();
-    trace->checkpoints = reader.archCheckpoints();
-    trace->complete = reader.complete();
-    return trace;
-}
-
-std::shared_ptr<const InMemoryTrace>
-loadTraceV1(const std::string &path, std::uint64_t bytes)
-{
-    // 64-byte header + whole 32-byte records.
-    if ((bytes - 64) % sizeof(TraceRecord) != 0) {
-        warnReRecord(path, "has a bad size");
-        return nullptr;
-    }
-    TraceReader reader(path);
-    auto trace = std::make_shared<InMemoryTrace>();
-    trace->program = reader.programName();
-    const auto records = (bytes - 64) / sizeof(TraceRecord);
-    trace->records.reserve(records);
-    trace->decoded.reserve(records);
-    TraceRecord record{};
-    isa::DecodedInst inst;
-    while (reader.nextRecord(record)) {
-        if (!isa::decode(record.instWord, inst)) {
-            warnReRecord(path, "holds an undecodable instruction word");
-            return nullptr;
-        }
-        trace->records.push_back(record);
-        trace->decoded.push_back(inst);
-    }
-    // A v1 cache entry does not persist completeness or checkpoints;
-    // stay conservative.  Consumers gate only on record count.
-    trace->complete = false;
-    return trace;
+    write(out);
+    out_bytes = static_cast<std::uint64_t>(out.tellp());
+    out.close();
+    if (out)
+        return true;
+    std::remove(path.c_str());
+    return false;
 }
 
 double
@@ -213,8 +156,7 @@ recordEncoded(std::shared_ptr<const vm::Program> program,
     obs::ProfScope prof("record");
     auto trace = std::make_shared<EncodedTrace>();
     trace->program = program->name;
-    v2::Writer writer(static_cast<std::uint32_t>(
-        checkpoint_every ? checkpoint_every : DefaultBlockRecords));
+    v2::Writer writer(checkpoint_every);
     bool halted = false;
     const InstCount n = recordStream(
         std::move(program), max_insts, checkpoint_every, halted,
@@ -231,69 +173,59 @@ recordEncoded(std::shared_ptr<const vm::Program> program,
     return trace;
 }
 
-InstCount
+bool
 recordTrace(std::shared_ptr<const vm::Program> program,
             const std::string &path, InstCount max_insts,
-            TraceFormat format, std::uint32_t block_records)
+            std::uint32_t block_records, InstCount &out_records,
+            std::uint64_t &out_bytes)
 {
     obs::ProfScope prof("record");
     if (block_records == 0)
         block_records = DefaultBlockRecords;
-    TraceWriter writer(path, program->name, format, block_records);
-    bool halted = false;
-    const InstCount n = recordStream(
-        std::move(program), max_insts,
-        format == TraceFormat::V2 ? block_records : 0, halted,
-        [&](const ArchCheckpoint &cp) { writer.addCheckpoint(cp); },
-        [&](const sim::StepInfo &step) { writer.append(step); });
-    writer.setComplete(halted);
-    writer.close();
-    prof.addGuestInsts(n);
-    return n;
-}
-
-std::uint64_t
-saveTrace(const std::string &path, const InMemoryTrace &t,
-          TraceFormat format)
-{
-    obs::ProfScope prof("encode");
-    const auto block_records = static_cast<std::uint32_t>(
-        t.checkpointEvery ? t.checkpointEvery : DefaultBlockRecords);
-    TraceWriter writer(path, t.program, format, block_records);
-    for (const ArchCheckpoint &cp : t.checkpoints)
-        writer.addCheckpoint(cp);
-    writer.setComplete(t.complete);
-    for (const TraceRecord &record : t.records)
-        writer.appendRecord(record);
-    writer.close();
-    return writer.bytesWritten();
+    out_records = 0;
+    const bool ok = writeFile(
+        path,
+        [&](std::ostream &out) {
+            v2::Writer writer(out, program->name, block_records);
+            bool halted = false;
+            out_records = recordStream(
+                std::move(program), max_insts, block_records, halted,
+                [&](const ArchCheckpoint &cp) { writer.addCheckpoint(cp); },
+                [&](const sim::StepInfo &step) {
+                    writer.append(toRecord(step));
+                });
+            writer.finish(halted);
+        },
+        out_bytes);
+    prof.addGuestInsts(out_records);
+    return ok;
 }
 
 bool
 trySaveTrace(const std::string &path, const InMemoryTrace &t,
-             TraceFormat format, std::uint64_t &out_bytes)
+             std::uint64_t &out_bytes)
 {
     obs::ProfScope prof("encode");
-    const auto block_records = static_cast<std::uint32_t>(
-        t.checkpointEvery ? t.checkpointEvery : DefaultBlockRecords);
-    TraceWriter writer(path, t.program, format, block_records,
-                       /*non_fatal=*/true);
-    if (writer.ok()) {
-        for (const ArchCheckpoint &cp : t.checkpoints)
-            writer.addCheckpoint(cp);
-        writer.setComplete(t.complete);
-        for (const TraceRecord &record : t.records)
-            writer.appendRecord(record);
-        writer.close();
-    }
-    if (!writer.ok()) {
-        // Never leave a partial file behind: a truncated trace would
-        // shadow the slot until something tripped over it.
-        std::remove(path.c_str());
-        return false;
-    }
-    out_bytes = writer.bytesWritten();
-    return true;
+    return writeFile(
+        path,
+        [&](std::ostream &out) {
+            v2::Writer writer(out, t.program, t.checkpointEvery);
+            for (const ArchCheckpoint &cp : t.checkpoints)
+                writer.addCheckpoint(cp);
+            for (const TraceRecord &record : t.records)
+                writer.append(record);
+            writer.finish(t.complete);
+        },
+        out_bytes);
+}
+
+std::uint64_t
+saveTrace(const std::string &path, const InMemoryTrace &t, TraceFormat)
+{
+    std::uint64_t bytes = 0;
+    if (!trySaveTrace(path, t, bytes))
+        fatal("trace: cannot write '%s'", path.c_str());
+    return bytes;
 }
 
 bool
@@ -301,19 +233,10 @@ trySaveEncoded(const std::string &path, const EncodedTrace &t,
                std::uint64_t &out_bytes)
 {
     obs::ProfScope prof("encode");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (out) {
-        writeTraceHeader(out, t.program, TraceFormat::V2);
-        v2::writeImage(out, t.image);
-        out_bytes = static_cast<std::uint64_t>(out.tellp());
-        out.close();
-    }
-    if (!out) {
-        // As trySaveTrace: no partial file may shadow the slot.
-        std::remove(path.c_str());
-        return false;
-    }
-    return true;
+    return writeFile(
+        path,
+        [&](std::ostream &out) { v2::writeImage(out, t.program, t.image); },
+        out_bytes);
 }
 
 std::shared_ptr<const InMemoryTrace>
@@ -321,19 +244,25 @@ loadTrace(const std::string &path, TraceLoadStats *stats)
 {
     obs::ProfScope prof("decode");
     const auto start = std::chrono::steady_clock::now();
-    std::uint64_t bytes = 0;
-    std::uint32_t version = 0;
-    if (!probeTrace(path, bytes, version))
+    v2::Reader reader;
+    if (!openV2(path, reader))
         return nullptr;
-    std::shared_ptr<const InMemoryTrace> result =
-        version == TraceVersionV2 ? loadTraceV2(path)
-                                  : loadTraceV1(path, bytes);
-    if (result && stats) {
-        stats->fileBytes = bytes;
+    auto trace = std::make_shared<InMemoryTrace>();
+    // Reader::open bounds the record count by the payload bytes, so
+    // these reservations are sized by what the file holds.
+    trace->records.reserve(reader.totalRecords());
+    trace->decoded.reserve(reader.totalRecords());
+    if (!scanV2(path, reader, trace->records, trace->decoded, nullptr))
+        return nullptr;
+    trace->program = reader.program();
+    trace->checkpointEvery = reader.blockRecords();
+    trace->checkpoints = reader.archCheckpoints();
+    trace->complete = reader.complete();
+    if (stats) {
+        stats->fileBytes = reader.fileBytes();
         stats->seconds = secondsSince(start);
-        stats->version = version;
     }
-    return result;
+    return trace;
 }
 
 std::shared_ptr<const EncodedTrace>
@@ -342,10 +271,6 @@ loadEncoded(const std::string &path, TraceLoadStats *stats,
 {
     obs::ProfScope prof("decode");
     const auto start = std::chrono::steady_clock::now();
-    std::uint64_t bytes = 0;
-    std::uint32_t version = 0;
-    if (!probeTrace(path, bytes, version))
-        return nullptr;
     v2::Reader reader;
     if (!openV2(path, reader))
         return nullptr;
@@ -370,9 +295,8 @@ loadEncoded(const std::string &path, TraceLoadStats *stats,
     image.totalRecords = reader.totalRecords();
     image.complete = reader.complete();
     if (stats) {
-        stats->fileBytes = bytes;
+        stats->fileBytes = reader.fileBytes();
         stats->seconds = secondsSince(start);
-        stats->version = version;
     }
     return trace;
 }

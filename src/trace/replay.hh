@@ -17,11 +17,13 @@
  *    decoded copy would only cost memory.
  *
  * Both round-trip through the ARLT v2 file format byte-identically:
- * saveTrace()/loadTrace() and trySaveEncoded()/loadEncoded()
+ * trySaveTrace()/loadTrace() and trySaveEncoded()/loadEncoded()
  * implement the sweep engine's on-disk trace cache (--trace-cache),
- * keyed by file name, and either pair reads the other's files.
- * Recording is bit-reproducible, so a cache hit is byte-equivalent
- * to a fresh recording.
+ * keyed by file name, and either pair reads the other's files.  Every
+ * file is written by one routine that leaves no partial file behind,
+ * and read back through v2::Reader's checks.  Recording is
+ * bit-reproducible, so a cache hit is byte-equivalent to a fresh
+ * recording.
  */
 
 #ifndef ARL_TRACE_REPLAY_HH
@@ -49,9 +51,9 @@ struct InMemoryTrace
     std::vector<TraceRecord> records;
     /**
      * Architectural checkpoints captured every checkpointEvery
-     * records while recording (none on v1-loaded or hand-built
-     * traces).  Sorted by index; checkpointed fast-forward seeks to
-     * the nearest one at or below its target.
+     * records while recording (none on hand-built traces).  Sorted by
+     * index; checkpointed fast-forward seeks to the nearest one at or
+     * below its target.
      */
     std::vector<ArchCheckpoint> checkpoints;
     /** Checkpoint cadence (also the v2 block size when saved). */
@@ -149,28 +151,25 @@ recordEncoded(std::shared_ptr<const vm::Program> program,
               RecordVisitor *visitor = nullptr);
 
 /**
- * Write @p t to @p path in the ARLT format (fatal on I/O errors).
- * V2 persists t.checkpoints in the footer index, using
- * t.checkpointEvery as the block size so boundaries coincide.
- * @return bytes written.
- */
-std::uint64_t saveTrace(const std::string &path, const InMemoryTrace &t,
-                        TraceFormat format = TraceFormat::V1);
-
-/**
- * Non-fatal saveTrace() for opportunistic writers (the sweep's trace
- * cache): an unopenable path or a mid-write I/O error (disk full,
- * revoked permissions) returns false — after unlinking whatever
- * partial file was created — instead of aborting the run.
+ * Write @p t to @p path as an ARLT v2 file: t.checkpoints go in the
+ * footer index, with t.checkpointEvery as the block size so their
+ * boundaries coincide.  An unopenable path or a mid-write I/O error
+ * (disk full, revoked permissions) returns false, after unlinking
+ * whatever partial file was created, so opportunistic writers such
+ * as the sweep's trace cache never abort the run over it.
  * @param out_bytes bytes written, valid only on success.
  */
 bool trySaveTrace(const std::string &path, const InMemoryTrace &t,
-                  TraceFormat format, std::uint64_t &out_bytes);
+                  std::uint64_t &out_bytes);
+
+/** trySaveTrace() that is fatal on I/O errors; @return bytes written. */
+std::uint64_t saveTrace(const std::string &path, const InMemoryTrace &t,
+                        TraceFormat format = TraceFormat::V2);
 
 /**
  * trySaveTrace() for an encoded trace: writes the image as it is,
  * with no second encoding pass.  The file is byte-identical to
- * saveTrace(V2) of the same stream decoded.
+ * trySaveTrace() of the same stream decoded.
  */
 bool trySaveEncoded(const std::string &path, const EncodedTrace &t,
                     std::uint64_t &out_bytes);
@@ -180,14 +179,12 @@ struct TraceLoadStats
 {
     std::uint64_t fileBytes = 0;  ///< on-disk size
     double seconds = 0.0;         ///< wall time spent loading
-    std::uint32_t version = 0;    ///< header version (1 or 2)
 };
 
 /**
- * Load an ARLT file (v1 or v2) recorded by saveTrace() /
- * `arl_sim record`.  V2 checkpoints are validated against the
- * decoded stream (PC and memory-touch digest) before they are
- * trusted.
+ * Load an ARLT file written by trySaveTrace(), trySaveEncoded() or
+ * `arl_sim record`.  Checkpoints are validated against the decoded
+ * stream (PC and memory-touch digest) before they are trusted.
  * @return null when @p path does not exist or is not a valid trace
  *         (corrupt caches fall back to re-recording, they never
  *         abort the run).
@@ -196,11 +193,11 @@ std::shared_ptr<const InMemoryTrace>
 loadTrace(const std::string &path, TraceLoadStats *stats = nullptr);
 
 /**
- * Load a v2 file as an EncodedTrace, after the same validation
+ * Load a trace file as an EncodedTrace, after the same validation
  * loadTrace() runs (v2::Reader::scan): every block is decoded once
  * to check it, and only its encoding is kept.
  * @param visitor optional; sees every record during that pass.
- * @return null when @p path is missing or not a valid v2 trace.
+ * @return null when @p path is missing or not a valid trace.
  */
 std::shared_ptr<const EncodedTrace>
 loadEncoded(const std::string &path, TraceLoadStats *stats = nullptr,

@@ -9,20 +9,20 @@
  * reads sim::StepInfo, so a replayed trace is a drop-in substitute
  * for a live simulation.
  *
- * Two on-disk formats share the 64-byte header (little-endian):
- *
- *  - v1: [TraceHeader][TraceRecord * N] — 32 raw bytes per retired
- *    instruction;
- *  - v2: delta+varint records packed into CRC-guarded fixed-count
- *    blocks with a seekable footer index carrying per-block decode
- *    context and optional architectural checkpoints (format_v2.hh).
- *    Typically >=4x smaller; decodes to the bit-identical records.
+ * A trace file (ARLT, version 2) is a 64-byte header (magic, version,
+ * program name) followed by delta+varint records packed into
+ * CRC-guarded fixed-count blocks, with a seekable footer index that
+ * carries per-block decode context and optional architectural
+ * checkpoints (format_v2.hh).  v2::Writer encodes every file and
+ * v2::Reader checks every file read back.  A stream typically takes
+ * a quarter or less of the fixed 32-byte TraceRecords it decodes to,
+ * bit-identically.
  *
  * Records carry everything the profilers and predictors consume —
  * PC, the encoded instruction word (re-decoded on read), effective
  * address, region, fetch-time GBH/CID context, and produced values.
  * Traces are bit-reproducible: recording the same program twice
- * yields identical files, in either format.
+ * yields identical files.
  */
 
 #ifndef ARL_TRACE_TRACE_HH
@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,23 +42,14 @@ namespace arl::trace
 
 /** File magic: "ARLT". */
 constexpr std::uint32_t TraceMagic = 0x544c5241;
-/** Format version (raw fixed-size records). */
-constexpr std::uint32_t TraceVersion = 1;
-/** Format version (delta+varint blocks + footer index). */
+/** File format version (delta+varint blocks + footer index). */
 constexpr std::uint32_t TraceVersionV2 = 2;
 
-/** Selectable on-disk encoding. */
+/** The on-disk encoding, v2 alone; saveTrace()'s defaulted parameter. */
 enum class TraceFormat : std::uint32_t
 {
-    V1 = TraceVersion,
     V2 = TraceVersionV2,
 };
-
-/** Printable name ("v1"/"v2") of @p format. */
-const char *formatName(TraceFormat format);
-
-/** Parse "v1"/"v2" (also "1"/"2"); @return false on anything else. */
-bool parseFormat(const std::string &text, TraceFormat &out);
 
 /**
  * Records per v2 block — also the architectural-checkpoint cadence
@@ -93,7 +83,10 @@ struct ArchCheckpoint
     std::uint64_t memDigest = 0;
 };
 
-/** On-disk record; fixed 32 bytes. */
+/**
+ * One retired instruction, fixed 32 bytes: what a v2 record decodes
+ * to, and what an escape record stores verbatim.
+ */
 struct TraceRecord
 {
     std::uint32_t pc;
@@ -153,150 +146,70 @@ RecordClass classifyRecord(const TraceRecord &record);
 RecordClass classifyRecord(const TraceRecord &record,
                            const isa::DecodedInst &inst);
 
-/**
- * Write the 64-byte file header naming @p program (truncated to 55
- * bytes) in @p format: the start of every trace file.
- */
-void writeTraceHeader(std::ostream &out, const std::string &program,
-                      TraceFormat format);
-
-namespace v2
-{
-class Writer;
-}
-
-/** Streams retired instructions to a trace file (v1 or v2). */
-class TraceWriter
-{
-  public:
-    /**
-     * Open @p path for writing and emit the header.
-     * Fatal on I/O errors (user environment problem) unless
-     * @p non_fatal is set, in which case errors — at open, append,
-     * or close time — latch ok() to false instead and the caller
-     * decides (opportunistic writers like the sweep's trace cache
-     * must not abort the run over a full disk).
-     * @param block_records v2 block size (ignored for v1).
-     */
-    TraceWriter(const std::string &path, const std::string &program,
-                TraceFormat format = TraceFormat::V1,
-                std::uint32_t block_records = DefaultBlockRecords,
-                bool non_fatal = false);
-
-    /** Append one instruction. */
-    void append(const sim::StepInfo &step);
-
-    /** Append one already-converted record (bulk/cached writers). */
-    void appendRecord(const TraceRecord &record);
-
-    /**
-     * Attach an architectural checkpoint (v2 only; ignored by v1).
-     * Only checkpoints whose index lands on a block boundary are
-     * persisted in the footer index.
-     */
-    void addCheckpoint(const ArchCheckpoint &checkpoint);
-
-    /** Mark the trace as covering the complete execution (v2). */
-    void setComplete(bool value) { complete = value; }
-
-    /** Flush and close (also done by the destructor). */
-    void close();
-
-    /** Instructions written so far. */
-    InstCount count() const { return written; }
-
-    /** On-disk size; valid once close() has run. */
-    std::uint64_t bytesWritten() const { return fileBytes; }
-
-    /** False once a non-fatal writer has hit an I/O error. */
-    bool ok() const { return !failed; }
-
-    ~TraceWriter();
-
-  private:
-    std::ofstream out;
-    std::string path;
-    std::unique_ptr<v2::Writer> body;  ///< non-null for v2
-    InstCount written = 0;
-    std::uint64_t fileBytes = 0;
-    bool complete = false;
-    bool nonFatal = false;
-    bool failed = false;
-};
-
 namespace v2
 {
 class Reader;
 }
 
 /**
- * Reads a trace file back as a StepInfo stream.  The header version
- * is sniffed, so v1 and v2 files read identically; v2 additionally
- * supports seeking to an arbitrary record without decoding the
- * prefix beyond the containing block.
+ * Reads a trace file back as a StepInfo stream, one decoded block at
+ * a time, and seeks to any record by decoding only the block that
+ * holds it.  Like the v2::Reader it wraps, it never aborts on bad
+ * input: open() and the reads report it as an error string.
  */
 class TraceReader
 {
   public:
-    /** Open @p path; fatal on missing/corrupt headers. */
-    explicit TraceReader(const std::string &path);
-
+    TraceReader();
     ~TraceReader();
+
+    /** @return false with @p err set when @p path is not a valid trace. */
+    bool open(const std::string &path, std::string &err);
 
     /**
      * Read the next instruction.
-     * @return false at end of trace.
+     * @return false at the end of the trace, or at a block that fails
+     *         its checks (error() then says why).
      */
     bool next(sim::StepInfo &out);
 
-    /**
-     * Read the next raw record without decoding it into a StepInfo
-     * (bulk loaders that keep the on-disk representation).
-     * @return false at end of trace.
-     */
-    bool nextRecord(TraceRecord &out);
-
-    /**
-     * Position the stream so the next record read is record @p n
-     * (v2: decodes only the containing block; v1: a file seek).
-     */
+    /** Position the stream so the next record read is record @p n. */
     void seek(InstCount n);
 
+    /** Why the stream ended early; empty while it is intact. */
+    const std::string &error() const { return readError; }
+
     /** Program name recorded in the header. */
-    const std::string &programName() const { return name; }
-
-    /** Header version of the file (1 or 2). */
-    std::uint32_t version() const { return fileVersion; }
-
-    /** Architectural checkpoints stored in the index (v2 only). */
-    std::vector<ArchCheckpoint> checkpoints() const;
-
-    /** Stream position: index of the next record to be read. */
-    InstCount count() const { return consumed; }
+    const std::string &programName() const;
 
   private:
-    bool fillBuffer();
+    /** Decode block @p b into the buffers; false (error set) on failure. */
+    bool load(std::size_t b);
 
-    std::ifstream in;
-    std::string path;
-    std::string name;
-    std::uint32_t fileVersion = TraceVersion;
+    std::unique_ptr<v2::Reader> body;
+    std::vector<TraceRecord> records;     ///< the decoded block
+    std::vector<isa::DecodedInst> insts;  ///< its instructions
+    std::string readError;
+    /** Index of the next record to be read. */
     InstCount consumed = 0;
-    std::unique_ptr<v2::Reader> body;        ///< non-null for v2
-    std::vector<TraceRecord> buffer;         ///< decoded v2 block
-    std::size_t bufferPos = 0;
+    std::size_t pos = 0;
     std::size_t nextBlock = 0;
 };
 
 /**
- * Convenience: run @p program functionally and record the stream.
- * v2 traces get an architectural checkpoint at every block boundary.
- * @return instructions recorded.
+ * Run @p program functionally and stream the trace to @p path in
+ * blocks of @p block_records (DefaultBlockRecords when 0), with an
+ * architectural checkpoint at every block boundary.
+ * @param max_insts instruction cap (0 = to completion).
+ * @param out_records instructions recorded.
+ * @param out_bytes file size, valid only on success.
+ * @return false, leaving no partial file behind, when @p path cannot
+ *         be written.
  */
-InstCount recordTrace(std::shared_ptr<const vm::Program> program,
-                      const std::string &path, InstCount max_insts = 0,
-                      TraceFormat format = TraceFormat::V1,
-                      std::uint32_t block_records = DefaultBlockRecords);
+bool recordTrace(std::shared_ptr<const vm::Program> program,
+                 const std::string &path, InstCount max_insts,
+                 std::uint32_t block_records, InstCount &out_records,
+                 std::uint64_t &out_bytes);
 
 } // namespace arl::trace
 

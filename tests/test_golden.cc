@@ -543,8 +543,9 @@ TEST(Golden, V2TraceFixtureEncodingPinned)
     // index, trailer — shows up as a byte diff here before it can
     // silently invalidate cached traces in the wild.
     const std::string tmp = ::testing::TempDir() + "arl_v2_fixture.arlt";
-    InstCount n = trace::recordTrace(fixtureProgram(), tmp, 0,
-                                     trace::TraceFormat::V2, 256);
+    InstCount n = 0;
+    std::uint64_t bytes = 0;
+    ASSERT_TRUE(trace::recordTrace(fixtureProgram(), tmp, 0, 256, n, bytes));
     ASSERT_GT(n, 500u);
 
     std::ifstream in(tmp, std::ios::binary);
@@ -553,6 +554,7 @@ TEST(Golden, V2TraceFixtureEncodingPinned)
                        std::istreambuf_iterator<char>());
     in.close();
     std::remove(tmp.c_str());
+    EXPECT_EQ(bytes, actual.size());
 
     expectMatchesGolden(actual, kTraceFixture);
     if (::testing::Test::HasFailure())
@@ -560,12 +562,14 @@ TEST(Golden, V2TraceFixtureEncodingPinned)
 
     // And the committed fixture itself must still decode: guards
     // against a reader change that would orphan existing files.
-    trace::TraceReader reader(goldenPath(kTraceFixture));
-    EXPECT_EQ(reader.version(), trace::TraceVersionV2);
+    trace::TraceReader reader;
+    std::string err;
+    ASSERT_TRUE(reader.open(goldenPath(kTraceFixture), err)) << err;
     EXPECT_EQ(reader.programName(), "v2_fixture");
     sim::StepInfo step;
     InstCount decoded = 0;
     while (reader.next(step))
         ++decoded;
     EXPECT_EQ(decoded, n);
+    EXPECT_EQ(reader.error(), "");
 }

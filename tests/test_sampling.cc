@@ -214,7 +214,7 @@ TEST(Features, StreamedFeaturesEqualExtractFeatures)
     auto decoded = trace::recordToMemory(program, 30000, kBlock);
     const std::string path =
         ::testing::TempDir() + "arl_streamed_features.arlt";
-    trace::saveTrace(path, *decoded, trace::TraceFormat::V2);
+    trace::saveTrace(path, *decoded);
 
     auto expect_same = [](const std::vector<sampling::IntervalFeatures> &a,
                           const std::vector<sampling::IntervalFeatures> &b) {

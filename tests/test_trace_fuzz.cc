@@ -6,9 +6,9 @@
  *    streams take the delta paths, garbage records take the escape
  *    path, and both round-trip bit-exactly;
  *  - seeded random *runnable* programs (bounded loops, masked memory
- *    accesses) record to v1 and v2 and replay record-for-record
- *    identically, and seek(n) is equivalent to skipping n records in
- *    both formats;
+ *    accesses) record to trace files that replay record-for-record
+ *    like the same program recorded into memory, and seek(n) is
+ *    equivalent to skipping n records;
  *  - >=1000 seeded corruptions of a valid v2 file (truncations, bit
  *    and byte flips, zeroed ranges, wrong magic/version, zero-length)
  *    never crash either non-fatal loader (decoded or encoded): every
@@ -224,8 +224,10 @@ buildRandomRunnable(std::uint64_t seed)
     return b.finish();
 }
 
+/** Drain two step streams (trace readers or sources) in lockstep. */
+template <class A, class B>
 void
-expectRecordStreamsEqual(trace::TraceReader &a, trace::TraceReader &b)
+expectRecordStreamsEqual(A &a, B &b)
 {
     sim::StepInfo step_a, step_b;
     InstCount index = 0;
@@ -269,6 +271,16 @@ writeFileBytes(const std::string &p, const std::string &bytes)
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/** TraceReader::open() of @p p; @return false (and fail) on error. */
+bool
+openReader(trace::TraceReader &reader, const std::string &p)
+{
+    std::string err;
+    const bool ok = reader.open(p, err);
+    EXPECT_TRUE(ok) << p << ": " << err;
+    return ok;
 }
 
 /** An instruction word whose opcode field names no opcode. */
@@ -397,41 +409,38 @@ TEST_F(TraceFuzz, RandomRunnableProgramsRoundTripAcrossFormats)
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
         SCOPED_TRACE("program seed " + std::to_string(seed));
         auto prog = buildRandomRunnable(seed);
-        std::string v2_path = path + ".v2";
-        InstCount n1 = trace::recordTrace(prog, path, 0,
-                                          trace::TraceFormat::V1);
-        InstCount n2 = trace::recordTrace(
-            prog, v2_path, 0, trace::TraceFormat::V2, 64);
-        ASSERT_EQ(n1, n2);
-        ASSERT_GT(n1, 100u);
+        InstCount n = 0;
+        std::uint64_t bytes = 0;
+        ASSERT_TRUE(trace::recordTrace(prog, path, 0, 64, n, bytes));
+        ASSERT_GT(n, 100u);
+        auto memory = trace::recordToMemory(prog);
+        ASSERT_EQ(memory->size(), n);
 
         {
-            trace::TraceReader v1(path);
-            trace::TraceReader v2(v2_path);
-            EXPECT_EQ(v1.version(), trace::TraceVersion);
-            EXPECT_EQ(v2.version(), trace::TraceVersionV2);
-            expectRecordStreamsEqual(v1, v2);
+            trace::TraceReader file;
+            ASSERT_TRUE(openReader(file, path));
+            trace::ReplaySource replay(memory);
+            expectRecordStreamsEqual(file, replay);
+            EXPECT_EQ(file.error(), "");
         }
 
-        // seek(n) == skip n records, for both formats, at random
-        // positions (plus the boundaries).
+        // seek(n) == skip n records, at random positions (plus the
+        // boundaries).
         Rng rng(0x5ee4 ^ seed);
-        InstCount positions[5] = {0, n1 - 1, n1,
-                                  rng.nextBounded(n1),
-                                  rng.nextBounded(n1)};
-        for (InstCount n : positions) {
-            SCOPED_TRACE("seek " + std::to_string(n));
-            for (const std::string &p : {path, v2_path}) {
-                trace::TraceReader skipper(p);
-                sim::StepInfo step;
-                for (InstCount i = 0; i < n; ++i)
-                    ASSERT_TRUE(skipper.next(step));
-                trace::TraceReader seeker(p);
-                seeker.seek(n);
-                expectRecordStreamsEqual(skipper, seeker);
-            }
+        InstCount positions[5] = {0, n - 1, n, rng.nextBounded(n),
+                                  rng.nextBounded(n)};
+        for (InstCount at : positions) {
+            SCOPED_TRACE("seek " + std::to_string(at));
+            trace::TraceReader skipper;
+            ASSERT_TRUE(openReader(skipper, path));
+            sim::StepInfo step;
+            for (InstCount i = 0; i < at; ++i)
+                ASSERT_TRUE(skipper.next(step));
+            trace::TraceReader seeker;
+            ASSERT_TRUE(openReader(seeker, path));
+            seeker.seek(at);
+            expectRecordStreamsEqual(skipper, seeker);
         }
-        std::remove(v2_path.c_str());
     }
 }
 
@@ -439,7 +448,7 @@ TEST_F(TraceFuzz, SeededCorruptionsNeverCrashTheLoader)
 {
     auto prog = workloads::buildWorkload("li_like", 1);
     auto trace_mem = trace::recordToMemory(prog, 20000, 1024);
-    trace::saveTrace(path, *trace_mem, trace::TraceFormat::V2);
+    trace::saveTrace(path, *trace_mem);
     const std::string pristine = readFileBytes(path);
     ASSERT_GT(pristine.size(), 1000u);
 
@@ -536,14 +545,28 @@ TEST_F(TraceFuzz, DegenerateFilesRejectCleanly)
     // Wrong magic.
     writeFileBytes(path, std::string(256, 'x'));
     EXPECT_EQ(trace::loadTrace(path), nullptr);
-    // Valid v1 header claiming an unsupported version.
+    // A valid file restamped with another version: 1 (the retired
+    // raw-record format) or 99.
     auto prog = workloads::buildWorkload("go_like", 1);
-    trace::recordTrace(prog, path, 64, trace::TraceFormat::V1);
-    std::string bytes = readFileBytes(path);
-    std::uint32_t bogus_version = 99;
-    std::memcpy(&bytes[4], &bogus_version, sizeof(bogus_version));
-    writeFileBytes(path, bytes);
-    EXPECT_EQ(trace::loadTrace(path), nullptr);
+    InstCount recorded = 0;
+    std::uint64_t file_bytes = 0;
+    ASSERT_TRUE(trace::recordTrace(prog, path, 64,
+                                   trace::DefaultBlockRecords, recorded,
+                                   file_bytes));
+    const std::string valid = readFileBytes(path);
+    for (std::uint32_t version : {1u, 99u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::string bytes = valid;
+        std::memcpy(&bytes[4], &version, sizeof(version));
+        writeFileBytes(path, bytes);
+        EXPECT_EQ(trace::loadTrace(path), nullptr);
+        EXPECT_EQ(trace::loadEncoded(path), nullptr);
+        trace::TraceReader reader;
+        std::string err;
+        EXPECT_FALSE(reader.open(path, err));
+        EXPECT_EQ(err, "unsupported trace version " +
+                           std::to_string(version));
+    }
     // Nonexistent path.
     std::remove(path.c_str());
     EXPECT_EQ(trace::loadTrace(path), nullptr);
@@ -570,14 +593,16 @@ TEST_F(TraceFuzz, DegenerateFilesRejectCleanly)
     record.pc = 0x400000;
     record.instWord = kUndecodableWord;
     bad.records.push_back(record);
-    for (trace::TraceFormat format :
-         {trace::TraceFormat::V1, trace::TraceFormat::V2}) {
-        trace::saveTrace(path, bad, format);
-        EXPECT_EQ(trace::loadTrace(path), nullptr)
-            << trace::formatName(format);
-        EXPECT_EQ(trace::loadEncoded(path), nullptr)
-            << trace::formatName(format);
-    }
+    trace::saveTrace(path, bad);
+    EXPECT_EQ(trace::loadTrace(path), nullptr);
+    EXPECT_EQ(trace::loadEncoded(path), nullptr);
+    // The streaming reader accepts the file's structure, then reports
+    // the word as a read error instead of aborting.
+    trace::TraceReader reader;
+    ASSERT_TRUE(openReader(reader, path));
+    sim::StepInfo step;
+    EXPECT_FALSE(reader.next(step));
+    EXPECT_EQ(reader.error(), "block 0: undecodable instruction word");
 }
 
 TEST(TraceFuzzSweep, CorruptedCacheSilentlyReRecords)
@@ -616,7 +641,7 @@ TEST(TraceFuzzSweep, CorruptedCacheSilentlyReRecords)
     // Corrupt every entry several ways across repeated runs; each
     // run must detect the damage, silently re-record, produce the
     // identical report, and leave a loadable entry behind.
-    for (unsigned round = 0; round < 3; ++round) {
+    for (unsigned round = 0; round < 4; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
         Rng rng(0xcac4e + round);
         for (const std::string &entry : entries) {
@@ -630,8 +655,11 @@ TEST(TraceFuzzSweep, CorruptedCacheSilentlyReRecords)
                 // reserved bytes.
                 bytes[80 + rng.nextBounded(bytes.size() - 112)] ^=
                     0x55;
-            else
+            else if (round == 2)
                 bytes = "garbage";
+            else
+                // Intact but for its version: the retired format 1.
+                bytes[4] = 1;
             writeFileBytes(entry, bytes);
         }
         QuietLogs quiet;

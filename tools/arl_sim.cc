@@ -59,6 +59,9 @@
  *       --warmup-window, then seeks each fast-forward to the nearest
  *       recorded checkpoint instead of replaying the prefix; reports
  *       are byte-identical to the same window without --seek-ff.
+ *       --checkpoint-every N (1..16777216; 0 = 65536, the default)
+ *       sets the checkpoint cadence, which is also the block size of
+ *       the cache's trace files.
  *
  *   arl_sim figure <name|all> [--scale N] [--insts N] [--jobs N]
  *       [--trace-cache DIR]
@@ -66,6 +69,18 @@
  *       them: run its grid, print its table and "paper:" footer, and
  *       check its claims (one PASS or FAIL line each; exit 2 on any
  *       FAIL).  --insts is the timing figures' timed window.
+ *
+ *   arl_sim record <workload|file.s> [--out F] [--block-records N]
+ *       [--max-insts N] [--scale N]
+ *       Execute functionally and write the dynamic instruction stream
+ *       to a trace file (default <target>.trace) in blocks of N
+ *       records (1..16777216, default 65536).
+ *
+ *   arl_sim replay <file.trace> [--seek N]
+ *       Run the §3 region and window profilers over a trace file,
+ *       starting N records in.  A file that cannot be read, or fails
+ *       any of the format's checks, is an input error (exit 2), as is
+ *       a path `record` cannot write.
  *
  *   arl_sim monitor <file.jsonl> [--follow] [--refresh-ms N]
  *       [--stall-sec N] [--timeout-sec N]
@@ -182,6 +197,7 @@
 #include "obs/telemetry.hh"
 #include "predict/static_classifier.hh"
 #include "sim/simulator.hh"
+#include "trace/format_v2.hh"
 #include "trace/trace.hh"
 #include "workloads/workloads.hh"
 
@@ -826,6 +842,24 @@ cmdPredict(const std::string &target, Args &args)
     return emitReport(out, opts);
 }
 
+/**
+ * The v2 block size in flag @p name, or @p fallback when it is
+ * absent.  A size above v2::MaxBlockRecords, which no reader accepts,
+ * is a usage error, and so is 0 unless @p fallback is 0 too (a flag
+ * whose 0 means "the default").
+ */
+std::uint32_t
+blockRecordsFlag(const Args &args, const char *name, std::uint32_t fallback)
+{
+    const long value = args.flagInt(name, fallback);
+    if ((value == 0 && fallback != 0) ||
+        value > static_cast<long>(trace::v2::MaxBlockRecords))
+        badUsage(std::string("--") + name + " must be " +
+                 (fallback ? "1" : "0") + ".." +
+                 std::to_string(trace::v2::MaxBlockRecords));
+    return static_cast<std::uint32_t>(value);
+}
+
 /** The memory-backend contention flags shared by time and sweep. */
 const std::vector<FlagSpec> kContentionFlags = {
     {"banks", FlagKind::Int},        {"mshrs", FlagKind::Int},
@@ -1156,8 +1190,7 @@ cmdSweep(const std::string &target, Args &args)
     spec.cpiStack = args.has("cpi-stack");
     if (int rc = parseSamplingFlags(args, spec))
         return rc;
-    spec.checkpointEvery = static_cast<InstCount>(
-        args.flagInt("checkpoint-every", 0));
+    spec.checkpointEvery = blockRecordsFlag(args, "checkpoint-every", 0);
     // --seek-ff skips only the prefix before a bounded warming
     // window, and the window's size changes the results, so the user
     // chooses it; no window is a usage error, never a silent default.
@@ -1297,11 +1330,10 @@ cmdSweep(const std::string &target, Args &args)
                     (unsigned long long)result.traceCacheHits,
                     (unsigned long long)result.traceCacheMisses);
         if (result.traceDiskBytes)
-            std::printf("trace cache (v2): %.2f MB on disk, %.2fx vs "
-                        "v1%s\n",
+            std::printf("trace cache (v2): %.2f MB on disk, %.2fx "
+                        "smaller than 32-byte records%s\n",
                         result.traceDiskBytes / 1e6,
-                        static_cast<double>(result.traceV1EquivBytes) /
-                            result.traceDiskBytes,
+                        result.compressionRatio(),
                         result.traceDecodeSeconds > 0.0 ? ""
                                                         : " (written)");
         if (spec.seekFastForward)
@@ -1477,55 +1509,47 @@ cmdGrade(const std::string &dir, Args &args)
     return failed ? 2 : rc;
 }
 
+/** One input failure: message to stderr, exit code 2. */
+int
+invalid(const std::string &path, const std::string &message)
+{
+    std::fprintf(stderr, "arl_sim: %s: %s\n", path.c_str(),
+                 message.c_str());
+    return 2;
+}
+
 int
 cmdRecord(const std::string &target, Args &args)
 {
     args.parse({{"out", FlagKind::String},
-                {"trace-format", FlagKind::String},
                 {"block-records", FlagKind::Int},
                 {"max-insts", FlagKind::Int},
                 {"scale", FlagKind::Int}},
                {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
     std::string out_path = args.flag("out", target + ".trace");
-    trace::TraceFormat format = trace::TraceFormat::V2;
-    std::string format_spec = args.flag("trace-format", "v2");
-    if (!trace::parseFormat(format_spec, format)) {
-        std::fprintf(stderr,
-                     "arl_sim: bad --trace-format '%s' (want v1|v2)\n",
-                     format_spec.c_str());
-        return 1;
-    }
+    const std::uint32_t block_records = blockRecordsFlag(
+        args, "block-records", trace::DefaultBlockRecords);
     auto prog = loadTarget(target,
                            static_cast<unsigned>(args.flagInt("scale", 1)));
-    InstCount n = trace::recordTrace(
-        prog, out_path,
-        static_cast<InstCount>(args.flagInt("max-insts", 0)), format,
-        static_cast<std::uint32_t>(args.flagInt(
-            "block-records", trace::DefaultBlockRecords)));
+    InstCount n = 0;
     std::uint64_t bytes = 0;
-    {
-        std::ifstream probe(out_path,
-                            std::ios::binary | std::ios::ate);
-        if (probe)
-            bytes = static_cast<std::uint64_t>(probe.tellg());
-    }
-    const std::uint64_t v1_bytes = 64 + 32 * n;
+    if (!trace::recordTrace(
+            prog, out_path,
+            static_cast<InstCount>(args.flagInt("max-insts", 0)),
+            block_records, n, bytes))
+        return invalid(out_path, "cannot write the trace file");
     if (!quietOutput())
         std::printf("recorded %llu instructions of %s to %s "
-                    "(%s, %.1f MB, %.2fx vs v1)\n",
+                    "(v2, %.1f MB)\n",
                     (unsigned long long)n, prog->name.c_str(),
-                    out_path.c_str(), trace::formatName(format),
-                    bytes / 1e6,
-                    bytes ? static_cast<double>(v1_bytes) / bytes
-                          : 0.0);
+                    out_path.c_str(), bytes / 1e6);
 
     if (!opts.wantsReport())
         return 0;
     obs::Hooks hooks;
     hooks.registry.counter("trace.instructions") = n;
     hooks.registry.counter("trace.bytes") = bytes;
-    hooks.registry.counter("trace.v1_equiv_bytes") = v1_bytes;
     obs::Report report;
     report.command = "record";
     report.runs.push_back(
@@ -1539,7 +1563,10 @@ cmdReplay(const std::string &trace_path, Args &args)
     args.parse({{"seek", FlagKind::Int}},
                {&kReportFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    trace::TraceReader reader(trace_path);
+    trace::TraceReader reader;
+    std::string err;
+    if (!reader.open(trace_path, err))
+        return invalid(trace_path, err);
     auto skip = static_cast<InstCount>(args.flagInt("seek", 0));
     if (skip)
         reader.seek(skip);
@@ -1589,10 +1616,12 @@ cmdReplay(const std::string &trace_path, Args &args)
             telemetry->emitFinal(replayed);
         }
     }
+    if (!reader.error().empty())
+        return invalid(trace_path, reader.error());
     auto profile = profiler.profile();
     if (!quietOutput()) {
-        std::printf("trace      : %s (%s, v%u)\n", trace_path.c_str(),
-                    reader.programName().c_str(), reader.version());
+        std::printf("trace      : %s (%s, v2)\n", trace_path.c_str(),
+                    reader.programName().c_str());
         std::printf("instructions: %llu (loads %llu, stores %llu)\n",
                     (unsigned long long)profile.totalInstructions,
                     (unsigned long long)profile.dynamicLoads,
@@ -1625,15 +1654,6 @@ cmdReplay(const std::string &trace_path, Args &args)
     report.runs.push_back(obs::RunRecord::fromHooks(
         reader.programName(), "replay", hooks));
     return emitReport(report, opts);
-}
-
-/** One validation failure: message to stderr, exit code 2. */
-int
-invalid(const std::string &path, const std::string &message)
-{
-    std::fprintf(stderr, "arl_sim: %s: %s\n", path.c_str(),
-                 message.c_str());
-    return 2;
 }
 
 /** Numeric field helper for telemetry-line parsing. */
@@ -2278,7 +2298,7 @@ usage()
         "    assemble + run every .s against its sidecar manifest;\n"
         "    exit 0 all pass, 1 unusable dir, 2 conformance failures\n"
         "  record <target> [--out F]    record a binary trace\n"
-        "    [--trace-format v1|v2] [--block-records N] [--max-insts N]\n"
+        "    [--block-records N] [--max-insts N] [--scale N]\n"
         "  replay <file.trace> [--seek N]  profile from a trace\n"
         "  monitor <file.jsonl>         render a --telemetry stream as\n"
         "    [--follow] [--refresh-ms N]  a progress table (live with\n"
