@@ -909,7 +909,7 @@ names()
 }
 
 Outcome
-run(const std::string &name, const Options &opts)
+run(const std::string &name, const Options &opts, GridCache &grids)
 {
     const Figure *figure = nullptr;
     for (const Figure &candidate : figureTable())
@@ -918,8 +918,16 @@ run(const std::string &name, const Options &opts)
     if (!figure)
         fatal("figure: no figure named '%s'", name.c_str());
     const bool grid = !figure->configs.empty() || !figure->schemes.empty();
-    sweep::SweepResult result;
-    if (grid) {
+    // A config or scheme name identifies it in every report, so equal
+    // names make an equal grid.  A figure without a grid renders from
+    // an empty result.
+    std::string key;
+    for (const ooo::MachineConfig &config : figure->configs)
+        key += "config:" + config.name + "\n";
+    for (const sweep::SchemeSpec &scheme : figure->schemes)
+        key += "scheme:" + scheme.name + "\n";
+    auto [cached, fresh] = grids.try_emplace(key);
+    if (fresh && grid) {
         sweep::SweepSpec spec;
         spec.workloads = sweep::allWorkloadSpecs(
             opts.scale, figure->configs.empty() ? 0 : opts.insts);
@@ -927,8 +935,9 @@ run(const std::string &name, const Options &opts)
         spec.schemes = figure->schemes;
         spec.jobs = opts.jobs;
         spec.traceCacheDir = opts.traceCacheDir;
-        result = sweep::runSweep(spec);
+        cached->second = sweep::runSweep(spec);
     }
+    const sweep::SweepResult &result = cached->second;
     Page page;
     figure->render(opts, result, page);
     Outcome outcome;

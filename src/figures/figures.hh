@@ -17,6 +17,7 @@
 #ifndef ARL_FIGURES_FIGURES_HH
 #define ARL_FIGURES_FIGURES_HH
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,23 @@ struct Outcome
     std::vector<obs::RunRecord> runs;
 };
 
+/**
+ * Grid results kept for reuse across the figures of one run, keyed
+ * by the grid's config and scheme names: Tables 1-3 and Figure 2 all
+ * read the same Figure-4 region grid.
+ */
+using GridCache = std::map<std::string, sweep::SweepResult>;
+
 /** Every figure's name, in the paper's order. */
 std::vector<std::string> names();
 
-/** Run the figure named @p name (one of names()). */
-Outcome run(const std::string &name, const Options &opts);
+/**
+ * Run the figure named @p name (one of names()).  A grid already in
+ * @p grids (run earlier under the same @p opts) is reused; a new one
+ * is kept there for the figures after it.
+ */
+Outcome run(const std::string &name, const Options &opts,
+            GridCache &grids);
 
 } // namespace arl::figures
 

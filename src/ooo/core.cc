@@ -1195,14 +1195,31 @@ OooCore::checkSchedulerInvariants() const
 void
 OooCore::warmup(InstCount insts, InstCount warm_last)
 {
+    beginWarmup(insts, warm_last);
+    resumeUnpaused();
+}
+
+void
+OooCore::beginWarmup(InstCount insts, InstCount warm_last)
+{
     if (warm_last == 0 || warm_last > insts)
         warm_last = insts;
-    const InstCount skip = insts - warm_last;
+    warmInsts = insts;
+    warmSkip = insts - warm_last;
+    warmPulled = 0;
+    phase = Phase::Warmup;
+}
+
+bool
+OooCore::warmSteps()
+{
     sim::StepInfo step;
-    for (InstCount i = 0; i < insts; ++i) {
+    for (; warmPulled < warmInsts; ++warmPulled) {
+        if (stepSrc->ready() == 0)
+            return false;
         if (!stepSrc->next(step))
             break;
-        if (i < skip)
+        if (warmPulled < warmSkip)
             continue;
         if (step.isMem) {
             bool is_stack = (step.region == vm::Region::Stack);
@@ -1235,6 +1252,8 @@ OooCore::warmup(InstCount insts, InstCount warm_last)
     // timed window, so the backend starts it from scratch.
     hierarchy.resetContention();
     tlb.hits = tlb.misses = 0;
+    phase = Phase::Idle;
+    return true;
 }
 
 void
@@ -1262,30 +1281,85 @@ OooCore::statsFence()
 OooStats
 OooCore::runSample(InstCount insts, InstCount detail_warmup)
 {
+    beginSample(insts, detail_warmup);
+    resumeUnpaused();
+    return stats;
+}
+
+void
+OooCore::beginSample(InstCount insts, InstCount detail_warmup)
+{
+    dispatchBudget = 0;
+    sampleInsts = insts;
     if (detail_warmup) {
         // Telemetry stays quiet through the detailed warmup: the
-        // stats fence below resets the instruction counter, and a
-        // heartbeat straddling it would report a non-monotone
+        // stats fence that ends it resets the instruction counter,
+        // and a heartbeat straddling it would report a non-monotone
         // cumulative count for the job.
-        obs::TelemetryScope *saved_telemetry =
-            obsHooks ? obsHooks->telemetry : nullptr;
+        mutedTelemetry = obsHooks ? obsHooks->telemetry : nullptr;
         if (obsHooks)
             obsHooks->telemetry = nullptr;
         commitTarget = stats.instructions + detail_warmup;
-        run(0);
-        if (obsHooks)
-            obsHooks->telemetry = saved_telemetry;
-        statsFence();
+        phase = Phase::DetailWarmup;
+    } else {
+        commitTarget = insts ? stats.instructions + insts : 0;
+        phase = Phase::Timed;
     }
-    commitTarget = insts ? stats.instructions + insts : 0;
-    return run(0);
+    startCycles();
 }
 
 OooStats
 OooCore::run(InstCount max_insts)
 {
+    beginRun(max_insts);
+    resumeUnpaused();
+    return stats;
+}
+
+void
+OooCore::beginRun(InstCount max_insts)
+{
     dispatchBudget =
         max_insts ? max_insts + stepSrc->delivered() : 0;
+    phase = Phase::Timed;
+    startCycles();
+}
+
+bool
+OooCore::resume()
+{
+    if (phase == Phase::Warmup)
+        return warmSteps();
+    while (phase != Phase::Idle) {
+        if (!cycleLoop())
+            return false;
+        finishCycles();
+        if (phase == Phase::Timed) {
+            phase = Phase::Idle;
+            break;
+        }
+        // The detailed warmup ended: fence its statistics off and
+        // time the window from the next cycle.
+        if (obsHooks)
+            obsHooks->telemetry = mutedTelemetry;
+        statsFence();
+        commitTarget = sampleInsts ? stats.instructions + sampleInsts : 0;
+        phase = Phase::Timed;
+        startCycles();
+    }
+    return true;
+}
+
+void
+OooCore::resumeUnpaused()
+{
+    if (!resume())
+        panic("OooCore: step source ran short outside resume()");
+}
+
+void
+OooCore::startCycles()
+{
     tracingActive = obsHooks &&
                     (obsHooks->tracer != nullptr ||
                      obsHooks->chrome != nullptr);
@@ -1293,10 +1367,20 @@ OooCore::run(InstCount max_insts)
     if (telemetryActive)
         telemetryNext =
             obsHooks->telemetry->firstCheckAt(stats.instructions);
-    Cycle deadlock_guard = 0;
-    InstCount last_committed = 0;
+    stalledCycles = 0;
+    lastCommitted = 0;
+}
 
+bool
+OooCore::cycleLoop()
+{
     while (true) {
+        // A cycle may dispatch up to issueWidth instructions, so it
+        // starts only when that many are ready; otherwise pause here,
+        // between cycles, until the source holds more.
+        if (!traceExhausted && stepSrc->ready() < config.issueWidth)
+            return false;
+
         portsUsed[0] = portsUsed[1] = 0;
         std::fill(std::begin(fuUsed), std::end(fuUsed), 0u);
         issuedThisCycle = 0;
@@ -1346,27 +1430,30 @@ OooCore::run(InstCount max_insts)
         // Phase-sampled window edge: clock stops at the target
         // commit, in-flight successors are simply abandoned.
         if (commitTarget && stats.instructions >= commitTarget)
-            break;
+            return true;
 
         // Forward-progress guard (an arl bug, not a guest bug).
-        if (stats.instructions == last_committed) {
-            if (++deadlock_guard > 200000)
+        if (stats.instructions == lastCommitted) {
+            if (++stalledCycles > 200000)
                 panic("OooCore deadlock at cycle %llu (head=%llu "
                       "tail=%llu)",
                       (unsigned long long)now,
                       (unsigned long long)headSeq,
                       (unsigned long long)tailSeq);
         } else {
-            deadlock_guard = 0;
-            last_committed = stats.instructions;
+            stalledCycles = 0;
+            lastCommitted = stats.instructions;
         }
 
         if (headSeq == tailSeq && !pendingStep &&
-            (traceExhausted || stepSrc->exhausted())) {
-            break;
-        }
+            (traceExhausted || stepSrc->exhausted()))
+            return true;
     }
+}
 
+void
+OooCore::finishCycles()
+{
     stats.cycles = now - cycleBase;
     ARL_ASSERT(!cpiEnabled || stats.cpiStack.total() == stats.cycles,
                "CPI stack lost cycles: attributed %llu of %llu",
@@ -1381,7 +1468,6 @@ OooCore::run(InstCount max_insts)
     stats.l2Hits = hierarchy.l2().hits;
     stats.l2Misses = hierarchy.l2().misses;
     stats.tlbMisses = tlb.misses;
-    return stats;
 }
 
 } // namespace arl::ooo

@@ -71,6 +71,16 @@
  * tests/test_golden.cc).  Debug builds recheck the counts, the masks
  * and every pending load's forwarding store each cycle against the
  * old polling predicates (checkSchedulerInvariants).
+ *
+ * Pausing: the core can be fed from a step source that holds only a
+ * window of the stream (sim::StepSource::ready()), as the sweep's
+ * lock-step groups do.  There is one cycle loop; it starts a cycle
+ * only while the source has issueWidth instructions ready (dispatch
+ * pulls at most that many per cycle), and warmup pulls only what is
+ * ready.  Otherwise it returns to the caller, which refills the
+ * window and calls resume().  A pause falls between cycles, so a run
+ * paused any number of times ends in exactly the state of an unpaused
+ * one (tests/test_ooo.cc, OooPause).
  */
 
 #ifndef ARL_OOO_CORE_HH
@@ -97,6 +107,7 @@
 namespace arl::obs
 {
 struct Hooks;
+class TelemetryScope;
 enum class PipeEvent : std::uint8_t;
 }
 
@@ -171,10 +182,11 @@ class OooCore
      * @param step_source where the committed instruction stream comes
      *        from.  Null (the default) embeds a live functional
      *        simulator of @p program — the co-simulation the paper's
-     *        methodology used.  Passing a trace::ReplaySource instead
-     *        feeds the core from a recorded trace; timing is
-     *        bit-identical either way (tests/test_differential.cc),
-     *        and replay is what makes concurrent sweeps cheap.
+     *        methodology used.  Passing a replay of a recorded trace,
+     *        or a window onto a stream shared with other cores (which
+     *        may make the core pause; see resume()), feeds the core
+     *        from there instead; timing is bit-identical either way
+     *        (tests/test_differential.cc, tests/test_ooo.cc).
      */
     OooCore(const MachineConfig &config,
             std::shared_ptr<const vm::Program> program,
@@ -228,6 +240,28 @@ class OooCore
      *        counters restart.
      */
     OooStats runSample(InstCount insts, InstCount detail_warmup = 0);
+
+    /**
+     * Pausable forms of warmup(), run() and runSample(): each of
+     * those is its begin call followed by one resume() over a source
+     * that never runs short.  Begin the phase, then call resume()
+     * until it returns true, refilling the source between calls.
+     * The deadlock guard, the commit target, the telemetry schedule
+     * and the interval sampler's ticks carry across a pause.
+     */
+    void beginWarmup(InstCount insts, InstCount warm_last = 0);
+    void beginRun(InstCount max_insts = 0);
+    void beginSample(InstCount insts, InstCount detail_warmup = 0);
+
+    /**
+     * Advance the phase begun last until it finishes (true) or its
+     * source has too few instructions ready to go on (false).  True
+     * at once when no phase is in progress.
+     */
+    bool resume();
+
+    /** Statistics as of the last finished run or sample phase. */
+    const OooStats &result() const { return stats; }
 
     /**
      * Attach an observability context: registers every stat of this
@@ -430,9 +464,30 @@ class OooCore
     void traceSlow(obs::PipeEvent ev, std::int32_t slot,
                    const char *detail);
 
-    /** Telemetry interval check (cold path; see run()'s cached
-     *  telemetryActive/telemetryNext guard). */
+    /** Telemetry interval check (cold path; see cycleLoop()'s
+     *  cached telemetryActive/telemetryNext guard). */
     void telemetryBeat();
+
+    /** The phase begun last (see resume()). */
+    enum class Phase : std::uint8_t
+    {
+        Idle,
+        Warmup,
+        DetailWarmup,  ///< runSample()'s untimed detailed warmup
+        Timed
+    };
+
+    /** Pull and warm from ready records; true once warmup is done. */
+    bool warmSteps();
+    /** Arm a cycle phase: cache the obs guards, reset the deadlock
+     *  guard. */
+    void startCycles();
+    /** The cycle loop: true when the phase ends, false on a pause. */
+    bool cycleLoop();
+    /** Close a cycle phase: final cycle count and cache counters. */
+    void finishCycles();
+    /** resume() for the blocking calls, whose sources never pause. */
+    void resumeUnpaused();
 
     /**
      * Attribute one zero-commit cycle to a StallCause, driven by the
@@ -619,6 +674,20 @@ class OooCore
     bool traceExhausted = false;
     InstCount dispatchBudget = 0;    ///< 0 = unlimited
     InstCount commitTarget = 0;      ///< runSample() stop; 0 = off
+
+    // Progress of the phase in flight, kept across pauses.
+    Phase phase = Phase::Idle;
+    InstCount warmInsts = 0;     ///< records warmup pulls
+    InstCount warmSkip = 0;      ///< leading ones it does not warm on
+    InstCount warmPulled = 0;
+    /** runSample()'s window, armed once its detailed warmup ends. */
+    InstCount sampleInsts = 0;
+    /** The telemetry scope muted through a detailed warmup. */
+    obs::TelemetryScope *mutedTelemetry = nullptr;
+    /** Forward-progress guard: cycles since the commit count last
+     *  moved from lastCommitted. */
+    Cycle stalledCycles = 0;
+    InstCount lastCommitted = 0;
     /** Clock value at the last statsFence(); reported cycles are
      *  relative to it so a detailed warmup phase is untimed. */
     Cycle cycleBase = 0;
@@ -636,13 +705,13 @@ class OooCore
     bool cpiEnabled = false;
     /** A pipeline/Chrome tracer is attached (cached; see trace()). */
     bool tracingActive = false;
-    /** A telemetry scope is attached (cached at run() entry, same
-     *  pattern as tracingActive: disabled telemetry is one
-     *  short-circuited branch per cycle). */
+    /** A telemetry scope is attached (cached when a cycle phase
+     *  starts, same pattern as tracingActive: disabled telemetry is
+     *  one short-circuited branch per cycle). */
     bool telemetryActive = false;
     /** Committed-instruction count of the next telemetry check. */
     InstCount telemetryNext = 0;
-    /** ARL_OOO_TRACE set in the environment (cached at run() entry). */
+    /** ARL_OOO_TRACE set in the environment (cached at construction). */
     bool debugTraceEnv = false;
 };
 

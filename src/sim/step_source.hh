@@ -9,15 +9,22 @@
  * decouples the consumer from the producer so the same core can be
  * fed by
  *
- *  - a live sim::Simulator (SimulatorSource, the default), or
- *  - a recorded instruction trace (trace::ReplaySource), which is
- *    what the parallel sweep engine uses: record once, replay into
- *    any number of concurrently simulated machine configurations.
+ *  - a live sim::Simulator (SimulatorSource, the default),
+ *  - a recorded instruction trace (trace::ReplaySource, or
+ *    trace::BlockReplaySource over its v2 encoding), or
+ *  - a window onto a stream that something else produces a block at
+ *    a time, which is how the parallel sweep engine feeds a group of
+ *    machine configurations one shared instruction stream in
+ *    lock-step (src/sweep/sweep.cc).
  *
  * The contract mirrors Simulator::step(): next() produces the next
  * retired instruction or returns false, delivered() counts the
  * instructions handed out so far, and exhausted() reports that no
- * further instruction will ever be produced.
+ * further instruction will ever be produced.  ready() says how many
+ * instructions next() can hand out *now*: a windowed source may hold
+ * only part of the stream yet, and its consumer (an ooo::OooCore)
+ * pauses rather than pull past it, so a short window is never
+ * mistaken for the end of the stream.
  */
 
 #ifndef ARL_SIM_STEP_SOURCE_HH
@@ -61,6 +68,19 @@ class StepSource
         (void)n;
         return false;
     }
+
+    /** ready() of a source that never runs short. */
+    static constexpr InstCount Unlimited = ~InstCount{0};
+
+    /**
+     * How many instructions next() can deliver before more must be
+     * produced.  next() returns false only at the true end of the
+     * stream, so a consumer pulls at most ready() instructions and
+     * then waits for the producer.  Sources that own their producer
+     * (a live simulator, a recorded trace) never run short, and a
+     * windowed source reports Unlimited once its stream has ended.
+     */
+    virtual InstCount ready() const { return Unlimited; }
 };
 
 /** StepSource over a live functional simulator (not owned). */

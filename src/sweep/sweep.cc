@@ -144,96 +144,16 @@ buildProgram(const WorkloadSpec &w, std::string *source_out)
     return result.program;
 }
 
-/**
- * A row's recorded stream, in one of two representations: decoded
- * when several jobs read it end to end, so each replays at full
- * speed; else its v2 encoding, replayed a block at a time.  The grid
- * shape picks (runSweep); results are identical either way.
- */
-struct RowTrace
-{
-    std::shared_ptr<const trace::InMemoryTrace> decoded;
-    std::shared_ptr<const trace::EncodedTrace> encoded;
-
-    explicit operator bool() const { return decoded || encoded; }
-
-    InstCount
-    size() const
-    {
-        return decoded ? decoded->size() : encoded->size();
-    }
-
-    const std::string &
-    program() const
-    {
-        return decoded ? decoded->program : encoded->program;
-    }
-
-    InstCount
-    checkpointAtOrBelow(InstCount n) const
-    {
-        return decoded ? decoded->checkpointAtOrBelow(n)
-                       : encoded->checkpointAtOrBelow(n);
-    }
-
-    /** A fresh replay cursor over the stream. */
-    std::shared_ptr<sim::StepSource>
-    source() const
-    {
-        if (decoded)
-            return std::make_shared<trace::ReplaySource>(decoded);
-        return std::make_shared<trace::BlockReplaySource>(encoded);
-    }
-
-    /** Load cache entry @p path: encoded when @p encode, else decoded. */
-    static RowTrace
-    load(bool encode, const std::string &path,
-         trace::TraceLoadStats &stats, trace::RecordVisitor *visitor)
-    {
-        RowTrace t;
-        if (encode)
-            t.encoded = trace::loadEncoded(path, &stats, visitor);
-        else
-            t.decoded = trace::loadTrace(path, &stats);
-        return t;
-    }
-
-    /** Record @p program: encoded when @p encode, else decoded. */
-    static RowTrace
-    record(bool encode, std::shared_ptr<const vm::Program> program,
-           InstCount need, InstCount every,
-           trace::RecordVisitor *visitor)
-    {
-        RowTrace t;
-        if (encode)
-            t.encoded =
-                trace::recordEncoded(program, need, every, visitor);
-        else
-            t.decoded = trace::recordToMemory(program, need, every);
-        return t;
-    }
-
-    /** Write the stream to @p path (the same bytes either way). */
-    bool
-    trySave(const std::string &path, std::uint64_t &bytes) const
-    {
-        return decoded ? trace::trySaveTrace(path, *decoded, bytes)
-                       : trace::trySaveEncoded(path, *encoded, bytes);
-    }
-
-    void
-    reset()
-    {
-        decoded.reset();
-        encoded.reset();
-    }
-};
-
 /** Per-workload artifacts shared (read-only) by its grid jobs. */
 struct Prepared
 {
     std::shared_ptr<const vm::Program> program;
-    RowTrace trace;
+    /**
+     * The row's recording, held as its v2 encoding and decoded a
+     * block at a time by each reader; null for a live row, whose
+     * readers stream from functional simulators instead.
+     */
+    std::shared_ptr<const trace::EncodedTrace> trace;
     /** Phase-sampling decision (sampled sweeps only). */
     sampling::SamplingPlan plan;
     double seconds = 0.0;
@@ -243,11 +163,12 @@ struct Prepared
 };
 
 /**
- * One phase-2 work item of the timing grid.  In exact mode every
- * grid point is a single job (rep == Exact); in sampled mode a grid
- * point fans out into one job per cluster representative plus an
- * optional full-population verify job, merged deterministically by
- * the coordinator afterwards.
+ * One timing job of the grid.  In exact mode every grid point is a
+ * single job (rep == Exact); in sampled mode a grid point fans out
+ * into one job per cluster representative plus an optional
+ * full-population verify job, merged deterministically by the
+ * coordinator afterwards.  A job's index in the job list is its
+ * telemetry job id; phase 2 runs jobs in groups (runGroup).
  */
 struct TimingJob
 {
@@ -287,37 +208,162 @@ struct JobRun
 };
 
 /**
- * Run timing job @p tj of row @p row over @p trace, or, when @p trace
- * is empty (a live row), over the core's own functional simulator.
- * Every job is one sequence — seek, warm, time, finalize — over its
- * own window: an exact point or a verify run times the workload's
- * window after its warmup (seeking to a checkpoint first under
- * seekFastForward), and a phase representative seeks to its warmup
- * window, warms functionally and then through the pipeline, and
- * times only its interval.
- *
- * @param hooks the point's caller-owned context (SweepSpec::hooks),
- *        or null for a private one.
+ * A fresh reader of @p row's stream from record @p start: a decoder
+ * over the row's recording, or a functional simulator of its own on
+ * a live row (which cannot seek).
  */
-JobRun
-runTimingJob(const SweepSpec &spec, const Prepared &row,
-             const RowTrace &trace, const TimingJob &tj, std::size_t job,
-             obs::Hooks *hooks, std::atomic<std::uint64_t> &seek_skipped)
+struct RowReader
 {
-    const WorkloadSpec &w = spec.workloads[tj.wi];
-    const bool sample = tj.rep >= 0;
-    obs::ProfScope prof(sample                         ? "sweep/sample"
-                        : tj.rep == TimingJob::Verify ? "sweep/verify"
-                                                      : "sweep/simulate",
-                        obs::ProfScope::Mode::Absolute);
-    ooo::MachineConfig config = spec.configs[tj.ci];
-    if (spec.cpiStack)
-        config.cpiStack = true;
+    std::unique_ptr<sim::Simulator> live;
+    std::unique_ptr<sim::StepSource> source;
 
-    // Skip `seek` records, warm the next `warm` functionally (state
-    // only from the last `warm_last`; 0 = all), run `detail` through
-    // the pipeline with the statistics fenced off, then time `timed`
-    // (0 = to completion).
+    explicit RowReader(const Prepared &row, InstCount start = 0)
+    {
+        if (row.trace) {
+            source = std::make_unique<trace::BlockReplaySource>(row.trace);
+            if (start) {
+                obs::ProfScope prof_seek("seek");
+                source->seekTo(start);
+            }
+        } else {
+            ARL_ASSERT(start == 0, "a live row cannot seek");
+            live = std::make_unique<sim::Simulator>(row.program);
+            source = std::make_unique<sim::SimulatorSource>(*live);
+        }
+    }
+};
+
+/**
+ * A group's instruction stream, produced once for all its cores.
+ * The producer — a functional simulator for a live row, else a
+ * decoder over the row's recording — appends one block per round to
+ * a ring, and each core reads the ring through its own View.  A core
+ * pauses once fewer than its issue width of records are left unread
+ * (OooCore's pause contract), so a ring of one block plus the widest
+ * issue width never overwrites a record a core has yet to read.
+ */
+class GroupStream
+{
+  public:
+    /** Records one round appends. */
+    static constexpr InstCount BlockRecords = 4096;
+
+    /**
+     * @param start first record (a seek into a recording).
+     * @param limit records a live row streams (0 = to the halt).
+     * @param widest the largest issue width among the readers.
+     */
+    GroupStream(const Prepared &row, InstCount start, InstCount limit,
+                unsigned widest)
+        : producer(row, start), ring(BlockRecords + widest),
+          limit(limit), begin(start), end(start)
+    {
+    }
+
+    /** Append the next block, or what is left of the stream. */
+    void
+    produce()
+    {
+        InstCount n = BlockRecords;
+        if (limit)
+            n = std::min(n, limit - end);
+        for (; n; --n) {
+            if (!producer.source->next(ring[tail]))
+                break;
+            if (++tail == ring.size())
+                tail = 0;
+            ++end;
+        }
+        ended = n != 0 || producer.source->exhausted() ||
+                (limit && end == limit);
+    }
+
+    bool finished() const { return ended; }
+    InstCount produced() const { return end; }
+
+    /** One core's cursor over the stream. */
+    class View final : public sim::StepSource
+    {
+      public:
+        explicit View(const GroupStream &stream)
+            : stream(stream), pos(stream.begin)
+        {
+        }
+
+        bool
+        next(sim::StepInfo &out) override
+        {
+            if (pos == stream.end) {
+                ARL_ASSERT(stream.ended, "read past the produced stream");
+                return false;
+            }
+            out = stream.ring[slot];
+            if (++slot == stream.ring.size())
+                slot = 0;
+            ++pos;
+            return true;
+        }
+
+        InstCount delivered() const override { return pos; }
+
+        bool
+        exhausted() const override
+        {
+            return stream.ended && pos == stream.end;
+        }
+
+        InstCount
+        ready() const override
+        {
+            return stream.ended ? Unlimited : stream.end - pos;
+        }
+
+      private:
+        const GroupStream &stream;
+        InstCount pos;
+        std::size_t slot = 0;
+    };
+
+  private:
+    RowReader producer;
+    std::vector<sim::StepInfo> ring;
+    std::size_t tail = 0;
+    InstCount limit;
+    InstCount begin;
+    InstCount end;
+    bool ended = false;
+};
+
+/**
+ * Run timing jobs @p jobs of row @p row in lock-step over one shared
+ * stream (GroupStream).  The jobs read the same window of the stream,
+ * so each round produces the next block once and then advances every
+ * unfinished job's core until it pauses or finishes.  Each job walks
+ * the sequence a lone core would: warm, arm sampling, time, finalize.
+ * Results do not depend on how jobs are grouped.
+ *
+ * @return one JobRun per entry of @p jobs.
+ */
+std::vector<JobRun>
+runGroup(const SweepSpec &spec, const Prepared &row,
+         const std::vector<TimingJob> &tjobs,
+         const std::vector<std::size_t> &jobs,
+         std::atomic<std::uint64_t> &seek_skipped)
+{
+    const TimingJob &lead = tjobs[jobs.front()];
+    const WorkloadSpec &w = spec.workloads[lead.wi];
+    const bool sample = lead.rep >= 0;
+    obs::ProfScope prof(sample                          ? "sweep/sample"
+                        : lead.rep == TimingJob::Verify ? "sweep/verify"
+                                                        : "sweep/simulate",
+                        obs::ProfScope::Mode::Absolute);
+    // The group's jobs share one window: skip `seek` records, warm
+    // the next `warm` functionally (state only from the last
+    // `warm_last`; 0 = all), run `detail` through the pipeline with
+    // the statistics fenced off, then time `timed` (0 = to
+    // completion).  An exact point or a verify run times the
+    // workload's window after its warmup; a phase representative
+    // starts at its warmup window and times only its interval.
     InstCount seek = 0, warm = w.warmup, warm_last = w.warmupWindow;
     InstCount detail = 0, timed = w.timed;
     if (sample) {
@@ -327,7 +373,7 @@ runTimingJob(const SweepSpec &spec, const Prepared &row,
         // starts with a full ROB and live contention state but clean
         // counters.
         const sampling::Representative &rep =
-            row.plan.reps[static_cast<std::size_t>(tj.rep)];
+            row.plan.reps[static_cast<std::size_t>(lead.rep)];
         seek = rep.warmupStart;
         detail = rep.detail;
         warm = rep.start - rep.warmupStart - rep.detail;
@@ -340,60 +386,125 @@ runTimingJob(const SweepSpec &spec, const Prepared &row,
         // window to consume.  Functional and seeked paths warm the
         // identical final records, so the timed window (and the
         // report) is bit-identical either way.
-        seek = trace.checkpointAtOrBelow(w.warmup - w.warmupWindow);
+        seek = row.trace->checkpointAtOrBelow(w.warmup - w.warmupWindow);
         warm -= seek;
     }
+    unsigned widest = 0;
+    for (std::size_t job : jobs)
+        widest = std::max(widest, spec.configs[tjobs[job].ci].issueWidth);
+    // A live row streams what a recording of it would hold.
+    GroupStream stream(row, seek,
+                       traceNeed(w, !spec.schemes.empty()), widest);
 
-    std::shared_ptr<sim::StepSource> source;
-    if (trace) {
-        source = trace.source();
-        if (seek) {
-            obs::ProfScope prof_seek("seek");
-            source->seekTo(seek);
+    /** One job's core and observability, alive while the group runs. */
+    struct Member
+    {
+        Member(const ooo::MachineConfig &config,
+               std::shared_ptr<const vm::Program> program,
+               const GroupStream &stream)
+            : core(config, std::move(program),
+                   std::make_shared<GroupStream::View>(stream))
+        {
+        }
+
+        ooo::OooCore core;
+        obs::Hooks own;
+        obs::Hooks *hooks = &own;
+        std::unique_ptr<obs::TelemetryScope> tscope;
+        bool timing = false;
+        bool done = false;
+    };
+    std::vector<std::unique_ptr<Member>> members;
+    members.reserve(jobs.size());
+    for (std::size_t job : jobs) {
+        const TimingJob &tj = tjobs[job];
+        ooo::MachineConfig config = spec.configs[tj.ci];
+        if (spec.cpiStack)
+            config.cpiStack = true;
+        auto m = std::make_unique<Member>(config, row.program, stream);
+        if (!spec.hooks.empty())
+            m->hooks = spec.hooks[tj.wi * spec.configs.size() + tj.ci];
+        m->core.attachObs(m->hooks);
+        if (spec.telemetry) {
+            // The rep index (a representative's, or Exact / Verify)
+            // rides on every record of this job.  A live row run to
+            // completion cannot know its length up front: total 0.
+            std::uint64_t total = timed;
+            if (!total && row.trace && row.trace->size() > w.warmup)
+                total = row.trace->size() - w.warmup;
+            m->tscope = std::make_unique<obs::TelemetryScope>(
+                spec.telemetry, static_cast<int>(job), w.name,
+                config.name, static_cast<int>(tj.rep), total);
+            m->tscope->start();
+            m->hooks->telemetry = m->tscope.get();
+            if (job == 0 && testStallMs())
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(testStallMs()));
+        }
+        if (warm)
+            m->core.beginWarmup(warm, warm_last);
+        if (seek)
             seek_skipped.fetch_add(seek, std::memory_order_relaxed);
+        members.push_back(std::move(m));
+    }
+
+    std::vector<JobRun> runs(jobs.size());
+    // Run member @p i until it pauses (false) or finishes (true).
+    auto advance = [&](std::size_t i) {
+        Member &m = *members[i];
+        while (m.core.resume()) {
+            if (!m.timing) {
+                // Sampling starts after warmup, so its baseline is
+                // the warmed state and its frozen name set holds
+                // every stat the core registered.
+                m.timing = true;
+                m.hooks->startSampling();
+                if (sample)
+                    m.core.beginSample(timed, detail);
+                else
+                    m.core.beginRun(timed);
+                continue;
+            }
+            JobRun &out = runs[i];
+            out.stats = m.core.result();
+            m.hooks->finishSampling(out.stats.instructions);
+            if (m.tscope)
+                m.tscope->done(out.stats.instructions, out.stats.cycles);
+            m.hooks->telemetry = nullptr;
+            // The registry's live entries point into the core, which
+            // dies with the group: freeze the values while it lives.
+            m.hooks->finalize();
+            out.snapshot = m.hooks->finalSnapshot;
+            out.delivered = m.core.delivered();
+            prof.addGuestInsts(warm + detail + out.stats.instructions);
+            prof.addGuestCycles(out.stats.cycles);
+            return true;
+        }
+        return false;
+    };
+
+    std::size_t open = members.size();
+    while (open) {
+        ARL_ASSERT(!stream.finished(), "group stalled at stream end");
+#ifndef NDEBUG
+        // A paused core has fewer than its issue width of records
+        // left unread, which is what sizes the ring.
+        for (std::size_t i = 0; i < members.size(); ++i)
+            if (!members[i]->done)
+                ARL_ASSERT(stream.produced() -
+                                   members[i]->core.delivered() <
+                               spec.configs[tjobs[jobs[i]].ci].issueWidth,
+                           "paused core too far behind the stream");
+#endif
+        stream.produce();
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (!members[i]->done && advance(i)) {
+                members[i]->done = true;
+                --open;
+            }
         }
     }
-    ooo::OooCore core(config, row.program, source);
-    obs::Hooks own;
-    obs::Hooks &h = hooks ? *hooks : own;
-    core.attachObs(&h);
-    std::unique_ptr<obs::TelemetryScope> tscope;
-    if (spec.telemetry) {
-        // The rep index (a representative's, or Exact / Verify)
-        // rides on every record of this job.  A live row run to
-        // completion cannot know its length up front: total 0.
-        std::uint64_t total = timed;
-        if (!total && trace && trace.size() > w.warmup)
-            total = trace.size() - w.warmup;
-        tscope = std::make_unique<obs::TelemetryScope>(
-            spec.telemetry, static_cast<int>(job), w.name, config.name,
-            static_cast<int>(tj.rep), total);
-        tscope->start();
-        h.telemetry = tscope.get();
-        if (job == 0 && testStallMs())
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(testStallMs()));
-    }
-    if (warm)
-        core.warmup(warm, warm_last);
-    // Sampling starts after warmup, so its baseline is the warmed
-    // state and its frozen name set holds every stat the core
-    // registered.
-    h.startSampling();
-    JobRun out;
-    out.stats = sample ? core.runSample(timed, detail) : core.run(timed);
-    h.finishSampling(out.stats.instructions);
-    if (tscope)
-        tscope->done(out.stats.instructions, out.stats.cycles);
-    h.telemetry = nullptr;
-    // The registry's live entries point into `core`, which dies at
-    // return: freeze the values while it lives.
-    h.finalize();
-    out.snapshot = h.finalSnapshot;
-    out.delivered = core.delivered();
-    prof.addGuestInsts(warm + detail + out.stats.instructions);
-    prof.addGuestCycles(out.stats.cycles);
-    return out;
+    return runs;
 }
 
 /** Insert @p name into the sorted snapshot @p snapshot. */
@@ -444,15 +555,6 @@ runSweep(const SweepSpec &spec)
     const bool sampled = spec.sampling && nc != 0;
     if (!spec.hooks.empty() && (sampled || spec.hooks.size() != nw * nc))
         fatal("sweep: hooks need one entry per exact timing point");
-    // A row's full-window readers are its exact timing points, its
-    // verify runs and its region pass; sampled representatives read
-    // a block or two each and do not count.  A decoded copy pays off
-    // only when read more than once, so below that a row keeps its
-    // v2 encoding (about 5 B per instruction instead of 44).
-    const std::size_t full_readers =
-        (sampled ? (spec.samplingVerify ? nc : 0) : nc) +
-        (region_grid ? 1 : 0);
-    const bool encoded_rows = full_readers <= 1;
     sampling::SamplingConfig sc;
     sc.intervalInsts = spec.samplingInterval;
     sc.clusters = spec.samplingClusters;
@@ -477,15 +579,13 @@ runSweep(const SweepSpec &spec)
         cache_dir.clear();
     }
 
-    // A row records its trace only when something reuses the
-    // recording: several full-window readers, a sampling plan,
-    // checkpointed fast-forward, or a trace cache on a timing grid.
-    // Every other row is live: its one reader streams from a
-    // functional simulator running beside it (a timing point's
-    // OooCore embeds one), so nothing is recorded to be read once.
-    const bool live_rows =
-        full_readers <= 1 && !sampled &&
-        (nc == 0 || (!spec.seekFastForward && cache_dir.empty()));
+    // A row records its trace only when something needs the
+    // recording: a sampling plan, checkpointed fast-forward, or a
+    // trace cache on a timing grid.  Every other row is live: each
+    // group of its timing jobs, and its region pass, streams from a
+    // functional simulator of its own.
+    const bool record_rows =
+        nc != 0 && (sampled || spec.seekFastForward || !cache_dir.empty());
 
     SweepResult result;
     result.numConfigs = nc;
@@ -495,8 +595,8 @@ runSweep(const SweepSpec &spec)
     // paths since they own fresh (empty) scope stacks.
     obs::ProfScope prof_sweep("sweep");
 
-    // ---- Phase 1: build each program once, trace each stream once
-    // (unless the rows are live).
+    // ---- Phase 1: build each program once, and record each stream
+    // once when the rows record.
     std::vector<Prepared> prep(nw);
     runJobs(nw, jobs, [&](std::size_t wi) {
         obs::ProfScope prof("sweep/prepare",
@@ -506,7 +606,7 @@ runSweep(const SweepSpec &spec)
         Prepared p;
         std::string source;
         p.program = buildProgram(w, &source);
-        if (live_rows) {
+        if (!record_rows) {
             p.seconds = secondsSince(start);
             prep[wi] = std::move(p);
             return;
@@ -515,12 +615,12 @@ runSweep(const SweepSpec &spec)
         const InstCount every = spec.checkpointEvery
                                     ? spec.checkpointEvery
                                     : trace::DefaultBlockRecords;
-        // An encoded row fingerprints its sampling intervals in the
-        // one pass that records or validates its trace; each attempt
-        // starts a fresh stream.
+        // A sampled row fingerprints its intervals in the one pass
+        // that records or validates its trace; each attempt starts a
+        // fresh stream.
         std::unique_ptr<sampling::FeatureStream> features;
         auto fresh_features = [&]() -> trace::RecordVisitor * {
-            if (sampled && encoded_rows)
+            if (sampled)
                 features = std::make_unique<sampling::FeatureStream>(
                     sc.intervalInsts, w.warmup, w.timed);
             return features.get();
@@ -530,9 +630,9 @@ runSweep(const SweepSpec &spec)
             cache_path =
                 cache_dir + "/" + traceCacheKey(w, need, source);
             trace::TraceLoadStats load_stats;
-            RowTrace cached = RowTrace::load(encoded_rows, cache_path,
-                                             load_stats, fresh_features());
-            if (cached && cached.program() == p.program->name) {
+            auto cached = trace::loadEncoded(cache_path, &load_stats,
+                                             fresh_features());
+            if (cached && cached->program == p.program->name) {
                 p.trace = std::move(cached);
                 p.cacheHit = true;
                 p.diskBytes = load_stats.fileBytes;
@@ -540,8 +640,8 @@ runSweep(const SweepSpec &spec)
             }
         }
         if (!p.trace) {
-            p.trace = RowTrace::record(encoded_rows, p.program, need,
-                                       every, fresh_features());
+            p.trace = trace::recordEncoded(p.program, need, every,
+                                           fresh_features());
             if (!cache_path.empty()) {
                 // Write-then-rename keeps a concurrently reading
                 // sweep from seeing a half-written cache entry.  The
@@ -551,7 +651,7 @@ runSweep(const SweepSpec &spec)
                 std::string tmp =
                     cache_path + ".tmp" + std::to_string(getpid());
                 std::uint64_t bytes = 0;
-                if (!p.trace.trySave(tmp, bytes)) {
+                if (!trace::trySaveEncoded(tmp, *p.trace, bytes)) {
                     warn("sweep: cannot write trace cache '%s'",
                          cache_path.c_str());
                 } else if (std::rename(tmp.c_str(),
@@ -574,15 +674,9 @@ runSweep(const SweepSpec &spec)
             // earliest intervals warm from the prefix instead of
             // starting cold.
             std::string err;
-            const bool planned =
-                features ? sampling::buildPlan(
-                               features->finish(), p.trace.program(),
-                               p.trace.size(), sc, w.warmup, w.timed,
-                               p.plan, &err)
-                         : sampling::buildPlan(*p.trace.decoded, sc,
-                                               w.warmup, w.timed,
-                                               p.plan, &err);
-            if (!planned)
+            if (!sampling::buildPlan(features->finish(), p.trace->program,
+                                     p.trace->size(), sc, w.warmup,
+                                     w.timed, p.plan, &err))
                 fatal("sweep: %s", err.c_str());
         }
         p.seconds = secondsSince(start);
@@ -592,8 +686,8 @@ runSweep(const SweepSpec &spec)
     for (const Prepared &p : prep) {
         result.serialSecondsEstimate += p.seconds;
         if (!p.trace)
-            continue;  // live row: counted after its job
-        result.traceInstructions += p.trace.size();
+            continue;  // live row: counted after its jobs
+        result.traceInstructions += p.trace->size();
         result.traceDiskBytes += p.diskBytes;
         result.traceDecodeSeconds += p.decodeSeconds;
         if (p.cacheHit)
@@ -607,53 +701,84 @@ runSweep(const SweepSpec &spec)
     // cluster representative plus an optional full-population verify
     // job; the coordinator folds them back together afterwards, in
     // declaration order, so sampled reports keep the byte-identity
-    // guarantee across --jobs values.  Region passes ride at the
-    // end either way, replaying the trace or, in a live row,
-    // streaming from a per-job live simulator.
+    // guarantee across --jobs values.
+    //
+    // Jobs run in groups, one work item each (runGroup): a row's
+    // exact points or verify runs split into contiguous config
+    // ranges, and each representative is a group of one.  A row gets
+    // as many groups as keep every worker busy and no more, since
+    // each group produces its stream once.  Region passes ride at the
+    // end, one work item per row.
+    const std::size_t row_groups =
+        std::min<std::size_t>(nc, (jobs + nw - 1) / nw);
     std::vector<TimingJob> tjobs;
+    std::vector<std::vector<std::size_t>> groups;
+    // The row of each work item: the groups, then the region passes.
+    std::vector<std::size_t> item_row;
+    auto addGroups = [&](std::size_t wi,
+                         const std::vector<std::size_t> &row_jobs) {
+        const std::size_t n = row_jobs.size();
+        for (std::size_t g = 0; g < row_groups; ++g) {
+            std::vector<std::size_t> members(
+                row_jobs.begin() + g * n / row_groups,
+                row_jobs.begin() + (g + 1) * n / row_groups);
+            if (members.empty())
+                continue;
+            groups.push_back(std::move(members));
+            item_row.push_back(wi);
+        }
+    };
     std::vector<sampling::RepMeasurement> rep_meas;
     std::vector<sampling::RepMeasurement> verify_meas;
     for (std::size_t wi = 0; wi < nw; ++wi) {
+        std::vector<std::size_t> row_jobs;
         for (std::size_t ci = 0; ci < nc; ++ci) {
             if (!sampled) {
+                row_jobs.push_back(tjobs.size());
                 tjobs.push_back({wi, ci, TimingJob::Exact, 0});
                 continue;
             }
             for (std::size_t r = 0; r < prep[wi].plan.reps.size();
                  ++r) {
+                groups.push_back({tjobs.size()});
+                item_row.push_back(wi);
                 tjobs.push_back({wi, ci,
                                  static_cast<std::ptrdiff_t>(r),
                                  rep_meas.size()});
                 rep_meas.emplace_back();
             }
             if (spec.samplingVerify) {
+                row_jobs.push_back(tjobs.size());
                 tjobs.push_back(
                     {wi, ci, TimingJob::Verify, verify_meas.size()});
                 verify_meas.emplace_back();
             }
         }
+        addGroups(wi, row_jobs);
     }
     std::vector<obs::StatsRegistry::Snapshot> rep_snaps(
         rep_meas.size());
     const std::size_t timing_jobs = tjobs.size();
     const std::size_t total_jobs =
         timing_jobs + (region_grid ? nw : 0);
+    if (region_grid)
+        for (std::size_t wi = 0; wi < nw; ++wi)
+            item_row.push_back(wi);
+    const std::size_t items = item_row.size();
     result.timing.resize(nw * nc);
     if (region_grid)
         result.region.resize(nw);
-    std::vector<double> job_seconds(total_jobs, 0.0);
+    std::vector<double> item_seconds(items, 0.0);
+    // Instructions each work item of a live row streamed.
+    std::vector<std::uint64_t> item_streamed(items, 0);
 
-    // Traces are dropped as soon as every job of their workload is
-    // done, bounding peak memory below "all traces live at once"
-    // while the grid drains.
+    // Traces are dropped as soon as every work item of their
+    // workload is done, bounding peak memory below "all traces live
+    // at once" while the grid drains.
     std::vector<std::atomic<std::size_t>> remaining(nw);
-    for (std::size_t wi = 0; wi < nw; ++wi)
-        remaining[wi] = region_grid ? 1 : 0;
-    for (const TimingJob &tj : tjobs)
-        remaining[tj.wi].fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t wi : item_row)
+        remaining[wi].fetch_add(1, std::memory_order_relaxed);
     std::atomic<std::uint64_t> seek_skipped{0};
-    // Instructions the live rows' readers streamed.
-    std::atomic<std::uint64_t> streamed{0};
 
     // Coordinator watchdog: while the grid drains, flag any started
     // job whose heartbeat has been silent longer than the stall
@@ -698,39 +823,41 @@ runSweep(const SweepSpec &spec)
         });
     }
 
-    runJobs(total_jobs, jobs, [&](std::size_t job) {
+    runJobs(items, jobs, [&](std::size_t item) {
         Clock::time_point start = Clock::now();
-        std::size_t wi =
-            job < timing_jobs ? tjobs[job].wi : job - timing_jobs;
+        const bool timing = item < groups.size();
+        const std::size_t wi = item_row[item];
         const WorkloadSpec &w = spec.workloads[wi];
-        RowTrace trace_handle = prep[wi].trace;
+        const Prepared &row = prep[wi];
 
-        if (job < timing_jobs) {
-            const TimingJob &tj = tjobs[job];
-            const std::size_t index = tj.wi * nc + tj.ci;
-            JobRun run = runTimingJob(
-                spec, prep[wi], trace_handle, tj, job,
-                spec.hooks.empty() ? nullptr : spec.hooks[index],
-                seek_skipped);
-            if (tj.rep == TimingJob::Exact) {
-                if (live_rows)
-                    streamed.fetch_add(run.delivered,
-                                       std::memory_order_relaxed);
-                TimingPoint &point = result.timing[index];
-                point.workload = w.name;
-                point.config = spec.configs[tj.ci].name;
-                point.stats = std::move(run.stats);
-                point.snapshot = std::move(run.snapshot);
-            } else if (tj.rep >= 0) {
-                rep_meas[tj.slot] = {run.stats.cycles,
-                                     run.stats.instructions};
-                rep_snaps[tj.slot] = std::move(run.snapshot);
-            } else {
-                // Verify: the exact flow an unsampled timing point
-                // runs, so the measured error compares the estimate
-                // against the number the sampled run replaces.
-                verify_meas[tj.slot] = {run.stats.cycles,
-                                        run.stats.instructions};
+        if (timing) {
+            const std::vector<std::size_t> &members = groups[item];
+            std::vector<JobRun> runs =
+                runGroup(spec, row, tjobs, members, seek_skipped);
+            for (std::size_t i = 0; i < members.size(); ++i) {
+                const TimingJob &tj = tjobs[members[i]];
+                JobRun &run = runs[i];
+                item_streamed[item] =
+                    std::max<std::uint64_t>(item_streamed[item],
+                                            run.delivered);
+                if (tj.rep == TimingJob::Exact) {
+                    TimingPoint &point = result.timing[tj.wi * nc + tj.ci];
+                    point.workload = w.name;
+                    point.config = spec.configs[tj.ci].name;
+                    point.stats = std::move(run.stats);
+                    point.snapshot = std::move(run.snapshot);
+                } else if (tj.rep >= 0) {
+                    rep_meas[tj.slot] = {run.stats.cycles,
+                                         run.stats.instructions};
+                    rep_snaps[tj.slot] = std::move(run.snapshot);
+                } else {
+                    // Verify: the exact flow an unsampled timing
+                    // point runs, so the measured error compares the
+                    // estimate against the number the sampled run
+                    // replaces.
+                    verify_meas[tj.slot] = {run.stats.cycles,
+                                            run.stats.instructions};
+                }
             }
         } else {
             obs::ProfScope prof("sweep/regionstudy",
@@ -740,44 +867,34 @@ runSweep(const SweepSpec &spec)
             // as Experiment::regionStudy builds them.
             predict::CompilerHints hints;
             if (hinted) {
-                sim::Simulator trainer(prep[wi].program);
+                sim::Simulator trainer(row.program);
                 prof.addGuestInsts(trainer.run(
                     w.studyInsts,
                     [&](const sim::StepInfo &step) { hints.observe(step); }));
             }
-            std::unique_ptr<sim::Simulator> live;
-            std::shared_ptr<sim::StepSource> source;
-            if (trace_handle) {
-                source = trace_handle.source();
-            } else {
-                live = std::make_unique<sim::Simulator>(
-                    prep[wi].program);
-                source = std::make_shared<sim::SimulatorSource>(*live);
-            }
+            RowReader reader(row);
             std::unique_ptr<obs::TelemetryScope> tscope;
             if (spec.telemetry) {
                 // A streamed, uncapped row cannot know its length up
                 // front: total 0 (no ETA).
                 std::uint64_t total = w.studyInsts;
-                if (!total && trace_handle)
-                    total = trace_handle.size();
+                if (!total && row.trace)
+                    total = row.trace->size();
                 tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
+                    spec.telemetry,
+                    static_cast<int>(timing_jobs + wi), w.name,
                     "regionstudy", static_cast<int>(TimingJob::Exact),
                     total);
             }
             RegionPoint point = runRegionPass(
-                w.name, *source, spec.schemes, w.studyInsts,
+                w.name, *reader.source, spec.schemes, w.studyInsts,
                 hinted ? &hints : nullptr, tscope.get());
             prof.addGuestInsts(point.instructions);
-            if (live_rows)
-                streamed.fetch_add(point.instructions,
-                                   std::memory_order_relaxed);
+            item_streamed[item] = point.instructions;
             result.region[wi] = std::move(point);
         }
 
-        job_seconds[job] = secondsSince(start);
-        trace_handle.reset();
+        item_seconds[item] = secondsSince(start);
         if (remaining[wi].fetch_sub(1, std::memory_order_acq_rel) == 1)
             prep[wi].trace.reset();
     });
@@ -788,12 +905,19 @@ runSweep(const SweepSpec &spec)
 
     {
         obs::ProfScope prof_merge("merge");
-        for (double s : job_seconds)
+        for (double s : item_seconds)
             result.serialSecondsEstimate += s;
         result.seekSkippedRecords =
             seek_skipped.load(std::memory_order_relaxed);
-        result.traceInstructions +=
-            streamed.load(std::memory_order_relaxed);
+        // A live row counts what a recording of it would hold: the
+        // longest stretch any of its readers streamed.
+        std::vector<std::uint64_t> row_streamed(nw, 0);
+        for (std::size_t item = 0; item < items; ++item)
+            row_streamed[item_row[item]] = std::max(
+                row_streamed[item_row[item]], item_streamed[item]);
+        for (std::size_t wi = 0; wi < nw; ++wi)
+            if (!record_rows)
+                result.traceInstructions += row_streamed[wi];
         if (sampled) {
             // Fold per-representative measurements back into one
             // extrapolated point per grid cell.  Cursor order here

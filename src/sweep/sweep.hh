@@ -8,19 +8,23 @@
  * grid point re-builds and re-simulates its workload from scratch;
  * this engine instead
  *
- *  1. builds each workload's Program once and, when something reuses
- *     the recording (several full-window readers, a sampling plan,
- *     checkpointed fast-forward, or a trace cache on a timing grid),
- *     records its dynamic instruction trace once (optionally
- *     persisted as a v2 trace file in an on-disk cache) — decoded
- *     when several jobs read the whole stream, else kept as its v2
- *     encoding and replayed a block at a time — then
- *  2. shards the grid across a thread pool, replaying the shared
- *     immutable trace into per-job OooCores / predictors, each with
- *     its own obs::StatsRegistry — a row nothing reuses is a *live
- *     row* and records nothing: its one reader (a timing point's
- *     OooCore or a region pass) streams from its own functional
- *     simulator instead — and
+ *  1. builds each workload's Program once and, when something needs
+ *     a recording (a sampling plan, checkpointed fast-forward, or a
+ *     trace cache on a timing grid), records its dynamic instruction
+ *     trace once, held as its v2 encoding (about 5 B per instruction;
+ *     optionally persisted as a v2 trace file in an on-disk cache) —
+ *     every other row is a *live row* and records nothing — then
+ *  2. shards the grid across a thread pool in *groups*: a group is
+ *     one row plus a contiguous range of its configs, whose OooCores
+ *     (each with its own obs::StatsRegistry) advance in lock-step
+ *     over one shared instruction stream.  The group produces the
+ *     stream once, a block at a time into a small ring — from a
+ *     functional simulator of its own on a live row, else by decoding
+ *     the row's recording — and each core reads the ring, pausing
+ *     when it runs short (ooo/core.hh).  A row's region pass streams
+ *     on its own the same two ways.  No decoded trace is ever held:
+ *     past the recorded rows' encodings, memory grows neither with
+ *     trace length nor with the number of rows — and
  *  3. merges results in declaration (workload-major, config-minor)
  *     order, so the output is byte-identical no matter how many
  *     worker threads ran — `--jobs 1` and `--jobs N` produce the
@@ -31,12 +35,14 @@
  * time` is a one-row sweep, and its tracers and interval sampler
  * ride on caller-owned per-point Hooks (SweepSpec::hooks).
  *
- * Determinism rests on two facts: trace recording is
- * bit-reproducible, and trace replay into an OooCore or a region
- * pass is bit-identical to live co-simulation (the differential
- * tests cover both).  Wall-clock figures (which legitimately vary
- * run to run) are kept out of toReport() and exposed separately via
- * addTimingStats() under the sweep.* prefix.
+ * Determinism rests on three facts: trace recording is
+ * bit-reproducible, trace replay into an OooCore or a region pass is
+ * bit-identical to live co-simulation, and a core paused and resumed
+ * on a short stream ends exactly where an unpaused one does, so no
+ * result depends on how configs are grouped (the differential and
+ * OoO tests cover all three).  Wall-clock figures (which
+ * legitimately vary run to run) are kept out of toReport() and
+ * exposed separately via addTimingStats() under the sweep.* prefix.
  */
 
 #ifndef ARL_SWEEP_SWEEP_HH
@@ -114,14 +120,20 @@ struct SweepSpec
     /**
      * Region-study grid: one pass per workload feeds every scheme
      * (the §3 methodology evaluates all schemes in one pass).  The
-     * pass replays the workload's trace when timing configs need one
-     * anyway; with no configs it streams from a live functional
-     * simulator and no trace is recorded.  When any scheme sets
+     * pass replays the workload's recording when the row records
+     * one; otherwise it streams from a live functional simulator of
+     * its own.  When any scheme sets
      * useCompilerHints, a training pass over the same study window
      * first builds the row's profile hints (§3.5.2).
      */
     std::vector<SchemeSpec> schemes;
-    /** Worker threads; 0 = hardware concurrency, 1 = serial. */
+    /**
+     * Worker threads; 0 = hardware concurrency, 1 = serial.  Each
+     * row's configs split into min(configs, ceil(jobs / workloads))
+     * groups — enough to keep every worker busy, and no more, since
+     * each group produces its stream once.  Results never depend on
+     * the split.
+     */
     unsigned jobs = 1;
     /**
      * Directory for the on-disk trace cache ("" = in-memory only).
@@ -129,8 +141,8 @@ struct SweepSpec
      * length; recording is bit-reproducible, so hits are
      * byte-equivalent to fresh recordings.  Only grids with timing
      * configs use it: a cache makes every row of such a grid record
-     * (or load) its trace, even a row with one reader, while a
-     * region-only sweep never reads or writes the cache.
+     * (or load) its trace, while a region-only sweep never reads or
+     * writes the cache.
      */
     std::string traceCacheDir;
     /**
@@ -181,9 +193,7 @@ struct SweepSpec
     /**
      * Also run the full population per sampled timing point and
      * record the measured CPI error next to the estimate.  Costs
-     * what sampling saved, and with two or more configs each row
-     * holds its trace decoded (44 B per instruction) rather than
-     * encoded (about 5); for tests and walkthroughs.
+     * what sampling saved; for tests and walkthroughs.
      */
     bool samplingVerify = false;
     /**
@@ -257,7 +267,7 @@ struct SweepResult
     double serialSecondsEstimate = 0.0;
     /**
      * Instructions recorded per workload, summed; a live row counts
-     * the instructions it streamed to its reader, which is what
+     * the longest stretch any of its readers streamed, which is what
      * recording it would have captured.
      */
     std::uint64_t traceInstructions = 0;

@@ -23,10 +23,11 @@
  *     live simulator, matches the replayed region rows of a mixed
  *     timing+region sweep and Experiment::regionStudy, and never
  *     touches the trace cache;
- *  8. a row held as its v2 encoding (read end to end at most once)
- *     yields the same points as the same row held decoded in a
- *     wider grid — exact, seek-ff, sampled, and sampled with verify
- *     — whichever representation wrote the cache entry it reads.
+ *  8. how a row's configs are grouped to run in lock-step over one
+ *     shared stream never changes a point — one group per row or one
+ *     per config, exact, seek-ff, sampled, and sampled with verify,
+ *     live or recorded, whichever grouping wrote the cache entry it
+ *     reads.
  */
 
 #include <gtest/gtest.h>
@@ -540,15 +541,15 @@ pointJson(const sweep::SweepResult &result, std::size_t wi,
 
 } // namespace
 
-TEST(Differential, EncodedRowsMatchDecodedRows)
+TEST(Differential, GroupedRowsMatchAcrossGroupings)
 {
-    // A one-config grid reads each row end to end at most once, so it
-    // holds rows as their v2 encoding; the two-config grid (with the
-    // verify pass when sampled) holds them decoded.  The shared
-    // (3+3) points must agree, from cold and warm caches, with each
-    // representation reading entries the other one wrote — and, in
-    // the exact case, with an uncached one-config grid, whose rows
-    // are live and record nothing.
+    // A sweep runs each row's configs in lock-step groups over one
+    // shared stream: at --jobs 1 the two-config grid runs one group
+    // per row, at --jobs 8 one group per config.  Every grouping must
+    // give the same points, from cold and warm caches, with either
+    // grouping reading entries the other one wrote; so must the
+    // one-config grid's (3+3) points and, in the exact case, the
+    // uncached grids, whose rows are live and record nothing.
     struct Case
     {
         const char *name;
@@ -586,30 +587,49 @@ TEST(Differential, EncodedRowsMatchDecodedRows)
 
         TempCacheDir cache(std::string("rows_") + c.name);
         one.traceCacheDir = wide.traceCacheDir = cache.dir;
+        // Each run with the grid column of its (3+3) points.
         std::vector<std::pair<sweep::SweepResult, std::size_t>> runs;
-        for (bool one_first : {true, false}) {
+        std::vector<std::string> wide_reports;
+        for (unsigned cold_jobs : {1u, 8u}) {
             std::filesystem::remove_all(cache.dir);
-            sweep::SweepSpec &first = one_first ? one : wide;
-            sweep::SweepSpec &second = one_first ? wide : one;
-            sweep::SweepResult cold = sweep::runSweep(first);
+            wide.jobs = cold_jobs;
+            sweep::SweepResult cold = sweep::runSweep(wide);
             EXPECT_EQ(cold.traceCacheMisses, 2u);
-            sweep::SweepResult warm = sweep::runSweep(second);
+            wide.jobs = cold_jobs == 1 ? 8 : 1;
+            sweep::SweepResult warm = sweep::runSweep(wide);
             EXPECT_EQ(warm.traceCacheHits, 2u)
-                << "a representation missed the other's cache entry";
-            runs.emplace_back(std::move(cold), one_first ? 0 : 1);
-            runs.emplace_back(std::move(warm), one_first ? 1 : 0);
+                << "a grouping missed the other's cache entry";
+            for (sweep::SweepResult *r : {&cold, &warm}) {
+                wide_reports.push_back(reportJson(*r));
+                runs.emplace_back(std::move(*r), 1);
+            }
         }
+        sweep::SweepResult single = sweep::runSweep(one);
+        EXPECT_EQ(single.traceCacheHits, 2u);
+        runs.emplace_back(std::move(single), 0);
         if (!c.seekFf && !c.sampled) {
-            // Uncached, nothing reuses a one-config row: it is live,
-            // streamed from each core's own functional simulator,
-            // and counts the instructions it delivered.
-            sweep::SweepSpec live = one;
-            live.traceCacheDir.clear();
-            sweep::SweepResult streamed = sweep::runSweep(live);
-            EXPECT_EQ(streamed.traceCacheMisses, 0u);
-            EXPECT_EQ(streamed.traceDiskBytes, 0u);
-            runs.emplace_back(std::move(streamed), 0);
+            // Uncached, nothing needs a recording: every row is live,
+            // each group streams from a functional simulator of its
+            // own, and the row counts the instructions it streamed.
+            for (sweep::SweepSpec *spec : {&wide, &one}) {
+                for (unsigned jobs : {1u, 8u}) {
+                    sweep::SweepSpec live = *spec;
+                    live.traceCacheDir.clear();
+                    live.jobs = jobs;
+                    sweep::SweepResult streamed = sweep::runSweep(live);
+                    EXPECT_EQ(streamed.traceCacheHits, 0u);
+                    EXPECT_EQ(streamed.traceCacheMisses, 0u);
+                    EXPECT_EQ(streamed.traceDiskBytes, 0u);
+                    if (spec == &wide)
+                        wide_reports.push_back(reportJson(streamed));
+                    runs.emplace_back(std::move(streamed),
+                                      spec == &wide ? 1 : 0);
+                }
+            }
         }
+        for (std::size_t r = 1; r < wide_reports.size(); ++r)
+            EXPECT_EQ(wide_reports[r], wide_reports[0])
+                << "wide report " << r;
         for (std::size_t r = 1; r < runs.size(); ++r)
             EXPECT_EQ(runs[r].first.traceInstructions,
                       runs[0].first.traceInstructions)

@@ -3,20 +3,25 @@
  * Out-of-order core tests: microbenchmark programs with known
  * dataflow verify throughput limits, port arbitration, store→load
  * forwarding, LVAQ steering, region-misprediction recovery, value-
- * prediction squash, queue-capacity stalls, and determinism.
+ * prediction squash, queue-capacity stalls, determinism, and that a
+ * core paused and resumed on a short step source ends exactly where
+ * an unpaused one does.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <tuple>
 
 #include "builder/program_builder.hh"
 #include "cache/hierarchy.hh"
 #include "common/random.hh"
 #include "obs/hooks.hh"
+#include "obs/report.hh"
 #include "ooo/core.hh"
 #include "ooo/value_predictor.hh"
+#include "workloads/workloads.hh"
 
 using namespace arl;
 namespace r = isa::reg;
@@ -754,5 +759,233 @@ TEST(OooScheduler, KnobMatrixDrainsAndRepeats)
                     EXPECT_EQ(first.instructions, functional);
                     EXPECT_EQ(first.dump(), runOn(config, prog).dump());
                 }
+    }
+}
+
+namespace
+{
+
+/**
+ * A recorded stream that a producer releases @p k records at a time,
+ * the way the sweep's lock-step groups fill their ring: ready() is
+ * what has been released and not read, and next() fails past it
+ * whether or not the stream has ended there.
+ */
+class ChunkedSource final : public sim::StepSource
+{
+  public:
+    ChunkedSource(std::shared_ptr<const std::vector<sim::StepInfo>> steps,
+                  InstCount k)
+        : steps(std::move(steps)), k(k)
+    {
+    }
+
+    bool
+    next(sim::StepInfo &out) override
+    {
+        if (pos == released)
+            return false;
+        out = (*steps)[pos++];
+        return true;
+    }
+
+    InstCount delivered() const override { return pos; }
+    bool exhausted() const override { return pos == steps->size(); }
+
+    InstCount
+    ready() const override
+    {
+        return released == steps->size() ? Unlimited : released - pos;
+    }
+
+    /** Release the next k records. */
+    void
+    release()
+    {
+        ASSERT_LT(released, steps->size()) << "core paused at stream end";
+        released = std::min<InstCount>(released + k, steps->size());
+    }
+
+  private:
+    std::shared_ptr<const std::vector<sim::StepInfo>> steps;
+    InstCount k;
+    InstCount pos = 0;
+    InstCount released = 0;
+};
+
+/** The first @p n steps of @p prog. */
+std::shared_ptr<const std::vector<sim::StepInfo>>
+recordSteps(std::shared_ptr<const vm::Program> prog, InstCount n)
+{
+    auto steps = std::make_shared<std::vector<sim::StepInfo>>();
+    sim::Simulator sim(std::move(prog));
+    sim::StepInfo step;
+    while (steps->size() < n && sim.step(step))
+        steps->push_back(step);
+    return steps;
+}
+
+void
+expectSameStats(const ooo::OooStats &a, const ooo::OooStats &b)
+{
+    EXPECT_EQ(a.configName, b.configName);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    for (unsigned r = 0; r < vm::NumDataRegions; ++r)
+        EXPECT_EQ(a.regionRefs[r], b.regionRefs[r]) << "region " << r;
+    EXPECT_EQ(a.lvaqSteered, b.lvaqSteered);
+    EXPECT_EQ(a.regionMispredictions, b.regionMispredictions);
+    EXPECT_EQ(a.forwardedLoads, b.forwardedLoads);
+    EXPECT_EQ(a.fastForwardedLoads, b.fastForwardedLoads);
+    EXPECT_EQ(a.vpOffered, b.vpOffered);
+    EXPECT_EQ(a.vpWrong, b.vpWrong);
+    EXPECT_EQ(a.vpSquashes, b.vpSquashes);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
+    EXPECT_EQ(a.l1Hits, b.l1Hits);
+    EXPECT_EQ(a.l1Misses, b.l1Misses);
+    EXPECT_EQ(a.lvcHits, b.lvcHits);
+    EXPECT_EQ(a.lvcMisses, b.lvcMisses);
+    EXPECT_EQ(a.l2Hits, b.l2Hits);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
+    EXPECT_EQ(a.tlbMissCycles, b.tlbMissCycles);
+    EXPECT_EQ(a.robFullStalls, b.robFullStalls);
+    EXPECT_EQ(a.queueFullStalls, b.queueFullStalls);
+    for (unsigned c = 0;
+         c < static_cast<unsigned>(obs::StallCause::NumCauses); ++c)
+        for (unsigned pipe = 0; pipe < obs::CpiStack::NumPipes; ++pipe)
+            EXPECT_EQ(a.cpiStack.of(static_cast<obs::StallCause>(c), pipe),
+                      b.cpiStack.of(static_cast<obs::StallCause>(c), pipe))
+                << "cause " << c << " pipe " << pipe;
+    EXPECT_EQ(a.loadToUse.count(), b.loadToUse.count());
+    EXPECT_EQ(a.loadToUse.sum(), b.loadToUse.sum());
+    EXPECT_EQ(a.loadToUse.min(), b.loadToUse.min());
+    EXPECT_EQ(a.loadToUse.max(), b.loadToUse.max());
+    for (unsigned i = 0; i < obs::Log2Histogram::NumBuckets; ++i)
+        EXPECT_EQ(a.loadToUse.bucketCount(i), b.loadToUse.bucketCount(i))
+            << "bucket " << i;
+    for (unsigned pipe = 0; pipe < 2; ++pipe) {
+        EXPECT_EQ(a.portStallsLoad[pipe], b.portStallsLoad[pipe]);
+        EXPECT_EQ(a.portStallsStoreCommit[pipe],
+                  b.portStallsStoreCommit[pipe]);
+    }
+}
+
+/** One run's stats plus its report record (snapshot and intervals). */
+struct PausedRun
+{
+    ooo::OooStats stats;
+    std::string record;
+    unsigned pauses = 0;
+};
+
+/**
+ * Warm @p warm records, then time @p timed (a sample window after
+ * @p detail detailed records when @p sample), over @p steps released
+ * @p k at a time; k = 0 releases everything up front and uses the
+ * blocking calls instead of begin/resume.
+ */
+PausedRun
+runChunked(const ooo::MachineConfig &config,
+           std::shared_ptr<const vm::Program> prog,
+           std::shared_ptr<const std::vector<sim::StepInfo>> steps,
+           InstCount k, InstCount warm, InstCount timed, bool sample,
+           InstCount detail)
+{
+    auto source =
+        std::make_shared<ChunkedSource>(steps, k ? k : steps->size());
+    if (!k)
+        source->release();
+    ooo::OooCore core(config, std::move(prog), source);
+    obs::Hooks hooks;
+    hooks.intervalEvery = 2000;
+    core.attachObs(&hooks);
+    PausedRun out;
+    auto finish = [&] {
+        while (!core.resume()) {
+            ++out.pauses;
+            source->release();
+        }
+    };
+    if (k) {
+        core.beginWarmup(warm);
+        finish();
+    } else {
+        core.warmup(warm);
+    }
+    hooks.startSampling();
+    if (k) {
+        if (sample)
+            core.beginSample(timed, detail);
+        else
+            core.beginRun(timed);
+        finish();
+        out.stats = core.result();
+    } else {
+        out.stats = sample ? core.runSample(timed, detail) : core.run(timed);
+    }
+    hooks.finishSampling(out.stats.instructions);
+    hooks.finalize();
+    std::ostringstream os;
+    obs::Report report;
+    report.runs.push_back(obs::RunRecord::fromHooks("w", "c", hooks));
+    report.writeJson(os);
+    out.record = os.str();
+    return out;
+}
+
+} // namespace
+
+TEST(OooPause, ResumedRunMatchesUnpausedRun)
+{
+    auto prog = workloads::buildWorkload("li_like", 1);
+    constexpr InstCount kWarm = 6000;
+    constexpr InstCount kTimed = 16000;
+    auto steps = recordSteps(prog, kWarm + kTimed);
+    ASSERT_EQ(steps->size(), kWarm + kTimed);
+
+    ooo::MachineConfig ideal = ooo::MachineConfig::nPlusM(3, 3);
+    ooo::MachineConfig contended = ooo::MachineConfig::nPlusM(3, 1);
+    ooo::ContentionKnobs knobs;
+    knobs.banks = 2;
+    knobs.mshrs = 4;
+    knobs.wbBuffer = 2;
+    knobs.busCycles = 2;
+    knobs.tlbMissLatency = 30;
+    contended.applyContention(knobs);
+    contended.cpiStack = true;
+    ooo::MachineConfig gshare = ooo::MachineConfig::nPlusM(2, 0);
+    gshare.perfectBranchPrediction = false;
+    ooo::MachineConfig no_vp = ooo::MachineConfig::nPlusM(3, 3);
+    no_vp.valuePrediction = false;
+
+    const std::pair<const char *, ooo::MachineConfig> configs[] = {
+        {"ideal", ideal},
+        {"contended", contended},
+        {"gshare", gshare},
+        {"no-vp", no_vp}};
+    for (const auto &[label, config] : configs) {
+        for (bool sample : {false, true}) {
+            // A sample window ends at a commit target, short of the
+            // stream's end, after a detailed warmup.
+            const InstCount timed = sample ? kTimed / 2 : kTimed;
+            const InstCount detail = sample ? 1500 : 0;
+            const PausedRun want = runChunked(config, prog, steps, 0, kWarm,
+                                              timed, sample, detail);
+            for (InstCount k : {1u, 15u, 16u, 17u, 4096u}) {
+                SCOPED_TRACE(std::string(label) +
+                             (sample ? " sample" : " run") +
+                             " k=" + std::to_string(k));
+                const PausedRun got = runChunked(config, prog, steps, k,
+                                                 kWarm, timed, sample,
+                                                 detail);
+                EXPECT_GT(got.pauses, 0u);
+                expectSameStats(got.stats, want.stats);
+                EXPECT_EQ(got.record, want.record);
+            }
+        }
     }
 }

@@ -48,10 +48,11 @@
  *       [--configs fig8|"(N+M),..."|none]
  *       [--schemes fig4|none] [--insts N] [--study-insts N] [--scale N]
  *       [--timing-json F] [--workload-dir DIR]
- *       The parallel sweep engine: trace each workload once, replay
- *       the workload × config (and × scheme) grid across N worker
- *       threads.  --stats-json output is byte-identical for every
- *       --jobs value; wall-clock/speedup metering (plus trace
+ *       The parallel sweep engine: run the workload × config (and
+ *       × scheme) grid across N worker threads, each row's configs
+ *       in lock-step groups over one instruction stream produced
+ *       once per group.  --stats-json output is byte-identical for
+ *       every --jobs value; wall-clock/speedup metering (plus trace
  *       compression ratio and decode MB/s when a cache is used) goes
  *       to stdout and (optionally) the separate --timing-json file.
  *       --warmup-window N warms only from the last N fast-forward
@@ -1402,9 +1403,11 @@ cmdFigure(const std::string &target, Args &args)
     report.command = "figure";
     std::size_t claims = 0;
     unsigned failed = 0;
+    // Figures that read the same grid run it once.
+    figures::GridCache grids;
     for (const std::string &name : chosen) {
         obs::ProfScope prof("figure");
-        figures::Outcome outcome = figures::run(name, fopts);
+        figures::Outcome outcome = figures::run(name, fopts, grids);
         claims += outcome.verdicts.size();
         failed += outcome.failed;
         if (!quietOutput()) {
