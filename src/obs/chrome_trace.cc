@@ -107,7 +107,7 @@ ChromeTracer::counter(std::uint64_t cycle, const std::string &name,
 }
 
 void
-ChromeTracer::counterTracks(const IntervalSampler &sampler)
+ChromeTracer::row(const IntervalSampler &sampler)
 {
     const auto &names = sampler.names();
     std::size_t cycles_col = names.size();
@@ -115,19 +115,15 @@ ChromeTracer::counterTracks(const IntervalSampler &sampler)
         if (names[i] == "ooo.cycles")
             cycles_col = i;
 
-    const auto &cumulative = sampler.samples();
-    const auto deltas = sampler.deltas();
-    for (std::size_t s = 0; s < deltas.size(); ++s) {
-        const std::uint64_t ts =
-            cycles_col < names.size()
-                ? static_cast<std::uint64_t>(
-                      cumulative[s].values[cycles_col])
-                : s;
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (i == cycles_col)
-                continue;
-            counter(ts, names[i], deltas[s].values[i]);
-        }
+    const std::uint64_t ts =
+        cycles_col < names.size()
+            ? static_cast<std::uint64_t>(sampler.row().values[cycles_col])
+            : rows;
+    ++rows;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (i == cycles_col)
+            continue;
+        counter(ts, names[i], sampler.rowDelta().values[i]);
     }
 }
 

@@ -3,12 +3,11 @@
  * Chrome Trace Event exporter: turns the core's pipeline event stream
  * into a trace JSON file that chrome://tracing and Perfetto render as
  * a per-instruction waterfall, one track group per pipe (D-cache /
- * LVC / non-memory), plus counter tracks taken from the interval
- * sampler.
+ * LVC / non-memory), plus one counter track per sampled stat.
  *
- * The tracer consumes the same event() callback as PipeTracer, so the
- * core fans a single stream out to both.  Timestamps are cycles
- * (Perfetto's unit label will read "us"; the ratios are what matter).
+ * The tracer is a Sink, fed the same pipe events and interval rows
+ * as the others.  Timestamps are cycles (Perfetto's unit label will
+ * read "us"; the ratios are what matter).
  */
 
 #ifndef ARL_OBS_CHROME_TRACE_HH
@@ -25,38 +24,37 @@
 namespace arl::obs
 {
 
-class IntervalSampler;
-
 /**
  * Collects instruction lifecycles and emits Chrome trace JSON.
  *
  * Usage: feed event() during the run (Dispatch opens a record, Commit
- * closes it), optionally counterTracks() after the run, then finish()
+ * closes it) and row() as interval rows are taken, then finish()
  * exactly once to sort and serialize.  The stream is caller-owned.
  */
-class ChromeTracer
+class ChromeTracer : public Sink
 {
   public:
     /** @param max_insts instruction-record cap (0 = unlimited). */
     explicit ChromeTracer(std::ostream &os, std::uint64_t max_insts = 0);
 
-    /** Same signature as PipeTracer::event so the core can fan out. */
+    bool tracesPipe() const override { return true; }
+
     void event(std::uint64_t cycle, std::uint64_t seq, std::uint32_t pc,
-               PipeEvent ev, const std::string &detail = "");
+               PipeEvent ev, const std::string &detail = "") override;
 
     /** Append one point to the counter track @p name. */
     void counter(std::uint64_t cycle, const std::string &name,
                  double value);
 
     /**
-     * Emit one counter track per stat the sampler froze, with
-     * per-interval deltas; timestamps come from the sampled
-     * "ooo.cycles" column (sample index when absent).
+     * One point per sampled stat: the row's per-interval deltas,
+     * stamped with its cumulative "ooo.cycles" (the row's index when
+     * that column is absent).
      */
-    void counterTracks(const IntervalSampler &sampler);
+    void row(const IntervalSampler &sampler) override;
 
     /** Sort and write the trace document; valid exactly once. */
-    void finish(const std::string &process_name);
+    void finish(const std::string &process_name) override;
 
     /** Instruction records finalized (committed). */
     std::uint64_t emitted() const { return emittedCount; }
@@ -106,6 +104,7 @@ class ChromeTracer
     std::uint64_t limit;
     std::uint64_t emittedCount = 0;
     std::uint64_t droppedCount = 0;
+    std::uint64_t rows = 0;
     bool finished = false;
 
     std::map<std::uint64_t, InstRecord> open;

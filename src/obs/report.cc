@@ -18,10 +18,10 @@ RunRecord::fromHooks(const std::string &workload, const std::string &config,
     record.config = config;
     record.stats =
         hooks.finalized ? hooks.finalSnapshot : hooks.registry.snapshot();
-    // A streaming sampler keeps no rows in memory; its samples are
-    // already on disk, so the report omits the intervals section
-    // (every == 0) rather than serializing empty arrays.
-    if (hooks.sampler && !hooks.sampler->streaming()) {
+    // Rows a sink took are on disk, not in the sampler, so the report
+    // omits the intervals section (every == 0) rather than
+    // serializing empty arrays.
+    if (hooks.sampler && hooks.sampler->keepsRows()) {
         record.intervals.every = hooks.sampler->every();
         record.intervals.names = hooks.sampler->names();
         record.intervals.samples = hooks.sampler->samples();

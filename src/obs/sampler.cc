@@ -9,14 +9,15 @@ namespace arl::obs
 {
 
 IntervalSampler::IntervalSampler(const StatsRegistry &reg,
-                                 std::uint64_t every)
-    : registry(reg), interval(every), nextAt(every)
+                                 std::uint64_t every, bool keep_rows)
+    : registry(reg), interval(every), nextAt(every), keep(keep_rows)
 {
     ARL_ASSERT(every > 0, "zero sampling interval");
     for (auto &[name, value] : registry.snapshot()) {
         statNames.push_back(name);
         base.push_back(value);
     }
+    last.values = base;
 }
 
 std::vector<double>
@@ -39,81 +40,63 @@ IntervalSampler::sampleValues() const
 }
 
 void
-IntervalSampler::setStream(std::ostream *os)
-{
-    ARL_ASSERT(taken.empty(), "cannot switch to streaming mid-run");
-    stream = os;
-    if (!stream)
-        return;
-    *stream << "at";
-    for (const std::string &name : statNames)
-        *stream << ',' << name;
-    *stream << '\n';
-    stream->flush();
-}
-
-void
 IntervalSampler::capture(std::uint64_t committed)
 {
-    if (stream) {
-        // Streaming sink: one row per sample, flushed immediately so
-        // a long run is observable (and crash-durable) as it goes;
-        // nothing accumulates in memory.
-        std::vector<double> values = sampleValues();
-        *stream << committed;
-        for (double v : values)
-            *stream << ',' << jsonNumber(v);
-        *stream << '\n';
-        stream->flush();
-        lastStreamedAt = committed;
-        return;
+    Sample row{committed, sampleValues()};
+    lastDelta = row;
+    for (std::size_t i = 0; i < row.values.size(); ++i)
+        lastDelta.values[i] -= last.values[i];
+    last = std::move(row);
+    if (keep) {
+        taken.push_back(last);
+        takenDeltas.push_back(lastDelta);
     }
-    taken.push_back({committed, sampleValues()});
-}
-
-void
-IntervalSampler::tick(std::uint64_t committed)
-{
-    if (committed < nextAt)
-        return;
-    capture(committed);
-    // One sample per crossing even when several boundaries were
-    // passed at once (e.g. a batched commit burst).
+    // One row per crossing even when several boundaries were passed
+    // at once (e.g. a batched commit burst).
     nextAt = (committed / interval + 1) * interval;
 }
 
-void
+bool
+IntervalSampler::tick(std::uint64_t committed)
+{
+    if (committed < nextAt)
+        return false;
+    capture(committed);
+    return true;
+}
+
+bool
 IntervalSampler::flush(std::uint64_t committed)
 {
     // Only sample when there is progress past the last row; a run
     // whose length is an exact multiple of the interval already has
     // its final row from tick().
-    if (committed == 0)
-        return;
-    std::uint64_t lastAt =
-        stream ? lastStreamedAt : (taken.empty() ? 0 : taken.back().at);
-    if (lastAt >= committed)
-        return;
+    if (committed == 0 || last.at >= committed)
+        return false;
     capture(committed);
-    nextAt = (committed / interval + 1) * interval;
+    return true;
 }
 
-std::vector<IntervalSampler::Sample>
-IntervalSampler::deltas() const
+void
+IntervalCsv::start(const IntervalSampler &sampler)
 {
-    std::vector<Sample> out;
-    out.reserve(taken.size());
-    const std::vector<double> *prev = &base;
-    for (const Sample &s : taken) {
-        Sample d;
-        d.at = s.at;
-        d.values.reserve(s.values.size());
-        for (std::size_t i = 0; i < s.values.size(); ++i)
-            d.values.push_back(s.values[i] - (*prev)[i]);
-        out.push_back(std::move(d));
-        prev = &s.values;
-    }
-    return out;
+    os << "at";
+    for (const std::string &name : sampler.names())
+        os << ',' << name;
+    os << '\n';
+    os.flush();
+}
+
+void
+IntervalCsv::row(const IntervalSampler &sampler)
+{
+    // Flushed at once so a long run is observable (and crash-durable)
+    // as it goes.
+    os << sampler.row().at;
+    for (double v : sampler.row().values)
+        os << ',' << jsonNumber(v);
+    os << '\n';
+    os.flush();
 }
 
 } // namespace arl::obs

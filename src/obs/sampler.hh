@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/pipetrace.hh"
 #include "obs/stats_registry.hh"
 
 namespace arl::obs
@@ -25,7 +26,8 @@ namespace arl::obs
  * The leaf-name list is frozen at construction (stats registered
  * later are not sampled), as is a baseline snapshot so deltas are
  * relative to the sampling start (e.g. after cache warmup), not to
- * zero.  tick() is cheap when no boundary was crossed.
+ * zero.  tick() is cheap when no boundary was crossed; obs::Hooks
+ * calls it and hands each row taken to its sinks.
  */
 class IntervalSampler
 {
@@ -40,34 +42,33 @@ class IntervalSampler
     /**
      * @param registry sampled registry; must outlive the sampler.
      * @param every    sampling period in committed instructions (>0).
+     * @param keep     keep the rows for samples()/deltas() (false when
+     *                 a sink writes them out: O(1) sampler state).
      */
-    IntervalSampler(const StatsRegistry &registry, std::uint64_t every);
+    IntervalSampler(const StatsRegistry &registry, std::uint64_t every,
+                    bool keep = true);
+
+    /** Committed-instruction count at which tick() takes a row. */
+    std::uint64_t next() const { return nextAt; }
 
     /**
-     * Attach a streaming sink: every sample is written to @p os as a
-     * CSV row ("at,<value>,...", header emitted immediately) instead
-     * of accumulating in memory, so a 100 M-instruction run holds
-     * O(1) sampler state.  samples()/deltas() stay empty; the
-     * serialized report omits its "intervals" section.  The stream
-     * must outlive the sampler.
+     * Notify progress to @p committed instructions; takes one row
+     * (see row()) and returns true when next() was reached or passed.
      */
-    void setStream(std::ostream *os);
-
-    /** True when a streaming sink is attached. */
-    bool streaming() const { return stream != nullptr; }
-
-    /**
-     * Notify progress to @p committed instructions; takes one sample
-     * when the next boundary has been reached or passed.
-     */
-    void tick(std::uint64_t committed);
+    bool tick(std::uint64_t committed);
 
     /**
      * End-of-run flush: capture the final partial interval (if any
-     * instructions ran past the last sample) so a run of N committed
-     * instructions yields ceil(N/every) rows, not floor.
+     * instructions ran past the last row) so a run of N committed
+     * instructions yields ceil(N/every) rows, not floor.  True when
+     * it took one.
      */
-    void flush(std::uint64_t committed);
+    bool flush(std::uint64_t committed);
+
+    /** The row taken last (the baseline, at 0, before the first), and
+     *  its change from the row before it (or from the baseline). */
+    const Sample &row() const { return last; }
+    const Sample &rowDelta() const { return lastDelta; }
 
     /** Sampling period. */
     std::uint64_t every() const { return interval; }
@@ -78,7 +79,10 @@ class IntervalSampler
     /** Values captured at construction (the delta baseline). */
     const std::vector<double> &baseline() const { return base; }
 
-    /** All samples taken so far (cumulative values). */
+    /** True when samples()/deltas() keep the rows taken. */
+    bool keepsRows() const { return keep; }
+
+    /** All samples kept so far (cumulative values). */
     const std::vector<Sample> &samples() const { return taken; }
 
     /**
@@ -87,7 +91,7 @@ class IntervalSampler
      * Meaningful for counters; for gauges/formulas it is the change
      * in level over the interval.
      */
-    std::vector<Sample> deltas() const;
+    const std::vector<Sample> &deltas() const { return takenDeltas; }
 
   private:
     std::vector<double> sampleValues() const;
@@ -96,11 +100,33 @@ class IntervalSampler
     const StatsRegistry &registry;
     std::uint64_t interval;
     std::uint64_t nextAt;
+    bool keep;
     std::vector<std::string> statNames;
     std::vector<double> base;
     std::vector<Sample> taken;
-    std::ostream *stream = nullptr;
-    std::uint64_t lastStreamedAt = 0;
+    std::vector<Sample> takenDeltas;
+    Sample last;
+    Sample lastDelta;
+};
+
+/**
+ * Writes each interval row as a CSV line ("at,<value>,...") under a
+ * header of the frozen names, as the row is taken, flushing every
+ * line so a long run's rows reach the disk as it goes.  It takes the
+ * rows: a report then omits its "intervals" section.
+ */
+class IntervalCsv : public Sink
+{
+  public:
+    /** @param os caller-owned stream. */
+    explicit IntervalCsv(std::ostream &os) : os(os) {}
+
+    bool takesRows() const override { return true; }
+    void start(const IntervalSampler &sampler) override;
+    void row(const IntervalSampler &sampler) override;
+
+  private:
+    std::ostream &os;
 };
 
 } // namespace arl::obs

@@ -1,9 +1,10 @@
 /**
  * @file
  * Streaming telemetry channel: periodic heartbeat records (guest
- * insts/cycles, interval IPC, guest-MIPS, ETA, access mix, contention
- * deltas, peak RSS) appended as JSONL to a file, one write() per line
- * so every completed record is durable even if the process dies.
+ * insts/cycles, interval IPC, guest-MIPS, ETA, access mix, port-denial
+ * and TLB-penalty deltas, peak RSS) appended as JSONL to a file, one
+ * write() per line so every completed record is durable even if the
+ * process dies.
  *
  * Every emitted line is also copied into a bounded in-memory ring of
  * preformatted buffers; the flight recorder's fatal-signal handler
@@ -13,9 +14,10 @@
  * Layering: a TelemetryChannel is one output file shared by every
  * job of a run; a TelemetryScope binds the channel to one job
  * (workload, config, optional sampling representative) and computes
- * the per-interval rates.  The core's run loop only touches the
- * scope, and only when the cached telemetryActive flag is set, so a
- * disabled channel costs a single short-circuited branch per cycle.
+ * the per-interval rates.  Producers reach the scope only through
+ * obs::Hooks::progress(), at the thresholds Hooks schedules, so a
+ * disabled channel costs nothing beyond the producer's one threshold
+ * compare.
  */
 
 #ifndef ARL_OBS_TELEMETRY_HH
@@ -43,7 +45,7 @@ struct TelemetryOptions
 
     /**
      * Optional wall-clock heartbeat period in milliseconds.  When
-     * set, the core checks the clock every min(intervalInsts, 64Ki)
+     * set, the scope checks the clock every min(intervalInsts, 64Ki)
      * instructions and emits when either trigger fires.
      */
     std::uint64_t intervalWallMs = 0;
@@ -62,7 +64,7 @@ struct TelemetryOptions
     std::function<std::uint64_t()> rssKb;
 };
 
-/** Cumulative counters a core hands to its scope at each beat. */
+/** Cumulative counters a producer hands to obs::Hooks::progress(). */
 struct TelemetryFrame
 {
     std::uint64_t insts = 0;
@@ -73,14 +75,20 @@ struct TelemetryFrame
     std::uint64_t refsHeap = 0;
     std::uint64_t refsStack = 0;
     std::uint64_t lvaqSteered = 0;
-    /** Sum of contended-resource stall cycles (0 when ideal). */
+    /**
+     * OoO core only (d_contention): ready loads denied a cache port,
+     * one per load per cycle, plus cycles a committing store waited
+     * for a port, plus TLB-miss penalty cycles.  Ports are finite on
+     * the ideal backend too, so it is non-zero there, and with
+     * several loads denied in a cycle it can exceed the cycles.
+     */
     std::uint64_t contentionStalls = 0;
 };
 
 /**
  * Append-only JSONL telemetry sink.  Thread-safe: sweep workers share
  * one channel and serialize on an internal mutex (the hot path is
- * the core-side interval check, not the emit).
+ * the producer-side threshold compare, not the emit).
  */
 class TelemetryChannel
 {
@@ -202,7 +210,7 @@ class TelemetryChannel
 
 /**
  * Per-job view of a channel: computes interval deltas, IPC,
- * guest-MIPS and ETA, and tells the core when to check next.  Not
+ * guest-MIPS and ETA, and tells obs::Hooks when to check next.  Not
  * thread-safe; one scope per job, used by that job's thread only.
  */
 class TelemetryScope
@@ -221,14 +229,13 @@ class TelemetryScope
     void start();
 
     /**
-     * Interval check from the core: emits a heartbeat when the
-     * instruction or wall-clock trigger fired.
-     * @return the committed-instruction count at which the core
-     *         should call again (cached as telemetryNext).
+     * Interval check from obs::Hooks::progress(): emits a heartbeat
+     * when the instruction or wall-clock trigger fired.
+     * @return the committed-instruction count of the next check.
      */
     std::uint64_t check(const TelemetryFrame &frame);
 
-    /** First check threshold for a core starting at @p insts. */
+    /** First check threshold for a producer starting at @p insts. */
     std::uint64_t firstCheckAt(std::uint64_t insts) const;
 
     /** Emit the job-done record. */

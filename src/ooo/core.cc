@@ -1,6 +1,4 @@
 #include "ooo/core.hh"
-#include <cstdlib>
-#include <cstdio>
 
 #include <algorithm>
 #include <bit>
@@ -137,26 +135,17 @@ OooCore::OooCore(const MachineConfig &config_in,
     blockedMask.init(arena, robSize);
     lsqStores.init(arena, robSize);
     lvaqStores.init(arena, robSize);
-    debugTraceEnv = std::getenv("ARL_OOO_TRACE") != nullptr;
 }
 
 void
 OooCore::traceSlow(obs::PipeEvent ev, std::int32_t slot,
                    const char *detail)
 {
-    if (!obsHooks)
-        return;
-    const std::string d(detail);
-    if (obsHooks->tracer)
-        obsHooks->tracer->event(now, robSeq[slot], robStep[slot].pc,
-                                ev, d);
-    if (obsHooks->chrome)
-        obsHooks->chrome->event(now, robSeq[slot], robStep[slot].pc,
-                                ev, d);
+    obsHooks->event(now, robSeq[slot], robStep[slot].pc, ev, detail);
 }
 
 void
-OooCore::telemetryBeat()
+OooCore::obsProgress()
 {
     obs::TelemetryFrame frame;
     frame.insts = stats.instructions;
@@ -171,14 +160,14 @@ OooCore::telemetryBeat()
         stats.portStallsLoad[0] + stats.portStallsLoad[1] +
         stats.portStallsStoreCommit[0] + stats.portStallsStoreCommit[1] +
         stats.tlbMissCycles;
-    telemetryNext = obsHooks->telemetry->check(frame);
+    obsNext = obsHooks->progress(frame);
 }
 
 void
 OooCore::attachObs(obs::Hooks *hooks)
 {
     obsHooks = hooks;
-    tracingActive = hooks && (hooks->tracer || hooks->chrome);
+    tracingActive = hooks && hooks->tracing();
     if (!hooks)
         return;
     obs::StatsRegistry &reg = hooks->registry;
@@ -1292,13 +1281,6 @@ OooCore::beginSample(InstCount insts, InstCount detail_warmup)
     dispatchBudget = 0;
     sampleInsts = insts;
     if (detail_warmup) {
-        // Telemetry stays quiet through the detailed warmup: the
-        // stats fence that ends it resets the instruction counter,
-        // and a heartbeat straddling it would report a non-monotone
-        // cumulative count for the job.
-        mutedTelemetry = obsHooks ? obsHooks->telemetry : nullptr;
-        if (obsHooks)
-            obsHooks->telemetry = nullptr;
         commitTarget = stats.instructions + detail_warmup;
         phase = Phase::DetailWarmup;
     } else {
@@ -1340,8 +1322,6 @@ OooCore::resume()
         }
         // The detailed warmup ended: fence its statistics off and
         // time the window from the next cycle.
-        if (obsHooks)
-            obsHooks->telemetry = mutedTelemetry;
         statsFence();
         commitTarget = sampleInsts ? stats.instructions + sampleInsts : 0;
         phase = Phase::Timed;
@@ -1360,13 +1340,14 @@ OooCore::resumeUnpaused()
 void
 OooCore::startCycles()
 {
-    tracingActive = obsHooks &&
-                    (obsHooks->tracer != nullptr ||
-                     obsHooks->chrome != nullptr);
-    telemetryActive = obsHooks && obsHooks->telemetry != nullptr;
-    if (telemetryActive)
-        telemetryNext =
-            obsHooks->telemetry->firstCheckAt(stats.instructions);
+    tracingActive = obsHooks && obsHooks->tracing();
+    // Telemetry stays quiet through a detailed warmup: the stats
+    // fence that ends it resets the instruction counter, and a
+    // heartbeat straddling it would report a non-monotone cumulative
+    // count for the job.
+    obsNext = obsHooks ? obsHooks->arm(stats.instructions,
+                                       phase == Phase::Timed)
+                       : obs::Hooks::kNever;
     stalledCycles = 0;
     lastCommitted = 0;
 }
@@ -1397,11 +1378,8 @@ OooCore::cycleLoop()
 #ifndef NDEBUG
         checkSchedulerInvariants();
 #endif
-        if (obsHooks)
-            obsHooks->tick(stats.instructions);
-        if (telemetryActive && stats.instructions >= telemetryNext)
-            [[unlikely]]
-            telemetryBeat();
+        if (stats.instructions >= obsNext) [[unlikely]]
+            obsProgress();
 
         // Per-cycle stall attribution: exactly one cause per cycle,
         // so the stack sums to total cycles by construction.
@@ -1410,20 +1388,6 @@ OooCore::cycleLoop()
                 stats.cpiStack.add(obs::StallCause::Commit);
             else
                 classifyStallCycle();
-        }
-
-        if (debugTraceEnv && now < 60) [[unlikely]] {
-            const unsigned pending =
-                static_cast<unsigned>(pendingMemMask.count());
-            const unsigned inflight =
-                static_cast<unsigned>(execMask.count()) + pending;
-            std::fprintf(stderr,
-                         "cyc %3llu head %4llu tail %4llu issued %2u "
-                         "ports %u/%u pendMem %u exec %u\n",
-                         (unsigned long long)now,
-                         (unsigned long long)headSeq,
-                         (unsigned long long)tailSeq, issuedThisCycle,
-                         portsUsed[0], portsUsed[1], pending, inflight);
         }
         ++now;
 

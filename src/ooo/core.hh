@@ -107,7 +107,6 @@
 namespace arl::obs
 {
 struct Hooks;
-class TelemetryScope;
 enum class PipeEvent : std::uint8_t;
 }
 
@@ -246,8 +245,8 @@ class OooCore
      * those is its begin call followed by one resume() over a source
      * that never runs short.  Begin the phase, then call resume()
      * until it returns true, refilling the source between calls.
-     * The deadlock guard, the commit target, the telemetry schedule
-     * and the interval sampler's ticks carry across a pause.
+     * The deadlock guard, the commit target and the observability
+     * threshold carry across a pause.
      */
     void beginWarmup(InstCount insts, InstCount warm_last = 0);
     void beginRun(InstCount max_insts = 0);
@@ -266,10 +265,11 @@ class OooCore
     /**
      * Attach an observability context: registers every stat of this
      * core (and its caches, TLB, and ARPT) into @p hooks->registry
-     * under the ooo. / cache. / predict. hierarchies, and enables
-     * interval sampling ticks plus pipeline-trace events when the
-     * hooks carry a sampler/tracer.  Call before run(); @p hooks must
-     * outlive the core.  Pass nullptr to detach.
+     * under the ooo. / cache. / predict. hierarchies.  Each cycle
+     * phase then arms the hooks' schedule and calls their progress()
+     * at its thresholds, and pipe events go to their sinks while one
+     * writes them.  Call before run(); @p hooks must outlive the core.
+     * Pass nullptr to detach.
      */
     void attachObs(obs::Hooks *hooks);
 
@@ -464,9 +464,9 @@ class OooCore
     void traceSlow(obs::PipeEvent ev, std::int32_t slot,
                    const char *detail);
 
-    /** Telemetry interval check (cold path; see cycleLoop()'s
-     *  cached telemetryActive/telemetryNext guard). */
-    void telemetryBeat();
+    /** The committed count reached obsNext: hand obsHooks this
+     *  cycle's TelemetryFrame and cache the next threshold. */
+    void obsProgress();
 
     /** The phase begun last (see resume()). */
     enum class Phase : std::uint8_t
@@ -682,8 +682,6 @@ class OooCore
     InstCount warmPulled = 0;
     /** runSample()'s window, armed once its detailed warmup ends. */
     InstCount sampleInsts = 0;
-    /** The telemetry scope muted through a detailed warmup. */
-    obs::TelemetryScope *mutedTelemetry = nullptr;
     /** Forward-progress guard: cycles since the commit count last
      *  moved from lastCommitted. */
     Cycle stalledCycles = 0;
@@ -703,16 +701,12 @@ class OooCore
     obs::Hooks *obsHooks = nullptr;
     /** Per-cycle stall attribution on? (contended or forced). */
     bool cpiEnabled = false;
-    /** A pipeline/Chrome tracer is attached (cached; see trace()). */
+    /** A sink writes pipe events (cached; see trace()). */
     bool tracingActive = false;
-    /** A telemetry scope is attached (cached when a cycle phase
-     *  starts, same pattern as tracingActive: disabled telemetry is
-     *  one short-circuited branch per cycle). */
-    bool telemetryActive = false;
-    /** Committed-instruction count of the next telemetry check. */
-    InstCount telemetryNext = 0;
-    /** ARL_OOO_TRACE set in the environment (cached at construction). */
-    bool debugTraceEnv = false;
+    /** Committed count at which obsHooks wants the next
+     *  progress() call (set when a cycle phase starts): the cycle
+     *  loop's one observability compare. */
+    InstCount obsNext = ~InstCount{0};
 };
 
 } // namespace arl::ooo

@@ -339,7 +339,7 @@ class GroupStream
  * stream (GroupStream).  The jobs read the same window of the stream,
  * so each round produces the next block once and then advances every
  * unfinished job's core until it pauses or finishes.  Each job walks
- * the sequence a lone core would: warm, arm sampling, time, finalize.
+ * the sequence a lone core would: warm, time, finish its Hooks.
  * Results do not depend on how jobs are grouped.
  *
  * @return one JobRun per entry of @p jobs.
@@ -454,11 +454,11 @@ runGroup(const SweepSpec &spec, const Prepared &row,
         Member &m = *members[i];
         while (m.core.resume()) {
             if (!m.timing) {
-                // Sampling starts after warmup, so its baseline is
-                // the warmed state and its frozen name set holds
-                // every stat the core registered.
+                // The timed phase's arm() starts sampling, after
+                // warmup, so its baseline is the warmed state and its
+                // frozen name set holds every stat the core
+                // registered.
                 m.timing = true;
-                m.hooks->startSampling();
                 if (sample)
                     m.core.beginSample(timed, detail);
                 else
@@ -467,13 +467,14 @@ runGroup(const SweepSpec &spec, const Prepared &row,
             }
             JobRun &out = runs[i];
             out.stats = m.core.result();
-            m.hooks->finishSampling(out.stats.instructions);
             if (m.tscope)
                 m.tscope->done(out.stats.instructions, out.stats.cycles);
             m.hooks->telemetry = nullptr;
             // The registry's live entries point into the core, which
             // dies with the group: freeze the values while it lives.
-            m.hooks->finalize();
+            m.hooks->finish(out.stats.instructions,
+                            w.name + " " +
+                                spec.configs[tjobs[jobs[i]].ci].name);
             out.snapshot = m.hooks->finalSnapshot;
             out.delivered = m.core.delivered();
             prof.addGuestInsts(warm + detail + out.stats.instructions);
@@ -873,6 +874,7 @@ runSweep(const SweepSpec &spec)
                     [&](const sim::StepInfo &step) { hints.observe(step); }));
             }
             RowReader reader(row);
+            obs::Hooks hooks;
             std::unique_ptr<obs::TelemetryScope> tscope;
             if (spec.telemetry) {
                 // A streamed, uncapped row cannot know its length up
@@ -885,10 +887,14 @@ runSweep(const SweepSpec &spec)
                     static_cast<int>(timing_jobs + wi), w.name,
                     "regionstudy", static_cast<int>(TimingJob::Exact),
                     total);
+                tscope->start();
+                hooks.telemetry = tscope.get();
             }
             RegionPoint point = runRegionPass(
                 w.name, *reader.source, spec.schemes, w.studyInsts,
-                hinted ? &hints : nullptr, tscope.get());
+                hinted ? &hints : nullptr, &hooks);
+            if (tscope)
+                tscope->done(point.instructions, 0);
             prof.addGuestInsts(point.instructions);
             item_streamed[item] = point.instructions;
             result.region[wi] = std::move(point);
@@ -984,15 +990,11 @@ RegionPoint
 runRegionPass(const std::string &workload, sim::StepSource &source,
               const std::vector<SchemeSpec> &schemes,
               InstCount study_insts, const predict::CompilerHints *hints,
-              obs::TelemetryScope *telemetry)
+              obs::Hooks *hooks)
 {
     RegionPoint point;
     point.workload = workload;
-    std::uint64_t tnext = UINT64_MAX;
-    if (telemetry) {
-        telemetry->start();
-        tnext = telemetry->firstCheckAt(0);
-    }
+    std::uint64_t next = hooks ? hooks->arm(0) : obs::Hooks::kNever;
     profile::RegionProfiler region_profiler;
     profile::WindowProfiler win32(32);
     profile::WindowProfiler win64(64);
@@ -1002,6 +1004,7 @@ runRegionPass(const std::string &workload, sim::StepSource &source,
         predictors.push_back(std::make_unique<predict::RegionPredictor>(
             scheme.config, hints));
     sim::StepInfo step;
+    obs::TelemetryFrame frame;
     while ((!study_insts || point.instructions < study_insts) &&
            source.next(step)) {
         region_profiler.observe(step);
@@ -1010,14 +1013,11 @@ runRegionPass(const std::string &workload, sim::StepSource &source,
         for (auto &predictor : predictors)
             predictor->observe(step);
         ++point.instructions;
-        if (point.instructions >= tnext) [[unlikely]] {
-            obs::TelemetryFrame frame;
+        if (point.instructions >= next) [[unlikely]] {
             frame.insts = point.instructions;
-            tnext = telemetry->check(frame);
+            next = hooks->progress(frame);
         }
     }
-    if (telemetry)
-        telemetry->done(point.instructions, 0);
     point.profile = region_profiler.profile();
     point.window32 = win32.stats_summary();
     point.window64 = win64.stats_summary();

@@ -32,8 +32,8 @@
  *     tests/golden/ pins the numbers).
  *
  * Every timing number the tools print comes from here: `arl_sim
- * time` is a one-row sweep, and its tracers and interval sampler
- * ride on caller-owned per-point Hooks (SweepSpec::hooks).
+ * time` is a one-row sweep, and its sinks and interval sampler ride
+ * on caller-owned per-point Hooks (SweepSpec::hooks).
  *
  * Determinism rests on three facts: trace recording is
  * bit-reproducible, trace replay into an OooCore or a region pass is
@@ -214,12 +214,12 @@ struct SweepSpec
      * per exact timing point in result order (workload-major,
      * config-minor); empty by default, when every job keeps a
      * private Hooks.  A point given one registers its core's stats
-     * into it, arms its interval sampler after warmup, flushes the
-     * sampler after the run, and leaves the final snapshot in place
-     * for obs::RunRecord::fromHooks — so pipeline and Chrome tracers
-     * and interval sinks attached beforehand see exactly the timed
-     * window.  Exact sweeps only: a sampled sweep given hooks is
-     * fatal.
+     * into it, arms its interval sampler after warmup, and finishes
+     * it after the run (the sinks' process name is "<workload>
+     * <config>"), leaving the final snapshot in place for
+     * obs::RunRecord::fromHooks — so the sinks opened on it
+     * beforehand see exactly the timed window.  Exact sweeps only: a
+     * sampled sweep given hooks is fatal.
      */
     std::vector<obs::Hooks *> hooks;
 };
@@ -334,15 +334,16 @@ SweepResult runSweep(const SweepSpec &spec);
  *
  * @param hints compiler hints for schemes whose config sets
  *        useCompilerHints (required by those, ignored by the rest).
- * @param telemetry optional scope: the pass starts it, beats the
- *        studied-instruction count through it, and marks it done.
+ * @param hooks optional observability: the pass reports the
+ *        studied-instruction count to it (Hooks::progress), which
+ *        beats its telemetry scope.
  */
 RegionPoint runRegionPass(const std::string &workload,
                           sim::StepSource &source,
                           const std::vector<SchemeSpec> &schemes,
                           InstCount study_insts,
                           const predict::CompilerHints *hints = nullptr,
-                          obs::TelemetryScope *telemetry = nullptr);
+                          obs::Hooks *hooks = nullptr);
 
 /**
  * Convenience: all registered workloads as WorkloadSpecs at @p scale

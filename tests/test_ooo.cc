@@ -571,7 +571,7 @@ TEST(OooFastPath, UncontendedFastPathIdenticalToSlowPath)
     obs::Hooks fast_hooks;
     fast.attachObs(&fast_hooks);
     ooo::OooStats fast_stats = fast.run(0);
-    fast_hooks.finalize();
+    fast_hooks.finish(fast_stats.instructions);
 
     ooo::OooCore slow(config, prog);
     obs::Hooks slow_hooks;
@@ -582,7 +582,7 @@ TEST(OooFastPath, UncontendedFastPathIdenticalToSlowPath)
             ++observed;
         });
     ooo::OooStats slow_stats = slow.run(0);
-    slow_hooks.finalize();
+    slow_hooks.finish(slow_stats.instructions);
 
     // The observer proves the slow path actually ran.
     EXPECT_GT(observed, 0u);
@@ -916,7 +916,6 @@ runChunked(const ooo::MachineConfig &config,
     } else {
         core.warmup(warm);
     }
-    hooks.startSampling();
     if (k) {
         if (sample)
             core.beginSample(timed, detail);
@@ -927,8 +926,7 @@ runChunked(const ooo::MachineConfig &config,
     } else {
         out.stats = sample ? core.runSample(timed, detail) : core.run(timed);
     }
-    hooks.finishSampling(out.stats.instructions);
-    hooks.finalize();
+    hooks.finish(out.stats.instructions);
     std::ostringstream os;
     obs::Report report;
     report.runs.push_back(obs::RunRecord::fromHooks("w", "c", hooks));

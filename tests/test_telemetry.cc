@@ -10,7 +10,9 @@
  *    second test, from an ARL_ASSERT-style abort) mid-stream, and the
  *    parent verifies every completed record survived plus a parseable
  *    black-box postamble that replays the ring in order;
- *  - the IntervalSampler streaming sink (O(1) memory, CSV rows);
+ *  - obs::Hooks' one schedule: the lower of the row and heartbeat
+ *    thresholds, and silent phases;
+ *  - the IntervalCsv sink (CSV rows as they are taken, O(1) memory);
  *  - a telemetered region-only sweep, whose rows stream from live
  *    simulators: a well-formed stream and an unchanged report.
  */
@@ -32,9 +34,9 @@
 
 #include "core/experiment.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/hooks.hh"
 #include "obs/json.hh"
-#include "obs/sampler.hh"
-#include "obs/stats_registry.hh"
+#include "obs/report.hh"
 #include "obs/telemetry.hh"
 #include "sweep/sweep.hh"
 
@@ -437,56 +439,91 @@ TEST(FlightRecorder, DisarmedChannelStillReRaises)
     std::remove(path.c_str());
 }
 
-TEST(IntervalSampler, StreamingSinkWritesRowsAndKeepsNoSamples)
+TEST(Hooks, OneThresholdSchedulesRowsAndHeartbeats)
 {
-    obs::StatsRegistry registry;
-    std::uint64_t &commits = registry.counter("core.commits");
-    obs::IntervalSampler sampler(registry, 100);
-    std::ostringstream out;
-    sampler.setStream(&out);
-    EXPECT_TRUE(sampler.streaming());
+    // Rows every 100 instructions, heartbeats every 150: the producer
+    // is handed the lower of the two thresholds each time.
+    FakeClockChannel fx("schedule", /*intervalInsts=*/150);
+    obs::Hooks hooks;
+    hooks.intervalEvery = 100;
+    std::uint64_t &commits = hooks.registry.counter("core.commits");
+    TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 0);
+    scope.start();
+    hooks.telemetry = &scope;
+    EXPECT_EQ(hooks.arm(0), 100u);
 
-    commits = 40;
-    sampler.tick(100);
-    commits = 90;
-    sampler.tick(200);
-    commits = 130;
-    sampler.tick(250);   // mid-interval: no row yet
-    sampler.flush(250);  // final partial interval
+    TelemetryFrame f;
+    commits = 10;
+    f.insts = 100;
+    EXPECT_EQ(hooks.progress(f), 150u);  // row at 100
+    f.insts = 151;
+    EXPECT_EQ(hooks.progress(f), 200u);  // beat; next check at 301
+    f.insts = 230;
+    EXPECT_EQ(hooks.progress(f), 300u);  // row at 230
+    EXPECT_EQ(fx.channel->recordsEmitted(), 2u);  // start + one beat
+    ASSERT_EQ(hooks.sampler->samples().size(), 2u);
+    EXPECT_EQ(hooks.sampler->samples()[1].at, 230u);
 
-    // O(1) memory: nothing accumulates in the sampler itself.
-    EXPECT_TRUE(sampler.samples().empty());
-    EXPECT_TRUE(sampler.deltas().empty());
+    // A phase armed without beats samples rows but stays silent.
+    EXPECT_EQ(hooks.arm(230, /*beats=*/false), 300u);
+    f.insts = 460;
+    EXPECT_EQ(hooks.progress(f), 500u);
+    EXPECT_EQ(fx.channel->recordsEmitted(), 2u);
+    EXPECT_EQ(hooks.sampler->samples().size(), 3u);
 
-    std::istringstream rows(out.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(rows, line));
-    EXPECT_EQ(line, "at,core.commits");
-    ASSERT_TRUE(std::getline(rows, line));
-    EXPECT_EQ(line, "100,40");
-    ASSERT_TRUE(std::getline(rows, line));
-    EXPECT_EQ(line, "200,90");
-    ASSERT_TRUE(std::getline(rows, line));
-    EXPECT_EQ(line, "250,130");
-    EXPECT_FALSE(std::getline(rows, line)) << "extra row: " << line;
+    // Nothing to sample or beat: the producer never calls again.
+    obs::Hooks idle;
+    EXPECT_EQ(idle.arm(0), obs::Hooks::kNever);
 }
 
-TEST(IntervalSampler, FlushWithoutNewProgressEmitsNoDuplicateRow)
+TEST(IntervalCsv, WritesRowsAsTakenAndTheReportKeepsNone)
 {
-    obs::StatsRegistry registry;
-    std::uint64_t &commits = registry.counter("core.commits");
-    obs::IntervalSampler sampler(registry, 100);
-    std::ostringstream out;
-    sampler.setStream(&out);
+    const std::string path = tmpPath("rows");
+    obs::Hooks hooks;
+    hooks.intervalEvery = 100;
+    std::uint64_t &commits = hooks.registry.counter("core.commits");
+    ASSERT_TRUE(hooks.open<obs::IntervalCsv>(path));
+    EXPECT_EQ(hooks.arm(0), 100u);
+
+    TelemetryFrame f;
+    commits = 40;
+    f.insts = 100;
+    EXPECT_EQ(hooks.progress(f), 200u);
+    commits = 90;
+    f.insts = 200;
+    EXPECT_EQ(hooks.progress(f), 300u);
+    commits = 130;
+    hooks.finish(250);  // final partial interval
+
+    // O(1) memory: the sink took the rows, so none are kept and the
+    // report omits its intervals section.
+    EXPECT_TRUE(hooks.sampler->samples().empty());
+    EXPECT_TRUE(hooks.sampler->deltas().empty());
+    EXPECT_EQ(obs::RunRecord::fromHooks("w", "c", hooks).intervals.every,
+              0u);
+
+    EXPECT_EQ(readLines(path), (std::vector<std::string>{
+                                   "at,core.commits", "100,40", "200,90",
+                                   "250,130"}));
+    std::remove(path.c_str());
+}
+
+TEST(IntervalCsv, FlushWithoutNewProgressWritesNoDuplicateRow)
+{
+    const std::string path = tmpPath("flush");
+    obs::Hooks hooks;
+    hooks.intervalEvery = 100;
+    std::uint64_t &commits = hooks.registry.counter("core.commits");
+    ASSERT_TRUE(hooks.open<obs::IntervalCsv>(path));
+    hooks.arm(0);
     commits = 50;
-    sampler.tick(100);
-    sampler.flush(100); // boundary already sampled
-    std::istringstream rows(out.str());
-    std::string line;
-    std::size_t n = 0;
-    while (std::getline(rows, line))
-        ++n;
-    EXPECT_EQ(n, 2u); // header + one row
+    TelemetryFrame f;
+    f.insts = 100;
+    hooks.progress(f);
+    hooks.finish(100);  // boundary already sampled
+    EXPECT_EQ(readLines(path),
+              (std::vector<std::string>{"at,core.commits", "100,50"}));
+    std::remove(path.c_str());
 }
 
 TEST(TelemetrySweep, StreamedRegionRowsEmitValidStream)
