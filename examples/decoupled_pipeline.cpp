@@ -7,9 +7,11 @@
  *   $ ./decoupled_pipeline vortex_like 500000
  *
  * Prints cycles/IPC for the baseline (2+0), the decoupled (2+2) and
- * (3+3), and the (16+0) upper bound, plus the decoupling-specific
- * statistics: LVAQ steering rate, LVC hit rate, region
- * mispredictions, and fast-forwarded loads.
+ * (3+3), and the 16-port configuration (16+0), plus the
+ * decoupling-specific statistics: LVAQ steering rate, LVC hit rate,
+ * region mispredictions, and fast-forwarded loads.  (16+0) is no
+ * upper bound in this model: on vortex_like, (2+2) takes fewer
+ * cycles (see EXPERIMENTS.md).
  */
 
 #include <cstdio>

@@ -46,12 +46,10 @@ MachineConfig::nPlusM(unsigned dports, unsigned lports,
 {
     MachineConfig config;
     char buf[48];
-    if (lports == 0 && l1_hit_latency != 2)
-        std::snprintf(buf, sizeof(buf), "(%u+0)/%ucyc", dports,
-                      l1_hit_latency);
-    else
-        std::snprintf(buf, sizeof(buf), "(%u+%u)", dports, lports);
+    std::snprintf(buf, sizeof(buf), "(%u+%u)", dports, lports);
     config.name = buf;
+    if (l1_hit_latency != 2)
+        config.name += "/" + std::to_string(l1_hit_latency) + "cyc";
     config.dcachePorts = dports;
     config.lvcPorts = lports;
     config.decoupled = lports > 0;
@@ -74,7 +72,7 @@ MachineConfig::figure8Suite()
         MachineConfig::nPlusM(2, 2, 2),
         MachineConfig::nPlusM(2, 3, 2),
         MachineConfig::nPlusM(3, 3, 2),
-        MachineConfig::nPlusM(16, 0, 2),  // upper bound
+        MachineConfig::nPlusM(16, 0, 2),  // the 16-port configuration
     };
 }
 

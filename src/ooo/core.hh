@@ -200,13 +200,7 @@ class OooCore
      *
      * @param warm_last warm microarchitectural state only from the
      *        last @p warm_last of the skipped instructions (0 = all
-     *        of them).  A bounded warming window makes the warmed
-     *        record set independent of how the prefix was skipped,
-     *        which is what lets checkpointed fast-forward (seeking a
-     *        trace to a block boundary instead of streaming from
-     *        record 0) reproduce functional fast-forward timing
-     *        bit-identically: both paths warm the identical final
-     *        window.
+     *        of them); the earlier ones only advance the stream.
      */
     void warmup(InstCount insts, InstCount warm_last = 0);
 

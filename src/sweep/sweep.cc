@@ -347,8 +347,7 @@ class GroupStream
 std::vector<JobRun>
 runGroup(const SweepSpec &spec, const Prepared &row,
          const std::vector<TimingJob> &tjobs,
-         const std::vector<std::size_t> &jobs,
-         std::atomic<std::uint64_t> &seek_skipped)
+         const std::vector<std::size_t> &jobs)
 {
     const TimingJob &lead = tjobs[jobs.front()];
     const WorkloadSpec &w = spec.workloads[lead.wi];
@@ -361,9 +360,10 @@ runGroup(const SweepSpec &spec, const Prepared &row,
     // the next `warm` functionally (state only from the last
     // `warm_last`; 0 = all), run `detail` through the pipeline with
     // the statistics fenced off, then time `timed` (0 = to
-    // completion).  An exact point or a verify run times the
-    // workload's window after its warmup; a phase representative
-    // starts at its warmup window and times only its interval.
+    // completion).  An exact point or a verify run streams from
+    // record 0 and times the workload's window after its warmup; a
+    // phase representative starts at its warmup window and times
+    // only its interval.
     InstCount seek = 0, warm = w.warmup, warm_last = w.warmupWindow;
     InstCount detail = 0, timed = w.timed;
     if (sample) {
@@ -379,15 +379,6 @@ runGroup(const SweepSpec &spec, const Prepared &row,
         warm = rep.start - rep.warmupStart - rep.detail;
         warm_last = 0;
         timed = rep.length;
-    } else if (spec.seekFastForward && w.warmupWindow &&
-               w.warmupWindow < w.warmup) {
-        // Checkpointed fast-forward: skip decoding the prefix up to
-        // the nearest checkpoint that still leaves the full warming
-        // window to consume.  Functional and seeked paths warm the
-        // identical final records, so the timed window (and the
-        // report) is bit-identical either way.
-        seek = row.trace->checkpointAtOrBelow(w.warmup - w.warmupWindow);
-        warm -= seek;
     }
     unsigned widest = 0;
     for (std::size_t job : jobs)
@@ -443,8 +434,6 @@ runGroup(const SweepSpec &spec, const Prepared &row,
         }
         if (warm)
             m->core.beginWarmup(warm, warm_last);
-        if (seek)
-            seek_skipped.fetch_add(seek, std::memory_order_relaxed);
         members.push_back(std::move(m));
     }
 
@@ -581,12 +570,10 @@ runSweep(const SweepSpec &spec)
     }
 
     // A row records its trace only when something needs the
-    // recording: a sampling plan, checkpointed fast-forward, or a
-    // trace cache on a timing grid.  Every other row is live: each
-    // group of its timing jobs, and its region pass, streams from a
-    // functional simulator of its own.
-    const bool record_rows =
-        nc != 0 && (sampled || spec.seekFastForward || !cache_dir.empty());
+    // recording: a sampling plan or a trace cache on a timing grid.
+    // Every other row is live: each group of its timing jobs, and its
+    // region pass, streams from a functional simulator of its own.
+    const bool record_rows = nc != 0 && (sampled || !cache_dir.empty());
 
     SweepResult result;
     result.numConfigs = nc;
@@ -613,9 +600,6 @@ runSweep(const SweepSpec &spec)
             return;
         }
         InstCount need = traceNeed(w, region_grid);
-        const InstCount every = spec.checkpointEvery
-                                    ? spec.checkpointEvery
-                                    : trace::DefaultBlockRecords;
         // A sampled row fingerprints its intervals in the one pass
         // that records or validates its trace; each attempt starts a
         // fresh stream.
@@ -641,7 +625,8 @@ runSweep(const SweepSpec &spec)
             }
         }
         if (!p.trace) {
-            p.trace = trace::recordEncoded(p.program, need, every,
+            p.trace = trace::recordEncoded(p.program, need,
+                                           trace::DefaultBlockRecords,
                                            fresh_features());
             if (!cache_path.empty()) {
                 // Write-then-rename keeps a concurrently reading
@@ -779,7 +764,6 @@ runSweep(const SweepSpec &spec)
     std::vector<std::atomic<std::size_t>> remaining(nw);
     for (std::size_t wi : item_row)
         remaining[wi].fetch_add(1, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> seek_skipped{0};
 
     // Coordinator watchdog: while the grid drains, flag any started
     // job whose heartbeat has been silent longer than the stall
@@ -833,8 +817,7 @@ runSweep(const SweepSpec &spec)
 
         if (timing) {
             const std::vector<std::size_t> &members = groups[item];
-            std::vector<JobRun> runs =
-                runGroup(spec, row, tjobs, members, seek_skipped);
+            std::vector<JobRun> runs = runGroup(spec, row, tjobs, members);
             for (std::size_t i = 0; i < members.size(); ++i) {
                 const TimingJob &tj = tjobs[members[i]];
                 JobRun &run = runs[i];
@@ -913,8 +896,6 @@ runSweep(const SweepSpec &spec)
         obs::ProfScope prof_merge("merge");
         for (double s : item_seconds)
             result.serialSecondsEstimate += s;
-        result.seekSkippedRecords =
-            seek_skipped.load(std::memory_order_relaxed);
         // A live row counts what a recording of it would hold: the
         // longest stretch any of its readers streamed.
         std::vector<std::uint64_t> row_streamed(nw, 0);
@@ -1116,8 +1097,6 @@ SweepResult::addTimingStats(obs::StatsRegistry &registry) const
         traceDecodeSeconds > 0.0
             ? traceDiskBytes / 1e6 / traceDecodeSeconds
             : 0.0;
-    registry.counter("sweep.trace.seek_ff_skipped") =
-        seekSkippedRecords;
 }
 
 } // namespace arl::sweep

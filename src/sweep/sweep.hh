@@ -9,11 +9,11 @@
  * this engine instead
  *
  *  1. builds each workload's Program once and, when something needs
- *     a recording (a sampling plan, checkpointed fast-forward, or a
- *     trace cache on a timing grid), records its dynamic instruction
- *     trace once, held as its v2 encoding (about 5 B per instruction;
- *     optionally persisted as a v2 trace file in an on-disk cache) —
- *     every other row is a *live row* and records nothing — then
+ *     a recording (a sampling plan, or a trace cache on a timing
+ *     grid), records its dynamic instruction trace once, held as its
+ *     v2 encoding (about 5 B per instruction; optionally persisted as
+ *     a v2 trace file in an on-disk cache) — every other row is a
+ *     *live row* and records nothing — then
  *  2. shards the grid across a thread pool in *groups*: a group is
  *     one row plus a contiguous range of its configs, whose OooCores
  *     (each with its own obs::StatsRegistry) advance in lock-step
@@ -96,10 +96,9 @@ struct WorkloadSpec
     InstCount studyInsts = 0;
     /**
      * Warm microarchitectural state only from the last N fast-forward
-     * instructions (0 = all of them, the classic methodology).  A
-     * bounded window is what makes checkpointed fast-forward
-     * (SweepSpec::seekFastForward) bit-identical to functional
-     * fast-forward: both paths warm the same final window.
+     * instructions (0 = all of them, the classic methodology).  The
+     * whole prefix still streams; the records before the window only
+     * advance the stream.  A bounded window changes results.
      */
     InstCount warmupWindow = 0;
 };
@@ -145,23 +144,6 @@ struct SweepSpec
      * writes the cache.
      */
     std::string traceCacheDir;
-    /**
-     * Resolve each timing point's fast-forward to the nearest
-     * recorded checkpoint at or below (warmup - warmupWindow) and
-     * seek the trace there instead of replaying the prefix.  Results
-     * are bit-identical to functional fast-forward with the same
-     * warmupWindow; only wall-clock changes.  Seeking needs a
-     * recording, so every timing row records its trace.  Workloads
-     * without checkpoints silently fall back to functional
-     * fast-forward.
-     */
-    bool seekFastForward = false;
-    /**
-     * Checkpoint cadence while recording (0 = DefaultBlockRecords).
-     * Also the v2 block size of cache entries written by this sweep,
-     * so at most v2::MaxBlockRecords when a cache is used.
-     */
-    InstCount checkpointEvery = 0;
     /**
      * Force per-cycle stall attribution (ooo.cpi_stack.* and the
      * load-to-use histogram) on every timing config, ideal ones
@@ -277,8 +259,6 @@ struct SweepResult
     std::uint64_t traceDiskBytes = 0;
     /** Wall time spent loading + decoding cache hits. */
     double traceDecodeSeconds = 0.0;
-    /** Records skipped by checkpointed fast-forward across all jobs. */
-    std::uint64_t seekSkippedRecords = 0;
 
     /** Timing point (wi, ci). */
     const TimingPoint &

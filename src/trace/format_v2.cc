@@ -520,19 +520,6 @@ Image::decode(std::size_t b, std::vector<TraceRecord> &records,
               err.c_str());
 }
 
-std::uint64_t
-Image::checkpointAtOrBelow(std::uint64_t n) const
-{
-    std::uint64_t best = 0;
-    for (const IndexEntry &entry : index) {
-        if (entry.firstRecord > n)
-            break;
-        if (entry.hasArch)
-            best = entry.firstRecord;
-    }
-    return best;
-}
-
 void
 writeImage(std::ostream &out, const std::string &program,
            const Image &image)

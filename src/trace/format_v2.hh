@@ -35,8 +35,7 @@
  * pc->word map restarts), so replay can seek to any block boundary
  * without touching the prefix.  Entries optionally carry the
  * architectural checkpoint captured at record time (register file +
- * memory-touch digest) that checkpointed fast-forward validates
- * against.
+ * memory-touch digest), which the Reader validates on load.
  *
  * The same body can live in memory as an Image, block for block, so
  * a stream read end to end once costs its encoded size (about 5 B
@@ -273,9 +272,6 @@ struct Image
      */
     void decode(std::size_t b, std::vector<TraceRecord> &records,
                 std::vector<isa::DecodedInst> &insts) const;
-
-    /** Largest checkpoint index at or below @p n (0 when none). */
-    std::uint64_t checkpointAtOrBelow(std::uint64_t n) const;
 };
 
 /**

@@ -51,9 +51,8 @@ struct InMemoryTrace
     std::vector<TraceRecord> records;
     /**
      * Architectural checkpoints captured every checkpointEvery
-     * records while recording (none on hand-built traces).  Sorted by
-     * index; checkpointed fast-forward seeks to the nearest one at or
-     * below its target.
+     * records while recording (none on hand-built traces), sorted by
+     * index.
      */
     std::vector<ArchCheckpoint> checkpoints;
     /** Checkpoint cadence (also the v2 block size when saved). */
@@ -72,22 +71,6 @@ struct InMemoryTrace
     std::vector<isa::DecodedInst> decoded;
 
     InstCount size() const { return records.size(); }
-
-    /**
-     * Largest checkpoint index at or below @p n (0 when there is no
-     * such checkpoint — replay then starts from the beginning).
-     */
-    InstCount
-    checkpointAtOrBelow(InstCount n) const
-    {
-        InstCount best = 0;
-        for (const ArchCheckpoint &cp : checkpoints) {
-            if (cp.index > n)
-                break;
-            best = cp.index;
-        }
-        return best;
-    }
 };
 
 /**
@@ -102,13 +85,6 @@ struct EncodedTrace
     v2::Image image;
 
     InstCount size() const { return image.totalRecords; }
-
-    /** Largest checkpoint index at or below @p n (0 when none). */
-    InstCount
-    checkpointAtOrBelow(InstCount n) const
-    {
-        return image.checkpointAtOrBelow(n);
-    }
 };
 
 /**
@@ -243,10 +219,10 @@ class ReplaySource final : public sim::StepSource
     }
 
     /**
-     * Reposition so the next record delivered is record @p n — the
-     * checkpointed fast-forward: records before @p n are never
-     * decoded into StepInfos.  delivered() counts the skipped
-     * prefix, exactly as if it had been consumed.
+     * Reposition so the next record delivered is record @p n:
+     * records before @p n are never decoded into StepInfos.
+     * delivered() counts the skipped prefix, exactly as if it had
+     * been consumed.
      */
     bool
     seekTo(InstCount n) override

@@ -66,8 +66,8 @@ constexpr std::uint8_t FlagReturn = 1 << 2;
 /**
  * Architectural state captured at a block boundary while recording:
  * enough to identify (register file, PC) and validate (memory-touch
- * digest) the functional state a checkpointed fast-forward resumes
- * from, without replaying the prefix.
+ * digest) the functional state at that record without replaying the
+ * prefix.
  */
 struct ArchCheckpoint
 {

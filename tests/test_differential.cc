@@ -16,18 +16,15 @@
  *     sweeps (both cold and warm) serialize byte-identically, with
  *     v2 entries at least 4x smaller than the same records as raw
  *     32-byte TraceRecords;
- *  6. checkpointed fast-forward (SweepSpec::seekFastForward) is
- *     byte-identical to functional fast-forward given the same
- *     warmup window, while actually skipping records;
- *  7. a region-only sweep, which streams each region pass from a
+ *  6. a region-only sweep, which streams each region pass from a
  *     live simulator, matches the replayed region rows of a mixed
  *     timing+region sweep and Experiment::regionStudy, and never
  *     touches the trace cache;
- *  8. how a row's configs are grouped to run in lock-step over one
+ *  7. how a row's configs are grouped to run in lock-step over one
  *     shared stream never changes a point — one group per row or one
- *     per config, exact, seek-ff, sampled, and sampled with verify,
- *     live or recorded, whichever grouping wrote the cache entry it
- *     reads.
+ *     per config, exact, with a bounded warmup window, sampled, and
+ *     sampled with verify, live or recorded, whichever grouping wrote
+ *     the cache entry it reads.
  */
 
 #include <gtest/gtest.h>
@@ -316,49 +313,6 @@ TEST(Differential, SweepReportIdenticalAcrossCacheFormats)
                      static_cast<double>(raw_bytes) / v2_bytes);
 }
 
-TEST(Differential, SeekFastForwardIdenticalToFunctional)
-{
-    // A checkpoint cadence well below the workload warmups (10000 /
-    // 5000) so seeking genuinely skips a prefix.
-    constexpr InstCount kEvery = 1024;
-    constexpr InstCount kWindow = 2048;
-
-    sweep::SweepSpec functional = fig8SmallSpec();
-    functional.checkpointEvery = kEvery;
-    for (auto &w : functional.workloads)
-        w.warmupWindow = kWindow;
-
-    sweep::SweepSpec seeking = functional;
-    seeking.seekFastForward = true;
-
-    TempCacheDir cache("seekff");
-    functional.traceCacheDir = cache.dir;
-    seeking.traceCacheDir = cache.dir;
-
-    // In-memory traces (no cache) and cache-backed runs must all
-    // agree; the seeking runs must actually skip records.
-    sweep::SweepSpec functional_mem = functional;
-    functional_mem.traceCacheDir.clear();
-    std::string baseline = reportJson(sweep::runSweep(functional_mem));
-    ASSERT_FALSE(baseline.empty());
-
-    sweep::SweepResult cold_seek = sweep::runSweep(seeking);
-    EXPECT_EQ(reportJson(cold_seek), baseline);
-    EXPECT_GT(cold_seek.seekSkippedRecords, 0u);
-
-    sweep::SweepResult warm_func = sweep::runSweep(functional);
-    EXPECT_EQ(reportJson(warm_func), baseline);
-    EXPECT_EQ(warm_func.seekSkippedRecords, 0u);
-
-    sweep::SweepResult warm_seek = sweep::runSweep(seeking);
-    EXPECT_EQ(reportJson(warm_seek), baseline);
-    EXPECT_GT(warm_seek.seekSkippedRecords, 0u);
-
-    // Sanity on the skip arithmetic: every timing job's skip lands
-    // on a checkpoint boundary at or below warmup - window.
-    EXPECT_EQ(warm_seek.seekSkippedRecords % kEvery, 0u);
-}
-
 namespace
 {
 
@@ -548,17 +502,20 @@ TEST(Differential, GroupedRowsMatchAcrossGroupings)
     // per row, at --jobs 8 one group per config.  Every grouping must
     // give the same points, from cold and warm caches, with either
     // grouping reading entries the other one wrote; so must the
-    // one-config grid's (3+3) points and, in the exact case, the
-    // uncached grids, whose rows are live and record nothing.
+    // one-config grid's (3+3) points and, unsampled, the uncached
+    // grids, whose rows are live and record nothing.  The window case
+    // warms only from the last 2048 fast-forward records, so its
+    // live, cold-cache and warm-cache rows must agree on a bounded
+    // warming too.
     struct Case
     {
         const char *name;
-        bool seekFf;
+        bool window;
         bool sampled;
         bool verify;
     };
     const Case cases[] = {{"exact", false, false, false},
-                          {"seekff", true, false, false},
+                          {"window", true, false, false},
                           {"sampled", false, true, false},
                           {"sampledverify", false, true, true}};
     for (const Case &c : cases) {
@@ -566,12 +523,9 @@ TEST(Differential, GroupedRowsMatchAcrossGroupings)
         sweep::SweepSpec wide = fig8SmallSpec();
         wide.configs = {ooo::MachineConfig::nPlusM(2, 0),
                         ooo::MachineConfig::nPlusM(3, 3)};
-        if (c.seekFf) {
-            wide.seekFastForward = true;
-            wide.checkpointEvery = 1024;
+        if (c.window)
             for (auto &w : wide.workloads)
                 w.warmupWindow = 2048;
-        }
         if (c.sampled) {
             wide.sampling = true;
             wide.samplingVerify = true;
@@ -607,7 +561,7 @@ TEST(Differential, GroupedRowsMatchAcrossGroupings)
         sweep::SweepResult single = sweep::runSweep(one);
         EXPECT_EQ(single.traceCacheHits, 2u);
         runs.emplace_back(std::move(single), 0);
-        if (!c.seekFf && !c.sampled) {
+        if (!c.sampled) {
             // Uncached, nothing needs a recording: every row is live,
             // each group streams from a functional simulator of its
             // own, and the row counts the instructions it streamed.
@@ -642,9 +596,6 @@ TEST(Differential, GroupedRowsMatchAcrossGroupings)
                                     drop_verify),
                           want)
                     << "run " << r << " workload " << wi;
-        }
-        if (c.seekFf) {
-            EXPECT_GT(runs[0].first.seekSkippedRecords, 0u);
         }
     }
 }

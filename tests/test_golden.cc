@@ -45,7 +45,7 @@ namespace
 {
 
 constexpr const char *kGoldenFile = "sweep_fig8_small.json";
-constexpr const char *kGoldenSeekFile = "sweep_fig8_v2_seekff.json";
+constexpr const char *kGoldenWindowFile = "sweep_fig8_v2_seekff.json";
 constexpr const char *kGoldenContendedFile = "sweep_fig8_contended.json";
 constexpr const char *kGoldenRegionFile = "sweep_region_small.json";
 constexpr const char *kGoldenKnobFile = "sweep_ooo_knobs.json";
@@ -271,27 +271,28 @@ TEST(Golden, Fig8SmallSweepReport)
     expectMatchesGolden(actual.str(), kGoldenFile);
 }
 
-TEST(Golden, Fig8V2SeekFastForwardSweepReport)
+TEST(Golden, Fig8WarmupWindowSweepReport)
 {
-    // The same grid rerun through the v2 + checkpointed-fast-forward
-    // path: small checkpoint blocks so the 10000/5000-instruction
-    // warmups really seek, and a bounded warmup window (the
-    // precondition for seek-ff bit-identity).  Pins the full stack:
-    // v2 encode/decode, checkpoint capture, ReplaySource::seekTo,
-    // and bounded warming.
+    // The same grid warmed only from the last 2048 of its
+    // 10000/5000-instruction fast-forwards, run on live rows and then
+    // on rows recorded through a cold v2 trace cache: both must write
+    // the pinned report, which pins bounded warming and the v2
+    // encode/decode path beneath it.
     sweep::SweepSpec spec = goldenSpec();
-    spec.seekFastForward = true;
-    spec.checkpointEvery = 1024;
     for (auto &w : spec.workloads)
         w.warmupWindow = 2048;
-
-    sweep::SweepResult result = sweep::runSweep(spec);
-    EXPECT_GT(result.seekSkippedRecords, 0u)
-        << "seek-ff did not skip anything — golden is not "
-           "exercising the checkpoint path";
-    std::ostringstream actual;
-    result.toReport().writeJson(actual);
-    expectMatchesGolden(actual.str(), kGoldenSeekFile);
+    const std::string cache = ::testing::TempDir() + "arl_golden_window";
+    std::filesystem::remove_all(cache);
+    for (const std::string &dir : {std::string(), cache}) {
+        SCOPED_TRACE(dir.empty() ? "live" : "cold cache");
+        spec.traceCacheDir = dir;
+        sweep::SweepResult result = sweep::runSweep(spec);
+        EXPECT_EQ(result.traceCacheMisses, dir.empty() ? 0u : 2u);
+        std::ostringstream actual;
+        result.toReport().writeJson(actual);
+        expectMatchesGolden(actual.str(), kGoldenWindowFile);
+    }
+    std::filesystem::remove_all(cache);
 }
 
 TEST(Golden, Fig8ContendedSweepReport)
@@ -628,7 +629,7 @@ TEST(Golden, IdealGoldensCarryNoCpiStackKeys)
     // CPI-stack / histogram keys register only when contention or
     // the explicit cpiStack knob is on — the ideal goldens must stay
     // byte-identical, which starts with not containing the keys.
-    for (const char *file : {kGoldenFile, kGoldenSeekFile}) {
+    for (const char *file : {kGoldenFile, kGoldenWindowFile}) {
         std::ifstream in(goldenPath(file));
         ASSERT_TRUE(in) << goldenPath(file);
         std::ostringstream text;

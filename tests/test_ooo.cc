@@ -3,9 +3,9 @@
  * Out-of-order core tests: microbenchmark programs with known
  * dataflow verify throughput limits, port arbitration, store→load
  * forwarding, LVAQ steering, region-misprediction recovery, value-
- * prediction squash, queue-capacity stalls, determinism, and that a
- * core paused and resumed on a short step source ends exactly where
- * an unpaused one does.
+ * prediction squash, queue-capacity stalls, determinism, config
+ * names, and that a core paused and resumed on a short step source
+ * ends exactly where an unpaused one does.
  */
 
 #include <gtest/gtest.h>
@@ -672,6 +672,25 @@ TEST(OooContention, ContendedBackendIsSlowerThanIdeal)
     EXPECT_EQ(loaded.instructions, base.instructions);
     EXPECT_NE(loaded.configName.find("+b1m1w1u4t30"),
               std::string::npos);
+}
+
+TEST(OooConfig, NameShowsEveryNonDefaultL1Latency)
+{
+    // Two machines that time differently never share a name: the L1
+    // hit latency joins the name whenever it is not 2 cycles,
+    // decoupled configs included.
+    EXPECT_EQ(ooo::MachineConfig::nPlusM(3, 3).name, "(3+3)");
+    EXPECT_EQ(ooo::MachineConfig::nPlusM(3, 3, 3).name, "(3+3)/3cyc");
+    EXPECT_EQ(ooo::MachineConfig::nPlusM(2, 2, 1).name, "(2+2)/1cyc");
+    EXPECT_EQ(ooo::MachineConfig::nPlusM(4, 0, 3).name, "(4+0)/3cyc");
+    std::vector<std::string> names;
+    for (const ooo::MachineConfig &config :
+         ooo::MachineConfig::figure8Suite())
+        names.push_back(config.name);
+    const std::vector<std::string> fig8 = {
+        "(2+0)", "(3+0)", "(3+0)/3cyc", "(4+0)/3cyc",
+        "(2+2)", "(2+3)", "(3+3)",      "(16+0)"};
+    EXPECT_EQ(names, fig8);
 }
 
 TEST(OooScheduler, DeferredLoadKeepsSpeculativeInputMark)

@@ -621,7 +621,6 @@ TEST(TraceFuzzSweep, CorruptedCacheSilentlyReRecords)
     spec.configs = {ooo::MachineConfig::nPlusM(2, 0)};
     spec.jobs = 1;
     spec.traceCacheDir = cache_dir;
-    spec.checkpointEvery = 512;
 
     auto report_of = [](const sweep::SweepResult &result) {
         std::ostringstream os;

@@ -44,8 +44,7 @@
  *       diffs on stderr).
  *
  *   arl_sim sweep <workload[,workload...]|all|none> [--jobs N]
- *       [--trace-cache DIR] [--warmup-window N [--seek-ff]]
- *       [--checkpoint-every N]
+ *       [--trace-cache DIR] [--warmup-window N]
  *       [--configs fig8|"(N+M),..."|none]
  *       [--schemes fig4|none] [--insts N] [--study-insts N] [--scale N]
  *       [--timing-json F] [--workload-dir DIR]
@@ -57,13 +56,7 @@
  *       compression ratio and decode MB/s when a cache is used) goes
  *       to stdout and (optionally) the separate --timing-json file.
  *       --warmup-window N warms only from the last N fast-forward
- *       instructions, which changes results.  --seek-ff, which needs
- *       --warmup-window, then seeks each fast-forward to the nearest
- *       recorded checkpoint instead of replaying the prefix; reports
- *       are byte-identical to the same window without --seek-ff.
- *       --checkpoint-every N (1..16777216; 0 = 65536, the default)
- *       sets the checkpoint cadence, which is also the block size of
- *       the cache's trace files.
+ *       instructions, which changes results.
  *
  *   arl_sim figure <name|all> [--scale N] [--insts N] [--jobs N]
  *       [--trace-cache DIR]
@@ -839,21 +832,28 @@ cmdPredict(const std::string &target, Args &args)
 }
 
 /**
- * The v2 block size in flag @p name, or @p fallback when it is
- * absent.  A size above v2::MaxBlockRecords, which no reader accepts,
- * is a usage error, and so is 0 unless @p fallback is 0 too (a flag
- * whose 0 means "the default").
+ * The machine an "(N+M)" value of flag @p flag names, with an L1 hit
+ * latency of @p l1_latency.  Anything else — a sign, a stray
+ * character, more than nine digits, or N = 0, a machine whose
+ * non-stack accesses could never issue — is a usage error.
  */
-std::uint32_t
-blockRecordsFlag(const Args &args, const char *name, std::uint32_t fallback)
+ooo::MachineConfig
+parseNPlusM(const char *flag, const std::string &text,
+            unsigned l1_latency = 2)
 {
-    const long value = args.flagInt(name, fallback);
-    if ((value == 0 && fallback != 0) ||
-        value > static_cast<long>(trace::v2::MaxBlockRecords))
-        badUsage(std::string("--") + name + " must be " +
-                 (fallback ? "1" : "0") + ".." +
-                 std::to_string(trace::v2::MaxBlockRecords));
-    return static_cast<std::uint32_t>(value);
+    const std::size_t plus = text.find('+');
+    const bool shaped = text.size() >= 5 && text.front() == '(' &&
+                        text.back() == ')' && plus != std::string::npos;
+    const std::string n = shaped ? text.substr(1, plus - 1) : "";
+    const std::string m =
+        shaped ? text.substr(plus + 1, text.size() - plus - 2) : "";
+    if (!isNonNegativeInt(n) || !isNonNegativeInt(m) || n.size() > 9 ||
+        m.size() > 9 || std::stoul(n) == 0)
+        badUsage(std::string("bad ") + flag + " value '" + text +
+                 "' (want \"(N+M)\" with N >= 1)");
+    return ooo::MachineConfig::nPlusM(
+        static_cast<unsigned>(std::stoul(n)),
+        static_cast<unsigned>(std::stoul(m)), l1_latency);
 }
 
 /** The memory-backend contention flags shared by time and sweep. */
@@ -1038,16 +1038,9 @@ cmdTime(const std::string &target, Args &args)
     if (args.has("all-configs")) {
         spec.configs = ooo::MachineConfig::figure8Suite();
     } else {
-        std::string config = args.flag("config", "(2+0)");
-        unsigned n = 2, m = 0;
-        if (std::sscanf(config.c_str(), "(%u+%u)", &n, &m) != 2) {
-            std::fprintf(stderr,
-                         "arl_sim: bad --config '%s' (want \"(N+M)\")\n",
-                         config.c_str());
-            return 1;
-        }
-        spec.configs.push_back(ooo::MachineConfig::nPlusM(
-            n, m, static_cast<unsigned>(args.flagInt("l1-lat", 2))));
+        spec.configs.push_back(parseNPlusM(
+            "--config", args.flag("config", "(2+0)"),
+            static_cast<unsigned>(args.flagInt("l1-lat", 2))));
     }
     ooo::ContentionKnobs knobs = parseContentionKnobs(args);
     for (auto &config : spec.configs) {
@@ -1137,9 +1130,7 @@ cmdSweep(const std::string &target, Args &args)
     std::vector<FlagSpec> accepted = {
         {"jobs", FlagKind::Int},
         {"trace-cache", FlagKind::String},
-        {"seek-ff", FlagKind::Bool},
         {"warmup-window", FlagKind::Int},
-        {"checkpoint-every", FlagKind::Int},
         {"configs", FlagKind::String},
         {"schemes", FlagKind::String},
         {"insts", FlagKind::Int},
@@ -1160,19 +1151,11 @@ cmdSweep(const std::string &target, Args &args)
     sweep::SweepSpec spec;
     spec.jobs = static_cast<unsigned>(args.flagInt("jobs", 1));
     spec.traceCacheDir = args.flag("trace-cache", "");
-    spec.seekFastForward = args.has("seek-ff");
     spec.cpiStack = args.has("cpi-stack");
     if (int rc = parseSamplingFlags(args, spec))
         return rc;
-    spec.checkpointEvery = blockRecordsFlag(args, "checkpoint-every", 0);
-    // --seek-ff skips only the prefix before a bounded warming
-    // window, and the window's size changes the results, so the user
-    // chooses it; no window is a usage error, never a silent default.
     auto warmup_window =
         static_cast<InstCount>(args.flagInt("warmup-window", 0));
-    if (spec.seekFastForward && warmup_window == 0)
-        badUsage("--seek-ff needs --warmup-window N (a bounded warming "
-                 "window changes results; pick one per study)");
 
     ooo::ContentionKnobs knobs = parseContentionKnobs(args);
     std::string configs_spec = args.flag("configs", "fig8");
@@ -1181,16 +1164,8 @@ cmdSweep(const std::string &target, Args &args)
     } else if (configs_spec != "none") {
         std::stringstream stream(configs_spec);
         std::string item;
-        while (std::getline(stream, item, ',')) {
-            unsigned n = 0, m = 0;
-            if (std::sscanf(item.c_str(), "(%u+%u)", &n, &m) != 2) {
-                std::fprintf(stderr,
-                             "arl_sim: bad --configs entry '%s' "
-                             "(want \"(N+M)\")\n", item.c_str());
-                return 1;
-            }
-            spec.configs.push_back(ooo::MachineConfig::nPlusM(n, m));
-        }
+        while (std::getline(stream, item, ','))
+            spec.configs.push_back(parseNPlusM("--configs", item));
     }
     for (auto &config : spec.configs)
         config.applyContention(knobs);
@@ -1310,9 +1285,6 @@ cmdSweep(const std::string &target, Args &args)
                         result.compressionRatio(),
                         result.traceDecodeSeconds > 0.0 ? ""
                                                         : " (written)");
-        if (spec.seekFastForward)
-            std::printf("seek-ff: skipped %llu fast-forward records\n",
-                        (unsigned long long)result.seekSkippedRecords);
     }
 
     // Run-varying metering goes to its own file so the --stats-json
@@ -1504,8 +1476,14 @@ cmdRecord(const std::string &target, Args &args)
                {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
     std::string out_path = args.flag("out", target + ".trace");
-    const std::uint32_t block_records = blockRecordsFlag(
-        args, "block-records", trace::DefaultBlockRecords);
+    // A block size the trace reader would refuse is a usage error,
+    // not a file that fails to load later.
+    const long block_records =
+        args.flagInt("block-records", trace::DefaultBlockRecords);
+    if (block_records == 0 ||
+        block_records > static_cast<long>(trace::v2::MaxBlockRecords))
+        badUsage("--block-records must be 1.." +
+                 std::to_string(trace::v2::MaxBlockRecords));
     auto prog = loadTarget(target,
                            static_cast<unsigned>(args.flagInt("scale", 1)));
     InstCount n = 0;
@@ -1513,7 +1491,7 @@ cmdRecord(const std::string &target, Args &args)
     if (!trace::recordTrace(
             prog, out_path,
             static_cast<InstCount>(args.flagInt("max-insts", 0)),
-            block_records, n, bytes))
+            static_cast<std::uint32_t>(block_records), n, bytes))
         return invalid(out_path, "cannot write the trace file");
     if (!quietOutput())
         std::printf("recorded %llu instructions of %s to %s "
@@ -2259,8 +2237,7 @@ usage()
         "  sweep <w[,w...]|all|none> [flags] parallel experiment sweep\n"
         "    [--jobs N] [--trace-cache DIR] [--configs fig8|\"(N+M),..\"]\n"
         "    [--schemes fig4] [--insts N] [--study-insts N]\n"
-        "    [--warmup-window N [--seek-ff]]\n"
-        "    [--checkpoint-every N] [--timing-json F]\n"
+        "    [--warmup-window N] [--timing-json F]\n"
         "    [--workload-dir DIR]  add corpus .s programs as workload\n"
         "                          rows (target 'none' = corpus only)\n"
         "  figure <name|all> [--scale N] [--insts N] [--jobs N]\n"
