@@ -14,7 +14,8 @@
  *    thresholds, and silent phases;
  *  - the IntervalCsv sink (CSV rows as they are taken, O(1) memory);
  *  - a telemetered region-only sweep, whose rows stream from live
- *    simulators: a well-formed stream and an unchanged report.
+ *    simulators: a well-formed stream whose beats carry the access
+ *    mix, and an unchanged report.
  */
 
 #include <gtest/gtest.h>
@@ -597,6 +598,15 @@ TEST(TelemetrySweep, StreamedRegionRowsEmitValidStream)
         EXPECT_GT(seq, last_seq[job]);
         last_insts[job] = insts;
         last_seq[job] = seq;
+        // Each beat carries the pass's access mix: every load or store
+        // of the interval references exactly one region.
+        const double accesses =
+            numField(v, "d_loads") + numField(v, "d_stores");
+        EXPECT_GT(accesses, 0.0) << line;
+        EXPECT_EQ(accesses, numField(v, "d_refs_data") +
+                                numField(v, "d_refs_heap") +
+                                numField(v, "d_refs_stack"))
+            << line;
         if (totals[job] == 0)
             EXPECT_EQ(numField(v, "eta_s"), -1.0);
     }
