@@ -17,6 +17,7 @@
 
 #include "builder/program_builder.hh"
 #include "core/experiment.hh"
+#include "sim/simulator.hh"
 
 using namespace arl;
 namespace r = isa::reg;
@@ -100,8 +101,12 @@ main()
                 "stores\n\n", prog->name.c_str(), prog->text.size(),
                 prog->staticMemInstructionCount());
 
-    core::Experiment experiment(prog);
-    auto result = experiment.regionStudy(core::figure4Schemes());
+    // One §3 pass: the region and window profilers and every Figure-4
+    // scheme read the same instruction stream, here a live simulator.
+    sim::Simulator simulator(prog);
+    sim::SimulatorSource source(simulator);
+    auto result = sweep::runRegionPass(
+        prog->name, source, core::toSweepSchemes(core::figure4Schemes()));
 
     std::printf("executed %llu instructions\n",
                 (unsigned long long)result.instructions);

@@ -16,6 +16,7 @@
 #include <cstring>
 
 #include "core/experiment.hh"
+#include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
 using namespace arl;
@@ -39,8 +40,10 @@ main(int argc, char **argv)
     std::printf("profiling %s (substitute for %s), scale %u...\n\n",
                 info.name.c_str(), info.paperAnalog.c_str(), scale);
 
-    core::Experiment experiment(info.build(scale));
-    auto result = experiment.regionStudy(core::figure4Schemes());
+    sim::Simulator simulator(info.build(scale));
+    sim::SimulatorSource source(simulator);
+    auto result = sweep::runRegionPass(
+        info.name, source, core::toSweepSchemes(core::figure4Schemes()));
 
     std::printf("dynamic instructions : %llu\n",
                 (unsigned long long)result.instructions);

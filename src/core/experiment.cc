@@ -1,8 +1,5 @@
 #include "core/experiment.hh"
 
-#include "common/logging.hh"
-#include "sim/simulator.hh"
-
 namespace arl::core
 {
 
@@ -59,40 +56,6 @@ twoBitSchemes()
         {"2BIT", with_bits(predict::ContextKind::None)},
         {"2BIT-HYBRID", with_bits(predict::ContextKind::Hybrid)},
     };
-}
-
-Experiment::Experiment(std::shared_ptr<const vm::Program> program)
-    : prog(std::move(program))
-{
-    ARL_ASSERT(prog != nullptr);
-}
-
-predict::CompilerHints
-Experiment::buildHints(InstCount max_insts) const
-{
-    predict::CompilerHints hints;
-    sim::Simulator simulator(prog);
-    simulator.run(max_insts, [&hints](const sim::StepInfo &step) {
-        hints.observe(step);
-    });
-    return hints;
-}
-
-RegionStudyResult
-Experiment::regionStudy(const std::vector<NamedScheme> &schemes,
-                        bool use_hints, InstCount max_insts)
-{
-    predict::CompilerHints hints;
-    if (use_hints)
-        hints = buildHints(max_insts);
-    std::vector<sweep::SchemeSpec> specs = toSweepSchemes(schemes);
-    for (sweep::SchemeSpec &spec : specs)
-        spec.config.useCompilerHints = use_hints;
-
-    sim::Simulator simulator(prog);
-    sim::SimulatorSource source(simulator);
-    return sweep::runRegionPass(prog->name, source, specs, max_insts,
-                                use_hints ? &hints : nullptr);
 }
 
 } // namespace arl::core

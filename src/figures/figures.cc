@@ -524,8 +524,7 @@ fig6(const Options &opts, const sweep::SweepResult &, Page &page)
         // The static analysis needs only the binary; the profile
         // bound needs a training run.
         predict::StaticClassifier fig6_hints(*prog);
-        predict::CompilerHints profile_hints =
-            core::Experiment(prog).buildHints();
+        predict::CompilerHints profile_hints = predict::profileHints(prog);
         predict::RegionPredictor none(plain.config);
         predict::RegionPredictor with_fig6(hinted.config, &fig6_hints);
         predict::RegionPredictor with_profile(hinted.config,
@@ -934,7 +933,6 @@ run(const std::string &name, const Options &opts, GridCache &grids)
         spec.configs = figure->configs;
         spec.schemes = figure->schemes;
         spec.jobs = opts.jobs;
-        spec.traceCacheDir = opts.traceCacheDir;
         cached->second = sweep::runSweep(spec);
     }
     const sweep::SweepResult &result = cached->second;

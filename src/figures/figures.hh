@@ -35,7 +35,6 @@ struct Options
     InstCount insts = 400000;
     /** Sweep worker threads (0 = every core). */
     unsigned jobs = 1;
-    std::string traceCacheDir;
 };
 
 /** What running one figure produced. */

@@ -6,8 +6,8 @@
  * telemetry scope, and one list of sinks.
  *
  * A producer (the OoO core's cycle loop; the functional loops of
- * `arl_sim run`, `predict` and `replay`; sweep::runRegionPass) keeps
- * one threshold from arm().  When its committed count reaches it, it
+ * `arl_sim run` and `predict`; sweep::runRegionPass, which `replay`
+ * runs) keeps one threshold from arm().  When its committed count reaches it, it
  * calls progress() with a TelemetryFrame, which takes the interval
  * row once, hands it to the report's rows and every sink, beats the
  * telemetry scope when a heartbeat is due, and returns the next

@@ -14,6 +14,8 @@ Arpt::Arpt(const ArptConfig &config_in) : config(config_in)
     maxCounter =
         static_cast<std::uint8_t>((1u << config.counterBits) - 1);
     threshold = static_cast<std::uint8_t>(1u << (config.counterBits - 1));
+    ARL_ASSERT(fitsContextWord(config.context),
+               "ARPT context widths must fit one 32-bit word");
     if (config.entries) {
         ARL_ASSERT(isPowerOf2(config.entries),
                    "ARPT entry count must be a power of two");

@@ -1,5 +1,7 @@
 #include "predict/compiler_hints.hh"
 
+#include "sim/simulator.hh"
+
 namespace arl::predict
 {
 
@@ -19,6 +21,21 @@ CompilerHints::classifiedInstructions() const
             ++count;
     }
     return count;
+}
+
+CompilerHints
+profileHints(std::shared_ptr<const vm::Program> program,
+             InstCount max_insts, InstCount *trained)
+{
+    CompilerHints hints;
+    sim::Simulator simulator(std::move(program));
+    const InstCount ran =
+        simulator.run(max_insts, [&hints](const sim::StepInfo &step) {
+            hints.observe(step);
+        });
+    if (trained)
+        *trained = ran;
+    return hints;
 }
 
 } // namespace arl::predict

@@ -14,11 +14,13 @@
 #define ARL_PREDICT_COMPILER_HINTS_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "common/types.hh"
 #include "sim/step_info.hh"
 #include "vm/layout.hh"
+#include "vm/program.hh"
 
 namespace arl::predict
 {
@@ -91,6 +93,18 @@ class CompilerHints : public HintSource
   private:
     std::unordered_map<Addr, unsigned> masks;
 };
+
+/**
+ * Train profile hints on one functional run of @p program, capped at
+ * @p max_insts instructions (0 = to completion).  The one training
+ * pass: the sweep's hinted region rows, `arl_sim predict --hints
+ * profile` and Figure 6 all call it.
+ * @param trained when non-null, receives the instructions the run
+ *        retired.
+ */
+CompilerHints profileHints(std::shared_ptr<const vm::Program> program,
+                           InstCount max_insts = 0,
+                           InstCount *trained = nullptr);
 
 } // namespace arl::predict
 

@@ -49,6 +49,20 @@ struct ContextConfig
 };
 
 /**
+ * True when makeContext() can form @p config's context word: each
+ * width at most 32 bits, and a hybrid context's two fields side by
+ * side in one word, with the GBH field shifted by fewer than 32 bits.
+ */
+constexpr bool
+fitsContextWord(const ContextConfig &config)
+{
+    if (config.gbhBits > 32 || config.cidBits > 32)
+        return false;
+    return config.kind != ContextKind::Hybrid ||
+           (config.gbhBits + config.cidBits <= 32 && config.cidBits < 32);
+}
+
+/**
  * Form the context word for one prediction.
  * @param gbh current global branch-history register.
  * @param cid current link-register ($ra) value.

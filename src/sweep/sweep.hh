@@ -309,19 +309,21 @@ SweepResult runSweep(const SweepSpec &spec);
  * One §3 region pass: pull instructions from @p source until it ends
  * or @p study_insts have been studied (0 = no cap), feeding the
  * region profiler, the 32- and 64-instruction window profilers, and
- * one RegionPredictor per scheme.  Both sweep paths (live and
- * replayed) and Experiment::regionStudy run through here.
+ * one RegionPredictor per scheme.  Every region study runs through
+ * here: both sweep paths (live and replayed), `arl_sim profile` over
+ * a live simulator and `arl_sim replay` over a trace file, each of
+ * which writes the point's snapshot as its report.
  *
  * @param hints compiler hints for schemes whose config sets
  *        useCompilerHints (required by those, ignored by the rest).
- * @param hooks optional observability: the pass reports the
- *        studied-instruction count to it (Hooks::progress), which
- *        beats its telemetry scope.
+ * @param hooks optional observability: the pass reports the studied
+ *        instructions and their access mix to it (Hooks::progress),
+ *        which beats its telemetry scope.
  */
 RegionPoint runRegionPass(const std::string &workload,
                           sim::StepSource &source,
                           const std::vector<SchemeSpec> &schemes,
-                          InstCount study_insts,
+                          InstCount study_insts = 0,
                           const predict::CompilerHints *hints = nullptr,
                           obs::Hooks *hooks = nullptr);
 

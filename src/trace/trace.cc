@@ -133,6 +133,12 @@ TraceReader::next(sim::StepInfo &out_step)
     return true;
 }
 
+bool
+TraceReader::exhausted() const
+{
+    return pos >= records.size() && nextBlock >= body->numBlocks();
+}
+
 void
 TraceReader::seek(InstCount n)
 {

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "sim/step_info.hh"
+#include "sim/step_source.hh"
 #include "vm/program.hh"
 
 namespace arl::trace
@@ -155,13 +156,15 @@ class Reader;
  * Reads a trace file back as a StepInfo stream, one decoded block at
  * a time, and seeks to any record by decoding only the block that
  * holds it.  Like the v2::Reader it wraps, it never aborts on bad
- * input: open() and the reads report it as an error string.
+ * input: open() and the reads report it as an error string.  It is a
+ * StepSource, so a §3 region pass (sweep::runRegionPass) reads a
+ * trace file as it reads a live simulator.
  */
-class TraceReader
+class TraceReader final : public sim::StepSource
 {
   public:
     TraceReader();
-    ~TraceReader();
+    ~TraceReader() override;
 
     /** @return false with @p err set when @p path is not a valid trace. */
     bool open(const std::string &path, std::string &err);
@@ -171,7 +174,13 @@ class TraceReader
      * @return false at the end of the trace, or at a block that fails
      *         its checks (error() then says why).
      */
-    bool next(sim::StepInfo &out);
+    bool next(sim::StepInfo &out) override;
+
+    /** Records read so far, a seek's skipped prefix included. */
+    InstCount delivered() const override { return consumed; }
+
+    /** True once no further record can be read. */
+    bool exhausted() const override;
 
     /** Position the stream so the next record read is record @p n. */
     void seek(InstCount n);

@@ -18,7 +18,7 @@
  *     32-byte TraceRecords;
  *  6. a region-only sweep, which streams each region pass from a
  *     live simulator, matches the replayed region rows of a mixed
- *     timing+region sweep and Experiment::regionStudy, and never
+ *     timing+region sweep and a direct live runRegionPass, and never
  *     touches the trace cache;
  *  7. how a row's configs are grouped to run in lock-step over one
  *     shared stream never changes a point — one group per row or one
@@ -401,8 +401,8 @@ programOf(const sweep::WorkloadSpec &w)
 TEST(Differential, StreamedRegionEqualsReplayedRegion)
 {
     // Plain and hinted scheme sets: a hinted row first trains profile
-    // hints over its study window, from the live simulator or the
-    // trace, just as Experiment::regionStudy does.
+    // hints over its study window (predict::profileHints), whether
+    // its pass then streams from a live simulator or a recording.
     for (bool hinted : {false, true}) {
         SCOPED_TRACE(hinted ? "hinted" : "plain");
         sweep::SweepSpec streamed;
@@ -435,9 +435,16 @@ TEST(Differential, StreamedRegionEqualsReplayedRegion)
                               .hintResolvedPct() > 0.0,
                       hinted);
 
-            core::Experiment experiment(programOf(w));
-            sweep::RegionPoint study = experiment.regionStudy(
-                core::figure4Schemes(), hinted, w.studyInsts);
+            // A direct live pass, with hints trained the same way.
+            std::shared_ptr<const vm::Program> program = programOf(w);
+            predict::CompilerHints hints;
+            if (hinted)
+                hints = predict::profileHints(program, w.studyInsts);
+            sim::Simulator simulator(program);
+            sim::SimulatorSource source(simulator);
+            sweep::RegionPoint study = sweep::runRegionPass(
+                program->name, source, streamed.schemes, w.studyInsts,
+                hinted ? &hints : nullptr);
             expectRegionEqual(study, live.region[wi]);
         }
         // The rec_fib cap lies above its length: the pass ran to the

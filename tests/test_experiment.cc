@@ -1,21 +1,44 @@
 /**
  * @file
- * Facade and cross-module integration tests: the Experiment API's
- * region studies, one-row timing sweeps, scheme construction, hint
- * interaction, and the paper's headline invariants at reduced scale.
+ * Scheme-set and cross-module integration tests: the named scheme
+ * sets, the §3 region pass over a live simulator, profile hints,
+ * one-row timing sweeps, and the paper's headline invariants at
+ * reduced scale.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "sim/simulator.hh"
 #include "sweep/sweep.hh"
 #include "workloads/workloads.hh"
 
 using namespace arl;
-using core::Experiment;
 
 namespace
 {
+
+/**
+ * The §3 region pass over a live run of @p program, capped at
+ * @p insts.  With @p hinted, every scheme consults profile hints
+ * trained on the same window first.
+ */
+sweep::RegionPoint
+studyOf(std::shared_ptr<const vm::Program> program,
+        const std::vector<core::NamedScheme> &schemes, InstCount insts,
+        bool hinted = false)
+{
+    predict::CompilerHints hints;
+    if (hinted)
+        hints = predict::profileHints(program, insts);
+    std::vector<sweep::SchemeSpec> specs = core::toSweepSchemes(schemes);
+    for (sweep::SchemeSpec &spec : specs)
+        spec.config.useCompilerHints = hinted;
+    sim::Simulator simulator(program);
+    sim::SimulatorSource source(simulator);
+    return sweep::runRegionPass(program->name, source, specs, insts,
+                                hinted ? &hints : nullptr);
+}
 
 /** Time @p workload under @p configs: a one-row sweep. */
 std::vector<ooo::OooStats>
@@ -56,11 +79,10 @@ TEST(ExperimentSchemes, Figure4SetIsComplete)
         EXPECT_EQ(scheme.config.arpt.counterBits, 2u);
 }
 
-TEST(ExperimentRegionStudy, ProducesCoherentResults)
+TEST(RegionPass, ProducesCoherentResults)
 {
-    Experiment experiment(workloads::buildWorkload("li_like", 1));
-    auto result = experiment.regionStudy(core::figure4Schemes(), false,
-                                         500'000);
+    auto result = studyOf(workloads::buildWorkload("li_like", 1),
+                          core::figure4Schemes(), 500'000);
     EXPECT_EQ(result.workload, "li_like");
     EXPECT_EQ(result.instructions, 500'000u);
     EXPECT_EQ(result.schemes.size(), 5u);
@@ -78,15 +100,13 @@ TEST(ExperimentRegionStudy, ProducesCoherentResults)
     EXPECT_GT(result.window32.samples, 0u);
 }
 
-TEST(ExperimentRegionStudy, HintsNeverHurtAccuracy)
+TEST(RegionPass, HintsNeverHurtAccuracy)
 {
     for (const char *name : {"li_like", "m88ksim_like"}) {
-        Experiment plain(workloads::buildWorkload(name, 1));
-        auto base = plain.regionStudy(core::figure4Schemes(), false,
-                                      400'000);
-        Experiment hinted(workloads::buildWorkload(name, 1));
-        auto with_hints = hinted.regionStudy(core::figure4Schemes(),
-                                             true, 400'000);
+        auto base = studyOf(workloads::buildWorkload(name, 1),
+                            core::figure4Schemes(), 400'000);
+        auto with_hints = studyOf(workloads::buildWorkload(name, 1),
+                                  core::figure4Schemes(), 400'000, true);
         for (std::size_t i = 0; i < base.schemes.size(); ++i) {
             EXPECT_GE(with_hints.schemes[i].second.accuracyPct() + 1e-9,
                       base.schemes[i].second.accuracyPct())
@@ -95,10 +115,12 @@ TEST(ExperimentRegionStudy, HintsNeverHurtAccuracy)
     }
 }
 
-TEST(ExperimentHints, ProfilePassMatchesDirectConstruction)
+TEST(ProfileHints, ProfilePassMatchesDirectConstruction)
 {
-    Experiment experiment(workloads::buildWorkload("go_like", 1));
-    auto hints = experiment.buildHints(200'000);
+    InstCount trained = 0;
+    auto hints = predict::profileHints(workloads::buildWorkload("go_like", 1),
+                                       200'000, &trained);
+    EXPECT_EQ(trained, 200'000u);
     EXPECT_GT(hints.staticInstructions(), 10u);
     // go has no multi-region instructions: everything classifiable.
     EXPECT_EQ(hints.classifiedInstructions(),
@@ -128,8 +150,7 @@ TEST(IntegrationHeadline, HybridPredictorAbove99OnEveryWorkload)
     std::vector<core::NamedScheme> schemes = {
         core::figure4Schemes().back()};  // 1BIT-HYBRID
     for (const auto &info : workloads::allWorkloads()) {
-        Experiment experiment(info.build(1));
-        auto result = experiment.regionStudy(schemes, false, 700'000);
+        auto result = studyOf(info.build(1), schemes, 700'000);
         EXPECT_GT(result.schemes[0].second.accuracyPct(), 99.0)
             << info.name;
     }
@@ -151,7 +172,7 @@ TEST(IntegrationHeadline, DecouplingRecoversBandwidth)
 {
     // §4 shape on the most bandwidth-hungry integer program: the
     // (2+2) decoupled design beats the (2+0) baseline, and the
-    // (16+0) bound beats (2+0) as well.
+    // sixteen-port (16+0) machine beats (2+0) as well.
     const auto &info = workloads::workloadByName("vortex_like");
     auto results = timeWorkload(info.name, info.warmupInsts, 200'000,
                                 {ooo::MachineConfig::nPlusM(2, 0),

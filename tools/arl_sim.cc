@@ -12,7 +12,9 @@
  *
  *   arl_sim profile <workload|file.s> [--scale N] [--max-insts N]
  *       The paper's §3 characterisation: Figure-2 region classes,
- *       Table-2 window statistics, Figure-4 scheme accuracies.
+ *       Table-2 window statistics, Figure-4 scheme accuracies.  One
+ *       region pass (sweep::runRegionPass) over a live simulator; its
+ *       --stats-json is that window's sweep region row.
  *
  *   arl_sim predict <workload|file.s> [--entries N] [--context
  *       none|gbh|cid|hybrid] [--gbh-bits N] [--cid-bits N]
@@ -59,7 +61,6 @@
  *       instructions, which changes results.
  *
  *   arl_sim figure <name|all> [--scale N] [--insts N] [--jobs N]
- *       [--trace-cache DIR]
  *       Reproduce one of the paper's tables and figures, or all of
  *       them: run its grid, print its table and "paper:" footer, and
  *       check its claims (one PASS or FAIL line each; exit 2 on any
@@ -72,7 +73,7 @@
  *       records (1..16777216, default 65536).
  *
  *   arl_sim replay <file.trace> [--seek N]
- *       Run the §3 region and window profilers over a trace file,
+ *       Run the §3 region pass, without schemes, over a trace file,
  *       starting N records in.  A file that cannot be read, or fails
  *       any of the format's checks, is an input error (exit 2), as is
  *       a path `record` cannot write.
@@ -121,8 +122,11 @@
  *   --tlb-miss-lat <N>   cycles charged per TLB miss
  *
  * Flag parsing is strict: an unknown flag, a malformed or negative
- * numeric value, or a stray positional argument aborts with exit
- * code 1 instead of silently running with defaults.
+ * numeric value, a value too large for its 32-bit field, or a stray
+ * positional argument aborts with exit code 1 instead of silently
+ * running with defaults.  So does a `predict` ARPT that cannot be
+ * built: --entries neither 0 nor a power of two, or --gbh-bits and
+ * --cid-bits that one 32-bit context word cannot hold.
  *
  * Observability flags, each accepted only where it is honoured (the
  * report sinks on every simulating subcommand, intervals on run,
@@ -179,6 +183,7 @@
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "core/experiment.hh"
 #include "corpus/corpus.hh"
@@ -192,6 +197,7 @@
 #include "obs/telemetry.hh"
 #include "predict/static_classifier.hh"
 #include "sim/simulator.hh"
+#include "sweep/sweep.hh"
 #include "trace/format_v2.hh"
 #include "trace/trace.hh"
 #include "workloads/workloads.hh"
@@ -335,6 +341,20 @@ class Args
     {
         std::string value = flag(name, "");
         return value.empty() ? fallback : std::atol(value.c_str());
+    }
+
+    /**
+     * An integer flag that feeds a 32-bit field: a value above
+     * UINT32_MAX is a usage error, never a silent wrap.
+     */
+    std::uint32_t
+    flagU32(const std::string &name, std::uint32_t fallback) const
+    {
+        const long value = flagInt(name, fallback);
+        if (value > static_cast<long>(UINT32_MAX))
+            badUsage("value " + std::to_string(value) + " for --" + name +
+                     " exceeds " + std::to_string(UINT32_MAX));
+        return static_cast<std::uint32_t>(value);
     }
 
     bool
@@ -521,6 +541,24 @@ emitReport(obs::Report &report, const ObsOptions &opts)
     return ok ? 0 : 2;
 }
 
+/**
+ * Write a region pass's stats (the mirror its sweep row reports) as
+ * @p command's one-run report, under config @p config.
+ */
+int
+emitRegionReport(const char *command, const sweep::RegionPoint &point,
+                 const char *config, const ObsOptions &opts)
+{
+    obs::Report report;
+    report.command = command;
+    obs::RunRecord record;
+    record.workload = point.workload;
+    record.config = config;
+    record.stats = point.snapshot;
+    report.runs.push_back(std::move(record));
+    return emitReport(report, opts);
+}
+
 /** True when --quiet (or --log-level quiet) asked for machine-clean
  *  stdout, or a "-" sink claimed stdout for machine output: human
  *  tables, headers, and meter lines are suppressed. */
@@ -575,8 +613,7 @@ cmdRun(const std::string &target, Args &args)
     args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}},
                {&kReportFlags, &kIntervalFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    auto prog = loadTarget(target,
-                           static_cast<unsigned>(args.flagInt("scale", 1)));
+    auto prog = loadTarget(target, args.flagU32("scale", 1));
     sim::Simulator simulator(prog);
 
     obs::Hooks hooks;
@@ -653,12 +690,11 @@ cmdProfile(const std::string &target, Args &args)
     args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}},
                {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    auto prog = loadTarget(target,
-                           static_cast<unsigned>(args.flagInt("scale", 1)));
-    core::Experiment experiment(
-        std::const_pointer_cast<const vm::Program>(prog));
-    auto result = experiment.regionStudy(
-        core::figure4Schemes(), false,
+    auto prog = loadTarget(target, args.flagU32("scale", 1));
+    sim::Simulator simulator(prog);
+    sim::SimulatorSource source(simulator);
+    sweep::RegionPoint result = sweep::runRegionPass(
+        prog->name, source, core::toSweepSchemes(core::figure4Schemes()),
         static_cast<InstCount>(args.flagInt("max-insts", 0)));
 
     const char *names[3] = {"data", "heap", "stack"};
@@ -693,29 +729,7 @@ cmdProfile(const std::string &target, Args &args)
 
     if (!opts.wantsReport())
         return 0;
-    // The study ran to completion already; expose its results through
-    // registry-owned stats so the report shares the common schema.
-    obs::Hooks hooks;
-    auto &reg = hooks.registry;
-    reg.counter("profile.instructions") = result.instructions;
-    reg.counter("profile.loads") = result.profile.dynamicLoads;
-    reg.counter("profile.stores") = result.profile.dynamicStores;
-    for (unsigned r = 0; r < 3; ++r) {
-        std::string base = std::string("profile.refs.") + names[r];
-        reg.counter(base) = result.profile.regionRefs[r];
-        reg.gauge("profile.window32." + std::string(names[r]) +
-                  ".mean") = result.window32.mean[r];
-        reg.gauge("profile.window64." + std::string(names[r]) +
-                  ".mean") = result.window64.mean[r];
-    }
-    for (const auto &[name, scheme_report] : result.schemes)
-        reg.gauge("profile.scheme." + name + ".accuracy_pct") =
-            scheme_report.accuracyPct();
-    obs::Report report;
-    report.command = "profile";
-    report.runs.push_back(
-        obs::RunRecord::fromHooks(result.workload, "figure4", hooks));
-    return emitReport(report, opts);
+    return emitRegionReport("profile", result, "figure4", opts);
 }
 
 int
@@ -730,13 +744,12 @@ cmdPredict(const std::string &target, Args &args)
                 {"scale", FlagKind::Int}},
                {&kReportFlags, &kIntervalFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
-    auto prog = loadTarget(target, scale);
 
     predict::RegionPredictorConfig config;
     config.useArpt = true;
-    config.arpt.entries =
-        static_cast<std::uint32_t>(args.flagInt("entries", 32 * 1024));
+    config.arpt.entries = args.flagU32("entries", 32 * 1024);
+    if (config.arpt.entries && !isPowerOf2(config.arpt.entries))
+        badUsage("--entries must be 0 (unlimited) or a power of two");
     config.arpt.counterBits = args.has("two-bit") ? 2 : 1;
     std::string context = args.flag("context", "hybrid");
     if (context == "none")
@@ -752,20 +765,20 @@ cmdPredict(const std::string &target, Args &args)
                      context.c_str());
         return 1;
     }
-    config.arpt.context.gbhBits =
-        static_cast<unsigned>(args.flagInt("gbh-bits", 8));
-    config.arpt.context.cidBits =
-        static_cast<unsigned>(args.flagInt("cid-bits", 7));
+    config.arpt.context.gbhBits = args.flagU32("gbh-bits", 8);
+    config.arpt.context.cidBits = args.flagU32("cid-bits", 7);
+    if (!predict::fitsContextWord(config.arpt.context))
+        badUsage("--gbh-bits and --cid-bits must each be at most 32, "
+                 "and a hybrid context's must sum to at most 32 with "
+                 "--cid-bits at most 31");
+    auto prog = loadTarget(target, args.flagU32("scale", 1));
 
     std::string hints_kind = args.flag("hints", "none");
     predict::CompilerHints profile_hints;
     std::unique_ptr<predict::StaticClassifier> static_hints;
     const predict::HintSource *hints = nullptr;
     if (hints_kind == "profile") {
-        sim::Simulator trainer(prog);
-        trainer.run(0, [&](const sim::StepInfo &step) {
-            profile_hints.observe(step);
-        });
+        profile_hints = predict::profileHints(prog);
         hints = &profile_hints;
     } else if (hints_kind == "static") {
         static_hints =
@@ -867,14 +880,11 @@ ooo::ContentionKnobs
 parseContentionKnobs(const Args &args)
 {
     ooo::ContentionKnobs knobs;
-    knobs.banks = static_cast<unsigned>(args.flagInt("banks", 0));
-    knobs.mshrs = static_cast<unsigned>(args.flagInt("mshrs", 0));
-    knobs.wbBuffer =
-        static_cast<unsigned>(args.flagInt("wb-buffer", 0));
-    knobs.busCycles =
-        static_cast<unsigned>(args.flagInt("bus-cycles", 0));
-    knobs.tlbMissLatency =
-        static_cast<unsigned>(args.flagInt("tlb-miss-lat", 0));
+    knobs.banks = args.flagU32("banks", 0);
+    knobs.mshrs = args.flagU32("mshrs", 0);
+    knobs.wbBuffer = args.flagU32("wb-buffer", 0);
+    knobs.busCycles = args.flagU32("bus-cycles", 0);
+    knobs.tlbMissLatency = args.flagU32("tlb-miss-lat", 0);
     return knobs;
 }
 
@@ -913,8 +923,7 @@ parseSamplingFlags(const Args &args, sweep::SweepSpec &spec)
     }
     spec.samplingInterval = static_cast<InstCount>(
         args.flagInt("interval-insts", 10000));
-    spec.samplingClusters =
-        static_cast<unsigned>(args.flagInt("clusters", 6));
+    spec.samplingClusters = args.flagU32("clusters", 6);
     spec.samplingWarmup = static_cast<InstCount>(
         args.flagInt("sampling-warmup", 5000));
     spec.samplingVerify = args.has("sampling-verify");
@@ -1030,7 +1039,7 @@ cmdTime(const std::string &target, Args &args)
     } else {
         const auto &info = workloads::workloadByName(target);
         w.name = info.name;
-        w.scale = static_cast<unsigned>(args.flagInt("scale", 1));
+        w.scale = args.flagU32("scale", 1);
         w.warmup = info.warmupInsts;
     }
     spec.workloads.push_back(w);
@@ -1038,9 +1047,9 @@ cmdTime(const std::string &target, Args &args)
     if (args.has("all-configs")) {
         spec.configs = ooo::MachineConfig::figure8Suite();
     } else {
-        spec.configs.push_back(parseNPlusM(
-            "--config", args.flag("config", "(2+0)"),
-            static_cast<unsigned>(args.flagInt("l1-lat", 2))));
+        spec.configs.push_back(parseNPlusM("--config",
+                                           args.flag("config", "(2+0)"),
+                                           args.flagU32("l1-lat", 2)));
     }
     ooo::ContentionKnobs knobs = parseContentionKnobs(args);
     for (auto &config : spec.configs) {
@@ -1144,12 +1153,12 @@ cmdSweep(const std::string &target, Args &args)
     args.parse(accepted, {&kReportFlags, &kContentionFlags,
                           &kSamplingFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
+    unsigned scale = args.flagU32("scale", 1);
     InstCount timed =
         static_cast<InstCount>(args.flagInt("insts", 400000));
 
     sweep::SweepSpec spec;
-    spec.jobs = static_cast<unsigned>(args.flagInt("jobs", 1));
+    spec.jobs = args.flagU32("jobs", 1);
     spec.traceCacheDir = args.flag("trace-cache", "");
     spec.cpiStack = args.has("cpi-stack");
     if (int rc = parseSamplingFlags(args, spec))
@@ -1325,7 +1334,7 @@ int
 cmdFigure(const std::string &target, Args &args)
 {
     args.parse({{"scale", FlagKind::Int}, {"insts", FlagKind::Int},
-                {"jobs", FlagKind::Int}, {"trace-cache", FlagKind::String}},
+                {"jobs", FlagKind::Int}},
                {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
     std::vector<std::string> chosen;
@@ -1339,10 +1348,9 @@ cmdFigure(const std::string &target, Args &args)
         badUsage("unknown figure '" + target + "' (want all or one of:" +
                  known + ")");
     figures::Options fopts;
-    fopts.scale = static_cast<unsigned>(args.flagInt("scale", 1));
+    fopts.scale = args.flagU32("scale", 1);
     fopts.insts = static_cast<InstCount>(args.flagInt("insts", 400000));
-    fopts.jobs = static_cast<unsigned>(args.flagInt("jobs", 1));
-    fopts.traceCacheDir = args.flag("trace-cache", "");
+    fopts.jobs = args.flagU32("jobs", 1);
 
     obs::Report report;
     report.command = "figure";
@@ -1484,8 +1492,7 @@ cmdRecord(const std::string &target, Args &args)
         block_records > static_cast<long>(trace::v2::MaxBlockRecords))
         badUsage("--block-records must be 1.." +
                  std::to_string(trace::v2::MaxBlockRecords));
-    auto prog = loadTarget(target,
-                           static_cast<unsigned>(args.flagInt("scale", 1)));
+    auto prog = loadTarget(target, args.flagU32("scale", 1));
     InstCount n = 0;
     std::uint64_t bytes = 0;
     if (!trace::recordTrace(
@@ -1539,37 +1546,20 @@ cmdReplay(const std::string &trace_path, Args &args)
         hooks.telemetry = tscope.get();
     }
 
-    profile::RegionProfiler profiler;
-    profile::WindowProfiler window32(32);
-    sim::StepInfo step;
+    sweep::RegionPoint point;
     {
         obs::ProfScope prof("replay");
-        obs::TelemetryFrame frame;
-        std::uint64_t replayed = 0;
-        std::uint64_t next = hooks.arm(0);
-        while (reader.next(step)) {
-            profiler.observe(step);
-            window32.observe(step);
-            if (++replayed >= next) {
-                const auto &live = profiler.profile();
-                frame.insts = replayed;
-                frame.loads = live.dynamicLoads;
-                frame.stores = live.dynamicStores;
-                frame.refsData = live.regionRefs[0];
-                frame.refsHeap = live.regionRefs[1];
-                frame.refsStack = live.regionRefs[2];
-                next = hooks.progress(frame);
-            }
-        }
-        prof.addGuestInsts(profiler.profile().totalInstructions);
+        point = sweep::runRegionPass(reader.programName(), reader, {}, 0,
+                                     nullptr, &hooks);
+        prof.addGuestInsts(point.instructions);
         if (tscope) {
-            tscope->done(replayed, 0);
-            telemetry->emitFinal(replayed);
+            tscope->done(point.instructions, 0);
+            telemetry->emitFinal(point.instructions);
         }
     }
     if (!reader.error().empty())
         return invalid(trace_path, reader.error());
-    auto profile = profiler.profile();
+    const auto &profile = point.profile;
     if (!quietOutput()) {
         std::printf("trace      : %s (%s, v2)\n", trace_path.c_str(),
                     reader.programName().c_str());
@@ -1582,7 +1572,7 @@ cmdReplay(const std::string &trace_path, Args &args)
             (unsigned long long)profile.regionRefs[0],
             (unsigned long long)profile.regionRefs[1],
             (unsigned long long)profile.regionRefs[2]);
-        auto stats = window32.stats_summary();
+        const auto &stats = point.window32;
         std::printf("window32   : D %.2f (%.2f)  H %.2f (%.2f)  "
                     "S %.2f (%.2f)\n", stats.mean[0], stats.stddev[0],
                     stats.mean[1], stats.stddev[1], stats.mean[2],
@@ -1591,19 +1581,7 @@ cmdReplay(const std::string &trace_path, Args &args)
 
     if (!opts.wantsReport())
         return 0;
-    auto &reg = hooks.registry;
-    reg.counter("profile.instructions") = profile.totalInstructions;
-    reg.counter("profile.loads") = profile.dynamicLoads;
-    reg.counter("profile.stores") = profile.dynamicStores;
-    const char *names[3] = {"data", "heap", "stack"};
-    for (unsigned r = 0; r < 3; ++r)
-        reg.counter(std::string("profile.refs.") + names[r]) =
-            profile.regionRefs[r];
-    obs::Report report;
-    report.command = "replay";
-    report.runs.push_back(obs::RunRecord::fromHooks(
-        reader.programName(), "replay", hooks));
-    return emitReport(report, opts);
+    return emitRegionReport("replay", point, "replay", opts);
 }
 
 /** Numeric field helper for telemetry-line parsing. */
@@ -2241,7 +2219,7 @@ usage()
         "    [--workload-dir DIR]  add corpus .s programs as workload\n"
         "                          rows (target 'none' = corpus only)\n"
         "  figure <name|all> [--scale N] [--insts N] [--jobs N]\n"
-        "    [--trace-cache DIR]        a paper table/figure and its\n"
+        "                               a paper table/figure and its\n"
         "                               checked claims (exit 2 on FAIL)\n"
         "  grade <dir>                  conformance-grade a corpus dir\n"
         "    assemble + run every .s against its sidecar manifest;\n"
