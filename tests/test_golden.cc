@@ -49,6 +49,7 @@ constexpr const char *kGoldenWindowFile = "sweep_fig8_v2_seekff.json";
 constexpr const char *kGoldenContendedFile = "sweep_fig8_contended.json";
 constexpr const char *kGoldenRegionFile = "sweep_region_small.json";
 constexpr const char *kGoldenKnobFile = "sweep_ooo_knobs.json";
+constexpr const char *kGoldenRingFile = "sweep_ooo_rings.json";
 constexpr const char *kGoldenSampledFile = "sweep_sampled_small.json";
 constexpr const char *kTraceFixture = "trace_v2_fixture.arlt";
 constexpr const char *kObservedReportFile = "observed_report.json";
@@ -503,6 +504,46 @@ TEST(Golden, OooKnobSweepReport)
     }
 
     expectMatchesGolden(serial.str(), kGoldenKnobFile);
+}
+
+TEST(Golden, OooRingEdgesSweepReport)
+{
+    // Every Figure-8 config, plus two of them over ROB sizes whose
+    // slot masks are a partial word (16), one word with a 48-entry
+    // limit, exactly one word (64), and two words that wrap at a
+    // 100-entry limit, so a scheduler change that is exact only for
+    // the default 256-entry ring shows up as a byte diff.
+    sweep::SweepSpec spec;
+    for (const char *name : {"li_like", "swim_like", "vortex_like"}) {
+        const auto &info = workloads::workloadByName(name);
+        sweep::WorkloadSpec w;
+        w.name = info.name;
+        w.scale = 1;
+        w.warmup = info.warmupInsts;
+        w.timed = 20000;
+        spec.workloads.push_back(std::move(w));
+    }
+    spec.configs = ooo::MachineConfig::figure8Suite();
+    for (unsigned rob : {16u, 48u, 64u, 100u}) {
+        for (unsigned lports : {0u, 2u}) {
+            ooo::MachineConfig config =
+                ooo::MachineConfig::nPlusM(lports ? 2 : 1, lports);
+            config.name += "/rob" + std::to_string(rob);
+            config.robSize = rob;
+            spec.configs.push_back(std::move(config));
+        }
+    }
+
+    spec.jobs = 1;
+    std::ostringstream serial;
+    sweep::runSweep(spec).toReport().writeJson(serial);
+    spec.jobs = 8;
+    std::ostringstream parallel;
+    sweep::runSweep(spec).toReport().writeJson(parallel);
+    EXPECT_EQ(serial.str(), parallel.str())
+        << "ring-edge sweep output depends on worker count";
+
+    expectMatchesGolden(serial.str(), kGoldenRingFile);
 }
 
 TEST(Golden, RegionStudySweepReport)
