@@ -1,7 +1,5 @@
 #include "isa/opcodes.hh"
 
-#include <array>
-
 #include "common/logging.hh"
 
 namespace arl::isa
@@ -13,13 +11,18 @@ namespace
 using F = InstFormat;
 using Fu = FuClass;
 
+} // namespace
+
+namespace detail
+{
+
 /**
  * One row per opcode, in enum order.  Latencies follow the MIPS
  * R10000 as the paper specifies (Table 4): 1-cycle integer ALU,
  * 6-cycle multiply, 35-cycle divide, 2-3 cycle FP add/multiply,
  * 19-cycle FP divide.
  */
-constexpr std::array<OpInfo, NumOpcodes> table = {{
+const OpInfo opTable[NumOpcodes] = {
     //            mnemonic  fmt   fu          lat ld     st     br     jmp    call   ret    fp     sz sgn    wG     wF
     /* Add    */ {"add",    F::R, Fu::IntAlu,  1, false, false, false, false, false, false, false, 0, false, true,  false},
     /* Sub    */ {"sub",    F::R, Fu::IntAlu,  1, false, false, false, false, false, false, false, 0, false, true,  false},
@@ -85,18 +88,15 @@ constexpr std::array<OpInfo, NumOpcodes> table = {{
 
     /* Syscall*/ {"syscall", F::R, Fu::None,   1, false, false, false, false, false, false, false, 0, false, false, false},
     /* Nop    */ {"nop",    F::R, Fu::None,    1, false, false, false, false, false, false, false, 0, false, false, false},
-}};
+};
 
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
+void
+opInfoOutOfRange(unsigned index)
 {
-    auto index = static_cast<unsigned>(op);
-    if (index >= NumOpcodes)
-        panic("opInfo: opcode out of range (%u)", index);
-    return table[index];
+    panic("opInfo: opcode out of range (%u)", index);
 }
+
+} // namespace detail
 
 std::string
 mnemonic(Opcode op)
@@ -108,7 +108,7 @@ bool
 opcodeFromMnemonic(const std::string &name, Opcode &out)
 {
     for (unsigned i = 0; i < NumOpcodes; ++i) {
-        if (name == table[i].mnemonic) {
+        if (name == detail::opTable[i].mnemonic) {
             out = static_cast<Opcode>(i);
             return true;
         }

@@ -143,8 +143,23 @@ struct OpInfo
     bool writesFpr;         ///< rd is an FPR destination
 };
 
+namespace detail
+{
+/** One row per opcode, in enum order (opcodes.cc). */
+extern const OpInfo opTable[NumOpcodes];
+/** Panics: @p index names no opcode. */
+[[noreturn]] void opInfoOutOfRange(unsigned index);
+} // namespace detail
+
 /** Property table lookup; panics on an out-of-range opcode. */
-const OpInfo &opInfo(Opcode op);
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    const auto index = static_cast<unsigned>(op);
+    if (index >= NumOpcodes) [[unlikely]]
+        detail::opInfoOutOfRange(index);
+    return detail::opTable[index];
+}
 
 /** Mnemonic of @p op. */
 std::string mnemonic(Opcode op);

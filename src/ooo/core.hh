@@ -46,31 +46,47 @@
  *  - Wakeup counts.  Each slot counts its in-flight producers that
  *    block its issue: not completed, and no usable value prediction
  *    standing in for the result.  Dispatch sets the count; a
- *    producer's completion decrements its consumers (robConsumers),
- *    and a squash that un-completes a producer which then blocks
- *    increments them again.  The "blocked" mask is set while the
- *    count is non-zero, so issue selects from "waiting to issue" and
- *    not "blocked" instead of polling every waiting entry's operands.
+ *    producer's completion decrements its consumers, and a squash
+ *    that un-completes a producer which then blocks increments them
+ *    again.  The "blocked" mask is set while the count is non-zero,
+ *    so issue selects from "waiting to issue" and not "blocked"
+ *    instead of polling every waiting entry's operands.
+ *  - Consumers as edge lists.  Edge c*3+i is consumer slot c's i-th
+ *    dependence; each producer links the edges that name it in
+ *    dispatch order (head to tail), so a producer's consumers are
+ *    walked without a per-slot container.
+ *  - Load ordering in O(1).  Each store queue counts the stores
+ *    pushed and popped, and dispatch records the push count in the
+ *    slot: for a load, how many stores are older; for a store, its
+ *    own index.  "Have all older same-queue stores generated their
+ *    addresses?" is then one compare against the queue's known
+ *    prefix.
  *  - Forwarding store fixed at dispatch.  Addresses come from the
  *    trace, and older stores leave a queue only from its front, at
  *    commit.  So a load's youngest older overlapping same-queue store
  *    is known when it dispatches, and stays the answer until that
- *    store commits, after which there is none.
+ *    store commits, after which there is none.  The search scans the
+ *    queue's own [start, end) address arrays.
  *  - Address-generation masks.  Each store queue keeps a mask of its
  *    stores still waiting for their AGU pass.
  *  - Completion and the access stage walk the "in execution" and
  *    "waiting for a port" masks.
  *
- * Slots are gathered from the masks in ring order starting at the
- * head, which is exactly the old oldest-first [headSeq, tailSeq) scan
- * order (and, within one store queue, its program order).  A slot a
- * mask leaves out is one the old scan rejected without side effects:
- * a blocked slot failed the operand poll before touching any state.
+ * Each stage walks its mask in place (forEachRing) in ring order
+ * starting at the head, which is exactly the old oldest-first
+ * [headSeq, tailSeq) scan order (and, within one store queue, its
+ * program order).  A word is read when the walk reaches it; no stage
+ * sets a bit in the mask it walks, so that equals a snapshot taken
+ * up front, less the bits the stage itself cleared.  A slot a mask
+ * leaves out is one the old scan rejected without side effects: a
+ * blocked slot failed the operand poll before touching any state.
  * So issue order and port arbitration — and therefore every report
  * byte — are unchanged (tests/test_differential.cc,
- * tests/test_golden.cc).  Debug builds recheck the counts, the masks
- * and every pending load's forwarding store each cycle against the
- * old polling predicates (checkSchedulerInvariants).
+ * tests/test_golden.cc).  Debug builds recheck the counts, the masks,
+ * every pending load's forwarding store, every memory op's store
+ * index, every queued store's address interval and every consumer
+ * edge each cycle against the state they summarise
+ * (checkSchedulerInvariants).
  *
  * Pausing: the core can be fed from a step source that holds only a
  * window of the stream (sim::StepSource::ready()), as the sweep's
@@ -86,10 +102,10 @@
 #ifndef ARL_OOO_CORE_HH
 #define ARL_OOO_CORE_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "cache/hierarchy.hh"
 #include "cache/tlb.hh"
@@ -358,11 +374,14 @@ class OooCore
         std::uint32_t bus = 0;
     };
 
+    /** Most register producers one instruction reads. */
+    static constexpr std::int32_t kMaxDeps = 3;
+
     /** Register-dataflow producers of one entry. */
     struct Deps
     {
-        std::int32_t slot[3] = {-1, -1, -1};
-        InstCount seq[3] = {0, 0, 0};
+        std::int32_t slot[kMaxDeps] = {-1, -1, -1};
+        InstCount seq[kMaxDeps] = {0, 0, 0};
         std::uint8_t count = 0;
     };
 
@@ -380,14 +399,58 @@ class OooCore
     }
 
     /**
-     * Append the slots of @p mask, minus those of @p exclude when
-     * given, to @p out in ring order starting at the head slot.
-     * Because seq → slot is a ring mapping, visiting `out`
-     * front-to-back visits the window oldest-first — identical
-     * priority order to the old full-window scans.
+     * Call @p fn on each slot of @p mask, minus those of @p exclude
+     * when given, in ring order starting at the head slot.  Because
+     * seq → slot is a ring mapping, that visits the window
+     * oldest-first — identical priority order to the old full-window
+     * scans.  Each word is read when the walk reaches it, so @p fn
+     * may clear bits (a cleared slot not yet reached is skipped) but
+     * must set none in @p mask or @p exclude.  An @p fn that returns
+     * bool ends the walk by returning false.
      */
-    void gatherRing(const SlotMask &mask, std::vector<std::int32_t> &out,
-                    const SlotMask *exclude = nullptr) const;
+    template <typename Fn>
+    void forEachRing(const SlotMask &mask, Fn &&fn,
+                     const SlotMask *exclude = nullptr) const
+    {
+        const auto head = static_cast<std::size_t>(slotOf(headSeq));
+        const std::uint64_t from_head = ~std::uint64_t{0} << (head & 63);
+        std::size_t w = head >> 6;
+        // nwords + 1 reads: the head word's bits at or above the head
+        // first, the words after it (wrapping), then its bits below.
+        for (std::size_t step = 0; step <= mask.nwords; ++step) {
+            std::uint64_t bits = mask.words[w];
+            if (exclude)
+                bits &= ~exclude->words[w];
+            if (step == 0)
+                bits &= from_head;
+            else if (step == mask.nwords)
+                bits &= ~from_head;
+            while (bits) {
+                const auto slot = static_cast<std::int32_t>(
+                    (w << 6) + static_cast<unsigned>(std::countr_zero(bits)));
+                bits &= bits - 1;
+                if constexpr (std::is_same_v<
+                                  std::invoke_result_t<Fn &, std::int32_t>,
+                                  bool>) {
+                    if (!fn(slot))
+                        return;
+                } else {
+                    fn(slot);
+                }
+            }
+            if (++w == mask.nwords)
+                w = 0;
+        }
+    }
+
+    /** Call @p fn on each consumer slot of producer @p slot, once per
+     *  dependence edge, in dispatch order. */
+    template <typename Fn>
+    void forEachConsumer(std::int32_t slot, Fn &&fn) const
+    {
+        for (std::int32_t e = robConsHead[slot]; e >= 0; e = edgeNext[e])
+            fn(e / kMaxDeps);
+    }
 
     /**
      * True while in-flight @p slot holds back the issue of its
@@ -442,9 +505,6 @@ class OooCore
 
     /** Issue one instruction (shared bookkeeping). */
     void doIssue(std::int32_t slot);
-
-    /** True when two accesses overlap in memory. */
-    static bool overlaps(const sim::StepInfo &a, const sim::StepInfo &b);
 
     /** Emit one pipeline-trace event when tracing is enabled.  The
      *  guard is a single cached-bool test so disabled tracing costs
@@ -537,11 +597,23 @@ class OooCore
     /** Loads: forwarding store slot/seq fixed at dispatch (-1 = none). */
     std::int32_t *robFwdSlot = nullptr;
     InstCount *robFwdSeq = nullptr;
+    /** Memory ops: the queue's push count at dispatch (a load's older
+     *  stores, a store's own index; see StoreQueue::pushed). */
+    InstCount *robStoreIdx = nullptr;
     std::uint8_t *robQueue = nullptr;    ///< Queue
     std::uint8_t *robPipe = nullptr;     ///< cache::MemPipe
     std::uint8_t *robMemBlock = nullptr; ///< MemBlock
-    /** Consumer slot lists (capacity reused across occupants). */
-    std::vector<std::vector<std::int32_t>> robConsumers;
+    /**
+     * Consumer lists: first and last edge naming each producer slot
+     * (-1 = none), and each edge's successor.  Edge c*kMaxDeps+i is
+     * robDeps[c].slot[i]; dispatch appends at the tail, so a list is
+     * in consumer dispatch order.  A list is reset when its slot is
+     * reallocated: consumers retire after their producer, so a live
+     * producer's edges all belong to live consumers.
+     */
+    std::int32_t *robConsHead = nullptr;
+    std::int32_t *robConsTail = nullptr;
+    std::int32_t *edgeNext = nullptr;
 
     // Candidate masks: valid & !issued & !completed, valid & issued
     // & !completed & !pendingMem, valid & pendingMem, and valid &
@@ -550,8 +622,6 @@ class OooCore
     SlotMask execMask;
     SlotMask pendingMemMask;
     SlotMask blockedMask;
-    /** Reusable gather buffer for the per-cycle stage iterations. */
-    std::vector<std::int32_t> gatherBuf;
 
     InstCount headSeq = 0;   ///< oldest in-flight instruction
     InstCount tailSeq = 0;   ///< next sequence number to dispatch
@@ -562,22 +632,27 @@ class OooCore
 
     /**
      * Per-queue in-flight store tracking: a fixed-capacity ring
-     * (arena-backed parallel seq/slot arrays) holding one queue's
-     * stores in program order; `knownPrefix` counts the leading
-     * stores whose addresses have been generated, and `addrGen`
-     * marks the stores still waiting for their AGU pass.  Together
-     * they answer "have all stores older than seq generated their
-     * addresses?" in O(log n), bound the forwarding search to the
-     * queue's stores instead of the whole window, and let address
-     * generation skip the stores that are done.
+     * (arena-backed parallel seq/slot/address arrays) holding one
+     * queue's stores in program order.  Store number n (counting
+     * from the first ever pushed) sits at ring index n mod cap, and
+     * the queue holds numbers [popped, pushed).  `knownPrefix`
+     * counts the leading stores whose addresses have been generated,
+     * and `addrGen` marks the stores still waiting for their AGU
+     * pass.  Together they answer "have all stores older than a
+     * dispatched op generated their addresses?" in O(1), bound the
+     * forwarding search to the queue's stores instead of the whole
+     * window, and let address generation skip the stores that are
+     * done.
      */
     struct StoreQueue
     {
         InstCount *seq = nullptr;
         std::int32_t *slot = nullptr;
+        Addr *addrStart = nullptr;  ///< [start, end) bytes each store writes
+        Addr *addrEnd = nullptr;
         std::size_t cap = 0;     ///< power of two, >= robSize
-        std::size_t head = 0;
-        std::size_t count = 0;
+        InstCount pushed = 0;
+        InstCount popped = 0;
         std::size_t knownPrefix = 0;
         SlotMask addrGen;        ///< by ROB slot: AGU pass pending
 
@@ -586,31 +661,34 @@ class OooCore
             cap = capacity;
             seq = arena.alloc<InstCount>(cap);
             slot = arena.alloc<std::int32_t>(cap);
+            addrStart = arena.alloc<Addr>(cap);
+            addrEnd = arena.alloc<Addr>(cap);
             addrGen.init(arena, capacity);
         }
-        InstCount seqAt(std::size_t i) const
+        std::size_t size() const { return pushed - popped; }
+        /** Ring index of the @p i-th oldest queued store. */
+        std::size_t at(std::size_t i) const
         {
-            return seq[(head + i) & (cap - 1)];
+            return (popped + i) & (cap - 1);
         }
-        std::int32_t slotAt(std::size_t i) const
+        InstCount seqAt(std::size_t i) const { return seq[at(i)]; }
+        std::int32_t slotAt(std::size_t i) const { return slot[at(i)]; }
+        void push(InstCount s, std::int32_t sl, Addr start, Addr end)
         {
-            return slot[(head + i) & (cap - 1)];
+            const std::size_t i = pushed & (cap - 1);
+            seq[i] = s;
+            slot[i] = sl;
+            addrStart[i] = start;
+            addrEnd[i] = end;
+            ++pushed;
         }
-        void push(InstCount s, std::int32_t sl)
-        {
-            std::size_t at = (head + count) & (cap - 1);
-            seq[at] = s;
-            slot[at] = sl;
-            ++count;
-        }
-        void popFront()
-        {
-            head = (head + 1) & (cap - 1);
-            --count;
-        }
+        void popFront() { ++popped; }
 
-        /** Index of the first store with seq >= @p seq. */
+#ifndef NDEBUG
+        /** Index of the first store with seq >= @p seq (the binary
+         *  search robStoreIdx replaces; rechecked in Debug). */
         std::size_t olderCount(InstCount seq) const;
+#endif
     };
 
     StoreQueue &storeQueueOf(Queue queue)
@@ -623,18 +701,21 @@ class OooCore
     }
 
     /**
-     * Youngest of the @p older oldest stores of @p queue that
-     * overlaps @p load, or -1.
+     * Slot of the youngest of the @p older oldest stores of @p queue
+     * that overlaps the load bytes [@p start, @p end), or -1.
      */
-    std::int32_t youngestOverlappingStore(const StoreQueue &queue,
-                                          std::size_t older,
-                                          const sim::StepInfo &load) const;
+    static std::int32_t youngestOverlappingStore(const StoreQueue &queue,
+                                                 std::size_t older,
+                                                 Addr start, Addr end);
 
 #ifndef NDEBUG
     /**
      * Recheck the event-driven scheduler against the polling it
-     * replaced: blocker counts, mask membership, occupancy, and each
-     * pending load's forwarding store.  Panics on a mismatch.
+     * replaced: blocker counts, mask membership, occupancy, each
+     * pending load's forwarding store, each memory op's store index
+     * (against the binary search), each queued store's interval
+     * (against its StepInfo) and each producer's consumer edges
+     * (against its consumers' Deps).  Panics on a mismatch.
      */
     void checkSchedulerInvariants() const;
 #endif
@@ -664,7 +745,9 @@ class OooCore
     obs::StallCause dispatchBlocked = obs::StallCause::NumCauses;
 
     // Trace buffering.
-    std::optional<sim::StepInfo> pendingStep;
+    /** robStep[slotOf(tailSeq)] holds the next instruction, pulled
+     *  but not yet dispatched (a full queue held it back). */
+    bool pendingStep = false;
     bool traceExhausted = false;
     InstCount dispatchBudget = 0;    ///< 0 = unlimited
     InstCount commitTarget = 0;      ///< runSample() stop; 0 = off
