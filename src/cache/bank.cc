@@ -1,11 +1,16 @@
 #include "cache/bank.hh"
 
+#include "common/logging.hh"
+
 namespace arl::cache
 {
 
 BankSet::BankSet(unsigned banks, std::uint32_t line_bytes)
-    : nextFree(banks, Cycle{0}), lineBytes(line_bytes ? line_bytes : 1)
+    : lineBytes(line_bytes ? line_bytes : 1)
 {
+    ARL_ASSERT(banks <= kMaxBanks, "%u banks, at most %u", banks,
+               kMaxBanks);
+    nextFree.assign(banks, Cycle{0});
 }
 
 unsigned

@@ -38,6 +38,10 @@ class BankSet
      */
     BankSet(unsigned banks, std::uint32_t line_bytes);
 
+    /** Most banks one set models; more is a usage error, rejected
+     *  by the CLI before anything is built. */
+    static constexpr unsigned kMaxBanks = 1024;
+
     bool enabled() const { return !nextFree.empty(); }
     unsigned numBanks() const
     {

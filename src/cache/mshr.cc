@@ -9,6 +9,8 @@ namespace arl::cache
 
 MshrFile::MshrFile(unsigned entries_in) : limit(entries_in)
 {
+    ARL_ASSERT(limit <= kMaxEntries, "%u MSHRs, at most %u", limit,
+               kMaxEntries);
     if (limit)
         entries.reserve(limit);
 }

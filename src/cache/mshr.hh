@@ -37,6 +37,10 @@ class MshrFile
     /** @param entries register count (0 = disabled / unlimited). */
     explicit MshrFile(unsigned entries);
 
+    /** Most registers one file models; more is a usage error,
+     *  rejected by the CLI before anything is built. */
+    static constexpr unsigned kMaxEntries = 1024;
+
     bool enabled() const { return limit != 0; }
 
     /** Drop every entry whose fill has returned by @p now. */

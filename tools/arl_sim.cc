@@ -115,8 +115,10 @@
  * Memory-backend contention flags, accepted by time and sweep (all
  * default to 0 = the ideal backend; see DESIGN.md):
  *
- *   --banks <N>          L1/LVC banks (same-cycle same-bank serializes)
+ *   --banks <N>          L1/LVC banks (same-cycle same-bank serializes;
+ *                        at most 1024)
  *   --mshrs <N>          outstanding misses per first-level structure
+ *                        (at most 1024)
  *   --wb-buffer <N>      writeback buffer entries
  *   --bus-cycles <N>     shared L2/memory bus cycles per line transfer
  *   --tlb-miss-lat <N>   cycles charged per TLB miss
@@ -183,6 +185,8 @@
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "cache/bank.hh"
+#include "cache/mshr.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "core/experiment.hh"
@@ -882,6 +886,12 @@ parseContentionKnobs(const Args &args)
     ooo::ContentionKnobs knobs;
     knobs.banks = args.flagU32("banks", 0);
     knobs.mshrs = args.flagU32("mshrs", 0);
+    if (knobs.banks > cache::BankSet::kMaxBanks)
+        badUsage("--banks must be at most " +
+                 std::to_string(cache::BankSet::kMaxBanks));
+    if (knobs.mshrs > cache::MshrFile::kMaxEntries)
+        badUsage("--mshrs must be at most " +
+                 std::to_string(cache::MshrFile::kMaxEntries));
     knobs.wbBuffer = args.flagU32("wb-buffer", 0);
     knobs.busCycles = args.flagU32("bus-cycles", 0);
     knobs.tlbMissLatency = args.flagU32("tlb-miss-lat", 0);
@@ -2237,8 +2247,8 @@ usage()
         "  disasm <file.s|workload>     disassemble\n"
         "targets: a registered workload name or an .s assembly file\n"
         "contention (time and sweep; 0 = ideal backend):\n"
-        "  --banks N   --mshrs N   --wb-buffer N   --bus-cycles N\n"
-        "  --tlb-miss-lat N\n"
+        "  --banks N   --mshrs N (each at most 1024)\n"
+        "  --wb-buffer N   --bus-cycles N   --tlb-miss-lat N\n"
         "cycle accounting (time and sweep):\n"
         "  --cpi-stack   force ooo.cpi_stack.* / load-to-use histogram\n"
         "                on ideal configs (contended always account)\n"
