@@ -677,6 +677,10 @@ Assembler::encodeAll()
             panic("assembler pass disagreement at line %u",
                   statement.line);
     }
+    // An empty, comment-only or data-only unit would leave a
+    // simulator no instruction to start at.
+    if (text.empty())
+        error(1, "no instructions to run");
     return errors.empty();
 }
 

@@ -24,7 +24,9 @@
  * registers are $f0..$f31.
  *
  * Pass 1 sizes every statement and binds labels; pass 2 encodes and
- * resolves references.  Errors carry 1-based line numbers.
+ * resolves references.  A unit with no instruction at all (empty,
+ * comments or data only) is an error, since there would be nothing to
+ * run.  Errors carry 1-based line numbers.
  */
 
 #ifndef ARL_ASSEMBLER_ASSEMBLER_HH

@@ -197,6 +197,19 @@ TEST(Assembler, InstructionInDataRejected)
     EXPECT_FALSE(result.ok());
 }
 
+TEST(Assembler, UnitWithoutInstructionsRejected)
+{
+    // Empty, comment-only and data-only units have nothing to run.
+    for (const char *source :
+         {"", "# only a comment\n\n", ".data\nx: .word 1, 2\n"}) {
+        auto result = assemble(source);
+        EXPECT_FALSE(result.ok()) << source;
+        ASSERT_EQ(result.errors.size(), 1u) << source;
+        EXPECT_NE(result.errors[0].message.find("no instructions"),
+                  std::string::npos);
+    }
+}
+
 TEST(Assembler, ExecuteRoundTrip)
 {
     auto result = assemble(R"(
