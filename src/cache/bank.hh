@@ -43,10 +43,6 @@ class BankSet
     static constexpr unsigned kMaxBanks = 1024;
 
     bool enabled() const { return !nextFree.empty(); }
-    unsigned numBanks() const
-    {
-        return static_cast<unsigned>(nextFree.size());
-    }
 
     /** Bank index serving @p addr (0 when disabled). */
     unsigned bankOf(Addr addr) const;

@@ -51,13 +51,6 @@ class Arena
         return p;
     }
 
-    /** Bytes currently reserved from the system. */
-    std::size_t
-    reservedBytes() const
-    {
-        return reserved;
-    }
-
   private:
     void *
     raw(std::size_t bytes, std::size_t align)
@@ -71,7 +64,6 @@ class Arena
             blocks.push_back(std::make_unique<std::byte[]>(size));
             cur = blocks.back().get();
             left = size;
-            reserved += size;
             misalign = reinterpret_cast<std::uintptr_t>(cur) & (align - 1);
             pad = misalign ? align - misalign : 0;
         }
@@ -86,7 +78,6 @@ class Arena
     std::vector<std::unique_ptr<std::byte[]>> blocks;
     std::byte *cur = nullptr;
     std::size_t left = 0;
-    std::size_t reserved = 0;
     std::size_t blockBytes;
 };
 

@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <sstream>
 
 namespace arl
 {
@@ -31,47 +30,6 @@ RunningStat::merge(const RunningStat &other)
              static_cast<double>(other.n) / static_cast<double>(combined);
     meanAcc = combined_mean;
     n = combined;
-}
-
-double
-Histogram::mean() const
-{
-    if (total == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        sum += static_cast<double>(i) * static_cast<double>(buckets[i]);
-    return sum / static_cast<double>(total);
-}
-
-double
-Histogram::stddev() const
-{
-    if (total == 0)
-        return 0.0;
-    double m = mean();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        double d = static_cast<double>(i) - m;
-        acc += d * d * static_cast<double>(buckets[i]);
-    }
-    return std::sqrt(acc / static_cast<double>(total));
-}
-
-std::uint64_t
-CounterGroup::value(const std::string &name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-}
-
-std::string
-CounterGroup::dump(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const auto &[name, val] : counters)
-        os << prefix << name << " = " << val << "\n";
-    return os.str();
 }
 
 } // namespace arl

@@ -1,16 +1,13 @@
 /**
  * @file
- * Streaming statistics accumulators used across the profilers and the
- * timing simulator.
+ * Streaming mean / standard deviation accumulator of the window
+ * profiler (Table 2).
  */
 
 #ifndef ARL_COMMON_STATS_HH
 #define ARL_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace arl
 {
@@ -65,84 +62,6 @@ class RunningStat
     std::uint64_t n = 0;
     double meanAcc = 0.0;
     double m2 = 0.0;
-};
-
-/**
- * Fixed-bucket histogram over small non-negative integers; used for
- * the sliding-window access-count distributions of Table 2.
- */
-class Histogram
-{
-  public:
-    /** @param max_value largest representable sample; larger samples
-     *                   are clamped into the overflow bucket. */
-    explicit Histogram(std::size_t max_value = 64)
-        : buckets(max_value + 2, 0)
-    {}
-
-    /** Record one sample. */
-    void
-    add(std::uint64_t value)
-    {
-        std::size_t idx = (value < buckets.size() - 1)
-                              ? static_cast<std::size_t>(value)
-                              : buckets.size() - 1;
-        ++buckets[idx];
-        ++total;
-    }
-
-    /** Samples recorded. */
-    std::uint64_t count() const { return total; }
-
-    /** Count in bucket @p value (the last bucket is the overflow). */
-    std::uint64_t
-    bucket(std::size_t value) const
-    {
-        return value < buckets.size() ? buckets[value] : 0;
-    }
-
-    /** Number of buckets including the overflow bucket. */
-    std::size_t size() const { return buckets.size(); }
-
-    /** Mean of the recorded distribution. */
-    double mean() const;
-
-    /** Population standard deviation of the recorded distribution. */
-    double stddev() const;
-
-  private:
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t total = 0;
-};
-
-/**
- * A named bag of monotonically increasing counters; modules register
- * counters by name and dump them at end of simulation.
- */
-class CounterGroup
-{
-  public:
-    /** Increment @p name by @p delta (creating it on first use). */
-    void
-    inc(const std::string &name, std::uint64_t delta = 1)
-    {
-        counters[name] += delta;
-    }
-
-    /** Current value of @p name (0 when never incremented). */
-    std::uint64_t value(const std::string &name) const;
-
-    /** All counters, sorted by name. */
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return counters;
-    }
-
-    /** Render as "name = value" lines. */
-    std::string dump(const std::string &prefix = "") const;
-
-  private:
-    std::map<std::string, std::uint64_t> counters;
 };
 
 } // namespace arl

@@ -57,31 +57,6 @@ StatsRegistry::addFormula(const std::string &name,
 }
 
 void
-StatsRegistry::addDistribution(const std::string &name,
-                               const RunningStat *stat,
-                               const std::string &desc)
-{
-    ARL_ASSERT(stat, "null distribution '%s'", name.c_str());
-    Entry e;
-    e.kind = Kind::Distribution;
-    e.desc = desc;
-    e.dist = stat;
-    insert(name, std::move(e));
-}
-
-void
-StatsRegistry::addHistogram(const std::string &name, const Histogram *hist,
-                            const std::string &desc)
-{
-    ARL_ASSERT(hist, "null histogram '%s'", name.c_str());
-    Entry e;
-    e.kind = Kind::Histogram;
-    e.desc = desc;
-    e.hist = hist;
-    insert(name, std::move(e));
-}
-
-void
 StatsRegistry::addLog2Histogram(const std::string &name,
                                 const Log2Histogram *hist,
                                 const std::string &desc)
@@ -133,21 +108,6 @@ StatsRegistry::expand(const std::string &name, const Entry &entry,
         break;
       case Kind::Formula:
         out.emplace_back(name, entry.formula());
-        break;
-      case Kind::Distribution:
-        out.emplace_back(name + ".count",
-                         static_cast<double>(entry.dist->count()));
-        out.emplace_back(name + ".mean", entry.dist->mean());
-        out.emplace_back(name + ".stddev", entry.dist->stddev());
-        break;
-      case Kind::Histogram:
-        out.emplace_back(name + ".count",
-                         static_cast<double>(entry.hist->count()));
-        out.emplace_back(name + ".mean", entry.hist->mean());
-        out.emplace_back(name + ".stddev", entry.hist->stddev());
-        out.emplace_back(
-            name + ".overflow",
-            static_cast<double>(entry.hist->bucket(entry.hist->size() - 1)));
         break;
       case Kind::Log2Hist:
         out.emplace_back(name + ".count",
@@ -203,9 +163,7 @@ double
 StatsRegistry::value(const std::string &name) const
 {
     auto it = entries.find(name);
-    if (it != entries.end() && it->second.kind != Kind::Distribution &&
-        it->second.kind != Kind::Histogram &&
-        it->second.kind != Kind::Log2Hist) {
+    if (it != entries.end() && it->second.kind != Kind::Log2Hist) {
         Snapshot one;
         expand(name, it->second, one);
         return one.front().second;

@@ -3,8 +3,8 @@
  * gem5-style hierarchical statistics registry.
  *
  * Modules register named stats — live counters/gauges they own,
- * formulas evaluated lazily (IPC, hit rates), and RunningStat /
- * Histogram accumulators — under dotted hierarchical names
+ * formulas evaluated lazily (IPC, hit rates), and Log2Histogram
+ * accumulators — under dotted hierarchical names
  * ("ooo.lsq.forwarded_loads", "predict.arpt.accuracy_pct",
  * "cache.lvc.hits").  The registry resolves everything to a flat,
  * deterministically sorted (name, value) snapshot that the JSON/CSV
@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.hh"
 #include "obs/histogram.hh"
 
 namespace arl::obs
@@ -56,21 +55,6 @@ class StatsRegistry
     void addFormula(const std::string &name,
                     std::function<double()> formula,
                     const std::string &desc = "");
-
-    /**
-     * Register a RunningStat; expands to the leaves
-     * name.count / name.mean / name.stddev.
-     */
-    void addDistribution(const std::string &name, const RunningStat *stat,
-                         const std::string &desc = "");
-
-    /**
-     * Register a Histogram; expands to the leaves
-     * name.count / name.mean / name.stddev / name.overflow
-     * (overflow = samples clamped into the last bucket).
-     */
-    void addHistogram(const std::string &name, const Histogram *hist,
-                      const std::string &desc = "");
 
     /**
      * Register a Log2Histogram; expands to the leaves
@@ -104,7 +88,7 @@ class StatsRegistry
     /** Description given at registration ("" for expanded leaves). */
     std::string description(const std::string &name) const;
 
-    /** Registered entries (before distribution/histogram expansion). */
+    /** Registered entries (before histogram expansion). */
     std::size_t size() const { return entries.size(); }
 
     /** All leaf names, sorted. */
@@ -125,8 +109,6 @@ class StatsRegistry
         Counter,
         Gauge,
         Formula,
-        Distribution,
-        Histogram,
         Log2Hist
     };
 
@@ -137,8 +119,6 @@ class StatsRegistry
         const std::uint64_t *counter = nullptr;
         const double *gauge = nullptr;
         std::function<double()> formula;
-        const RunningStat *dist = nullptr;
-        const Histogram *hist = nullptr;
         const Log2Histogram *log2Hist = nullptr;
     };
 

@@ -35,9 +35,6 @@ class Process
     /** The program being run. */
     const vm::Program &program() const { return *prog; }
 
-    /** Shared handle to the program (for co-running simulators). */
-    std::shared_ptr<const vm::Program> programHandle() const { return prog; }
-
     /** Guest memory. */
     vm::SparseMemory memory;
 

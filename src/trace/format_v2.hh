@@ -354,12 +354,6 @@ class Reader
     std::size_t numBlocks() const { return entries.size(); }
     const std::vector<IndexEntry> &index() const { return entries; }
 
-    std::uint64_t
-    blockFirstRecord(std::size_t b) const
-    {
-        return entries[b].firstRecord;
-    }
-
     /** Records held by block @p b (the tail block may be short). */
     std::size_t
     recordsInBlock(std::size_t b) const

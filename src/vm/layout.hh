@@ -95,9 +95,6 @@ class RegionMap
     /** True when @p addr lies in the stack region (the TLB bit). */
     bool isStack(Addr addr) const { return classify(addr) == Region::Stack; }
 
-    /** First heap address. */
-    Addr heapBaseAddr() const { return heapBase; }
-
   private:
     Addr heapBase = layout::HeapCeiling;
 };

@@ -101,34 +101,6 @@ TEST(RunningStat, EmptyAndMergeEmpty)
     EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
 }
 
-TEST(Histogram, BucketsAndMoments)
-{
-    Histogram hist(8);
-    hist.add(2);
-    hist.add(2);
-    hist.add(4);
-    EXPECT_EQ(hist.count(), 3u);
-    EXPECT_EQ(hist.bucket(2), 2u);
-    EXPECT_EQ(hist.bucket(4), 1u);
-    EXPECT_NEAR(hist.mean(), 8.0 / 3.0, 1e-12);
-    // Overflow clamping.
-    hist.add(1000);
-    EXPECT_EQ(hist.bucket(hist.size() - 1), 1u);
-}
-
-TEST(CounterGroup, IncrementAndDump)
-{
-    CounterGroup counters;
-    counters.inc("loads");
-    counters.inc("loads", 2);
-    counters.inc("stores");
-    EXPECT_EQ(counters.value("loads"), 3u);
-    EXPECT_EQ(counters.value("stores"), 1u);
-    EXPECT_EQ(counters.value("absent"), 0u);
-    std::string dump = counters.dump("sim.");
-    EXPECT_NE(dump.find("sim.loads = 3"), std::string::npos);
-}
-
 TEST(TablePrinter, AlignsColumns)
 {
     TablePrinter table;
@@ -188,19 +160,6 @@ TEST(RunningStat, MergeEmptyIntoEmpty)
     EXPECT_EQ(a.stddev(), 0.0);
 }
 
-TEST(Histogram, OverflowBoundary)
-{
-    Histogram hist(8);           // buckets 0..8 plus overflow
-    hist.add(8);                 // largest in-range value
-    EXPECT_EQ(hist.bucket(8), 1u);
-    EXPECT_EQ(hist.bucket(hist.size() - 1), 0u);
-    hist.add(9);                 // first overflowing value
-    hist.add(~std::uint64_t{0}); // clamps instead of indexing wild
-    EXPECT_EQ(hist.bucket(hist.size() - 1), 2u);
-    EXPECT_EQ(hist.bucket(12345), 0u);  // out-of-range query
-    EXPECT_EQ(hist.count(), 3u);
-}
-
 TEST(StatsRegistry, RegisterLookupAndKinds)
 {
     obs::StatsRegistry reg;
@@ -258,22 +217,6 @@ TEST(StatsRegistry, SnapshotAndDumpAreSortedAndDeterministic)
 
     auto names = first.names();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
-
-TEST(StatsRegistry, DistributionAndHistogramExpandToLeaves)
-{
-    obs::StatsRegistry reg;
-    RunningStat stat;
-    stat.add(1.0);
-    stat.add(3.0);
-    Histogram hist(4);
-    hist.add(100);  // lands in the overflow bucket
-    reg.addDistribution("dist", &stat);
-    reg.addHistogram("hist", &hist);
-    EXPECT_EQ(reg.value("dist.count"), 2.0);
-    EXPECT_EQ(reg.value("dist.mean"), 2.0);
-    EXPECT_EQ(reg.value("hist.count"), 1.0);
-    EXPECT_EQ(reg.value("hist.overflow"), 1.0);
 }
 
 TEST(Json, EscapeSpecials)
