@@ -76,14 +76,6 @@ Cache::probe(Addr addr) const
     return false;
 }
 
-void
-Cache::flush()
-{
-    for (Line &line : lines)
-        line = Line{};
-    stamp = 0;
-}
-
 double
 Cache::hitRatePct()const
 {

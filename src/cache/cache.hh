@@ -63,9 +63,6 @@ class Cache
     /** Probe only — no allocation, no LRU update. */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (e.g. between benchmark runs). */
-    void flush();
-
     const CacheGeometry &geometry() const { return geom; }
 
     // --- statistics ---

@@ -1,7 +1,6 @@
 #include "common/logging.hh"
 
 #include <cstdio>
-#include <ctime>
 #include <vector>
 
 namespace arl
@@ -10,26 +9,7 @@ namespace arl
 namespace
 {
 
-/** Read the initial level from ARL_LOG_LEVEL (once, at first use). */
-LogLevel
-initialLogLevel()
-{
-    const char *env = std::getenv("ARL_LOG_LEVEL");
-    LogLevel level = LogLevel::Info;
-    if (env)
-        parseLogLevel(env, level);
-    return level;
-}
-
-bool
-initialTimestamps()
-{
-    const char *env = std::getenv("ARL_LOG_TIMESTAMP");
-    return env && env[0] == '1';
-}
-
-LogLevel currentLevel = initialLogLevel();
-bool timestampsEnabled = initialTimestamps();
+LogLevel currentLevel = LogLevel::Warn;
 
 } // namespace
 
@@ -43,28 +23,6 @@ LogLevel
 logLevel()
 {
     return currentLevel;
-}
-
-bool
-parseLogLevel(const std::string &name, LogLevel &out)
-{
-    if (name == "debug")
-        out = LogLevel::Debug;
-    else if (name == "info")
-        out = LogLevel::Info;
-    else if (name == "warn" || name == "warning")
-        out = LogLevel::Warn;
-    else if (name == "error" || name == "quiet")
-        out = LogLevel::Error;
-    else
-        return false;
-    return true;
-}
-
-void
-setLogTimestamps(bool enabled)
-{
-    timestampsEnabled = enabled;
 }
 
 namespace log_detail
@@ -89,29 +47,11 @@ emit(LogLevel severity, const char *tag, const std::string &message)
 {
     if (severity < currentLevel)
         return;
-    if (timestampsEnabled) {
-        std::time_t t = std::time(nullptr);
-        std::tm tm_buf;
-        char stamp[32] = "";
-        if (localtime_r(&t, &tm_buf))
-            std::strftime(stamp, sizeof(stamp), "%H:%M:%S ", &tm_buf);
-        std::fprintf(stderr, "%s%s: %s\n", stamp, tag, message.c_str());
-    } else {
-        std::fprintf(stderr, "%s: %s\n", tag, message.c_str());
-    }
+    std::fprintf(stderr, "%s: %s\n", tag, message.c_str());
     std::fflush(stderr);
 }
 
 } // namespace log_detail
-
-void
-inform(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    log_detail::emit(LogLevel::Info, "info", log_detail::vformat(fmt, ap));
-    va_end(ap);
-}
 
 void
 warn(const char *fmt, ...)

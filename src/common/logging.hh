@@ -2,8 +2,7 @@
  * @file
  * gem5-style status/error reporting helpers.
  *
- * Four severities, mirroring gem5's logging conventions:
- *  - inform(): normal operating message, no connotation of error.
+ * Three severities, mirroring gem5's logging conventions:
  *  - warn():   something is off but the run can continue.
  *  - fatal():  the run cannot continue due to a user error (bad
  *              configuration, malformed assembly, ...).  Exits with
@@ -16,12 +15,9 @@
  * variadic templates built on snprintf to keep the dependency
  * footprint minimal.
  *
- * Verbosity is controlled by a process-wide level: inform() and
- * warn() can be filtered (fatal/panic never are).  The initial level
- * comes from the ARL_LOG_LEVEL environment variable ("debug",
- * "info", "warn", "error" / "quiet"); setLogLevel() overrides it
- * (e.g. for a --quiet flag).  ARL_LOG_TIMESTAMP=1 prefixes each line
- * with wall-clock time.
+ * Verbosity is controlled by a process-wide level: warn() prints
+ * unless setLogLevel(LogLevel::Error) silenced it (the CLI's --quiet);
+ * fatal() and panic() always print.
  */
 
 #ifndef ARL_COMMON_LOGGING_HH
@@ -38,10 +34,8 @@ namespace arl
 /** Log severities, in increasing order of importance. */
 enum class LogLevel : int
 {
-    Debug = 0,   ///< everything
-    Info = 1,    ///< inform() and up (the default)
-    Warn = 2,    ///< warn() and up
-    Error = 3,   ///< only fatal()/panic() (--quiet)
+    Warn,   ///< warn() and up (the default)
+    Error,  ///< only fatal()/panic() (--quiet)
 };
 
 /**
@@ -53,16 +47,6 @@ void setLogLevel(LogLevel level);
 /** The current minimum severity. */
 LogLevel logLevel();
 
-/**
- * Parse a level name ("debug", "info", "warn"/"warning", "error"/
- * "quiet").  Returns false (leaving @p out untouched) on an unknown
- * name.
- */
-bool parseLogLevel(const std::string &name, LogLevel &out);
-
-/** Enable or disable wall-clock timestamps on every log line. */
-void setLogTimestamps(bool enabled);
-
 namespace log_detail
 {
 
@@ -71,17 +55,13 @@ std::string vformat(const char *fmt, std::va_list ap);
 
 /**
  * Emit one log line to stderr with the given severity prefix,
- * honouring the process log level and timestamp setting.  Every
- * severity funnels through here so filtering and formatting live in
- * one place.
+ * honouring the process log level.  Every severity funnels through
+ * here so filtering and formatting live in one place.
  */
 void emit(LogLevel severity, const char *tag,
           const std::string &message);
 
 } // namespace log_detail
-
-/** Print an informational message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a warning; the simulation continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -46,9 +46,6 @@ class RunningStat
     /** Population standard deviation. */
     double stddev() const;
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
     /** Reset to the empty state. */
     void
     reset()

@@ -71,10 +71,4 @@ TablePrinter::meanSd(double mean, double sd, int precision)
     return num(mean, precision) + " (" + num(sd, precision) + ")";
 }
 
-std::string
-TablePrinter::pct(double value, int precision)
-{
-    return num(value, precision) + "%";
-}
-
 } // namespace arl

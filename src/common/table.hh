@@ -36,9 +36,6 @@ class TablePrinter
     /** Helper: format "mean (sd)" in the paper's Table-2 style. */
     static std::string meanSd(double mean, double sd, int precision = 2);
 
-    /** Helper: format a percentage, e.g. 99.89 -> "99.89%". */
-    static std::string pct(double value, int precision = 2);
-
   private:
     std::vector<std::string> head;
     std::vector<std::vector<std::string>> body;

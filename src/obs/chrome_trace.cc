@@ -109,7 +109,7 @@ ChromeTracer::counter(std::uint64_t cycle, const std::string &name,
 void
 ChromeTracer::row(const IntervalSampler &sampler)
 {
-    const auto &names = sampler.names();
+    const auto &names = sampler.rows().names;
     std::size_t cycles_col = names.size();
     for (std::size_t i = 0; i < names.size(); ++i)
         if (names[i] == "ooo.cycles")

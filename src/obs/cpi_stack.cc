@@ -41,14 +41,6 @@ CpiStack::total() const
 }
 
 void
-CpiStack::reset()
-{
-    for (unsigned c = 0; c < static_cast<unsigned>(StallCause::NumCauses);
-         ++c)
-        cycles_[c][0] = cycles_[c][1] = 0;
-}
-
-void
 CpiStack::registerStats(StatsRegistry &registry,
                         const std::string &prefix) const
 {

@@ -98,8 +98,6 @@ class CpiStack
     /** Sum over every cause; equals total cycles by construction. */
     std::uint64_t total() const;
 
-    void reset();
-
     /**
      * Register the stack's leaves under "<prefix>." (for the core:
      * "ooo.cpi_stack").  LoadPort registers as the per-pipe leaves

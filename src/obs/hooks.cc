@@ -34,8 +34,9 @@ Hooks::arm(std::uint64_t committed, bool beats)
         for (const auto &sink : sinks)
             sink->start(*sampler);
     }
-    beatAt = beats && telemetry ? telemetry->firstCheckAt(committed)
-                                : kNever;
+    beatAt = beats && telemetry
+                 ? committed + telemetry->channel()->checkEvery()
+                 : kNever;
     return due();
 }
 
@@ -45,8 +46,10 @@ Hooks::progress(const TelemetryFrame &frame)
     if (sampler && sampler->tick(frame.insts))
         for (const auto &sink : sinks)
             sink->row(*sampler);
-    if (telemetry && frame.insts >= beatAt)
-        beatAt = telemetry->check(frame);
+    if (telemetry && frame.insts >= beatAt) {
+        telemetry->check(frame);
+        beatAt = frame.insts + telemetry->channel()->checkEvery();
+    }
     return due();
 }
 
@@ -75,7 +78,6 @@ Hooks::finish(std::uint64_t committed, const std::string &process_name)
         for (const auto &sink : sinks)
             sink->row(*sampler);
     finalSnapshot = registry.snapshot();
-    finalized = true;
     for (const auto &sink : sinks)
         sink->finish(process_name);
     sinks.clear();

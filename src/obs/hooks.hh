@@ -7,10 +7,11 @@
  *
  * A producer (the OoO core's cycle loop; the functional loops of
  * `arl_sim run` and `predict`; sweep::runRegionPass, which `replay`
- * runs) keeps one threshold from arm().  When its committed count reaches it, it
- * calls progress() with a TelemetryFrame, which takes the interval
- * row once, hands it to the report's rows and every sink, beats the
- * telemetry scope when a heartbeat is due, and returns the next
+ * runs) keeps one threshold from arm().  When its committed count
+ * reaches it, it calls progress() with a TelemetryFrame, which takes
+ * the interval row once, hands it to the report's rows and every
+ * sink, checks the telemetry scope when a check is due (every
+ * TelemetryChannel::checkEvery() instructions), and returns the next
  * threshold.
  *
  * Lifecycle: construct → open() sinks → components register stats
@@ -107,8 +108,8 @@ struct Hooks
     void finish(std::uint64_t committed,
                 const std::string &process_name = "");
 
+    /** The registry's values, captured by finish(). */
     StatsRegistry::Snapshot finalSnapshot;
-    bool finalized = false;
 
   private:
     /** Open @p path for a sink; null on failure. */

@@ -16,17 +16,12 @@ RunRecord::fromHooks(const std::string &workload, const std::string &config,
     RunRecord record;
     record.workload = workload;
     record.config = config;
-    record.stats =
-        hooks.finalized ? hooks.finalSnapshot : hooks.registry.snapshot();
+    record.stats = hooks.finalSnapshot;
     // Rows a sink took are on disk, not in the sampler, so the report
     // omits the intervals section (every == 0) rather than
     // serializing empty arrays.
-    if (hooks.sampler && hooks.sampler->keepsRows()) {
-        record.intervals.every = hooks.sampler->every();
-        record.intervals.names = hooks.sampler->names();
-        record.intervals.samples = hooks.sampler->samples();
-        record.intervals.deltas = hooks.sampler->deltas();
-    }
+    if (hooks.sampler && hooks.sampler->keepsRows())
+        record.intervals = hooks.sampler->rows();
     return record;
 }
 
@@ -34,7 +29,7 @@ namespace
 {
 
 void
-writeSamples(JsonWriter &w, const std::vector<IntervalSampler::Sample> &ss)
+writeSamples(JsonWriter &w, const std::vector<IntervalSample> &ss)
 {
     w.beginArray();
     for (const auto &s : ss) {

@@ -54,15 +54,6 @@ namespace arl::obs
 
 struct Hooks;
 
-/** Interval-sampling section of one run. */
-struct IntervalReport
-{
-    std::uint64_t every = 0;  ///< 0 = sampling was disabled
-    std::vector<std::string> names;
-    std::vector<IntervalSampler::Sample> samples;
-    std::vector<IntervalSampler::Sample> deltas;
-};
-
 /**
  * Phase-sampling section of one run (src/sampling).  Everything a
  * reader needs to audit the estimate: the knobs, the coverage, the
@@ -105,7 +96,7 @@ struct RunRecord
     IntervalReport intervals;
     SamplingReport sampling;
 
-    /** Capture registry snapshot + sampler state from @p hooks. */
+    /** The stats and kept interval rows of a finished @p hooks. */
     static RunRecord fromHooks(const std::string &workload,
                                const std::string &config,
                                const Hooks &hooks);

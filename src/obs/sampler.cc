@@ -10,14 +10,14 @@ namespace arl::obs
 
 IntervalSampler::IntervalSampler(const StatsRegistry &reg,
                                  std::uint64_t every, bool keep_rows)
-    : registry(reg), interval(every), nextAt(every), keep(keep_rows)
+    : registry(reg), nextAt(every), keep(keep_rows)
 {
     ARL_ASSERT(every > 0, "zero sampling interval");
+    kept.every = every;
     for (auto &[name, value] : registry.snapshot()) {
-        statNames.push_back(name);
-        base.push_back(value);
+        kept.names.push_back(name);
+        last.values.push_back(value);
     }
-    last.values = base;
 }
 
 std::vector<double>
@@ -26,10 +26,10 @@ IntervalSampler::sampleValues() const
     // Evaluate in frozen-name order; stats registered after
     // construction are deliberately excluded so columns stay stable.
     std::vector<double> values;
-    values.reserve(statNames.size());
+    values.reserve(kept.names.size());
     StatsRegistry::Snapshot snap = registry.snapshot();
     std::size_t cursor = 0;
-    for (const std::string &name : statNames) {
+    for (const std::string &name : kept.names) {
         while (cursor < snap.size() && snap[cursor].first != name)
             ++cursor;
         ARL_ASSERT(cursor < snap.size(),
@@ -42,18 +42,18 @@ IntervalSampler::sampleValues() const
 void
 IntervalSampler::capture(std::uint64_t committed)
 {
-    Sample row{committed, sampleValues()};
+    IntervalSample row{committed, sampleValues()};
     lastDelta = row;
     for (std::size_t i = 0; i < row.values.size(); ++i)
         lastDelta.values[i] -= last.values[i];
     last = std::move(row);
     if (keep) {
-        taken.push_back(last);
-        takenDeltas.push_back(lastDelta);
+        kept.samples.push_back(last);
+        kept.deltas.push_back(lastDelta);
     }
     // One row per crossing even when several boundaries were passed
     // at once (e.g. a batched commit burst).
-    nextAt = (committed / interval + 1) * interval;
+    nextAt = (committed / kept.every + 1) * kept.every;
 }
 
 bool
@@ -81,7 +81,7 @@ void
 IntervalCsv::start(const IntervalSampler &sampler)
 {
     os << "at";
-    for (const std::string &name : sampler.names())
+    for (const std::string &name : sampler.rows().names)
         os << ',' << name;
     os << '\n';
     os.flush();

@@ -20,6 +20,28 @@
 namespace arl::obs
 {
 
+/** One interval row: every frozen stat, values in names order. */
+struct IntervalSample
+{
+    std::uint64_t at = 0;  ///< committed instructions when taken
+    std::vector<double> values;
+};
+
+/** The rows a sampler keeps: a report's "intervals" section. */
+struct IntervalReport
+{
+    std::uint64_t every = 0;  ///< sampling period; 0 = section omitted
+    std::vector<std::string> names;
+    std::vector<IntervalSample> samples;
+    /**
+     * Per-interval differences: deltas[0] is samples[0] minus the
+     * baseline, deltas[i] is samples[i] minus samples[i-1].
+     * Meaningful for counters; for gauges/formulas it is the change
+     * in level over the interval.
+     */
+    std::vector<IntervalSample> deltas;
+};
+
 /**
  * Samples a registry every @p every committed instructions.
  *
@@ -32,18 +54,11 @@ namespace arl::obs
 class IntervalSampler
 {
   public:
-    /** One snapshot, values in names() order. */
-    struct Sample
-    {
-        std::uint64_t at = 0;  ///< committed instructions when taken
-        std::vector<double> values;
-    };
-
     /**
      * @param registry sampled registry; must outlive the sampler.
      * @param every    sampling period in committed instructions (>0).
-     * @param keep     keep the rows for samples()/deltas() (false when
-     *                 a sink writes them out: O(1) sampler state).
+     * @param keep     keep the rows in rows() (false when a sink
+     *                 writes them out: O(1) sampler state).
      */
     IntervalSampler(const StatsRegistry &registry, std::uint64_t every,
                     bool keep = true);
@@ -67,46 +82,26 @@ class IntervalSampler
 
     /** The row taken last (the baseline, at 0, before the first), and
      *  its change from the row before it (or from the baseline). */
-    const Sample &row() const { return last; }
-    const Sample &rowDelta() const { return lastDelta; }
+    const IntervalSample &row() const { return last; }
+    const IntervalSample &rowDelta() const { return lastDelta; }
 
-    /** Sampling period. */
-    std::uint64_t every() const { return interval; }
-
-    /** Frozen leaf-stat names (column order of every sample). */
-    const std::vector<std::string> &names() const { return statNames; }
-
-    /** Values captured at construction (the delta baseline). */
-    const std::vector<double> &baseline() const { return base; }
-
-    /** True when samples()/deltas() keep the rows taken. */
+    /** True when rows() keeps the rows taken. */
     bool keepsRows() const { return keep; }
 
-    /** All samples kept so far (cumulative values). */
-    const std::vector<Sample> &samples() const { return taken; }
-
-    /**
-     * Per-interval differences: deltas()[0] is samples()[0] minus the
-     * baseline, deltas()[i] is samples()[i] minus samples()[i-1].
-     * Meaningful for counters; for gauges/formulas it is the change
-     * in level over the interval.
-     */
-    const std::vector<Sample> &deltas() const { return takenDeltas; }
+    /** The period, the frozen names (the column order of every row)
+     *  and, when keepsRows(), every row taken so far. */
+    const IntervalReport &rows() const { return kept; }
 
   private:
     std::vector<double> sampleValues() const;
     void capture(std::uint64_t committed);
 
     const StatsRegistry &registry;
-    std::uint64_t interval;
     std::uint64_t nextAt;
     bool keep;
-    std::vector<std::string> statNames;
-    std::vector<double> base;
-    std::vector<Sample> taken;
-    std::vector<Sample> takenDeltas;
-    Sample last;
-    Sample lastDelta;
+    IntervalReport kept;
+    IntervalSample last;
+    IntervalSample lastDelta;
 };
 
 /**

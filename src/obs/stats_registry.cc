@@ -1,10 +1,8 @@
 #include "obs/stats_registry.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "obs/json.hh"
 
 namespace arl::obs
 {
@@ -139,64 +137,11 @@ StatsRegistry::snapshot() const
     return out;
 }
 
-std::vector<std::string>
-StatsRegistry::names() const
-{
-    std::vector<std::string> out;
-    for (const auto &[name, value] : snapshot())
-        out.push_back(name);
-    return out;
-}
-
-bool
-StatsRegistry::has(const std::string &name) const
-{
-    if (entries.count(name))
-        return true;
-    for (const auto &[leaf, value] : snapshot())
-        if (leaf == name)
-            return true;
-    return false;
-}
-
-double
-StatsRegistry::value(const std::string &name) const
-{
-    auto it = entries.find(name);
-    if (it != entries.end() && it->second.kind != Kind::Log2Hist) {
-        Snapshot one;
-        expand(name, it->second, one);
-        return one.front().second;
-    }
-    for (const auto &[leaf, v] : snapshot())
-        if (leaf == name)
-            return v;
-    fatal("StatsRegistry: unknown stat '%s'", name.c_str());
-}
-
 std::string
 StatsRegistry::description(const std::string &name) const
 {
     auto it = entries.find(name);
     return it != entries.end() ? it->second.desc : std::string();
-}
-
-std::string
-StatsRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : snapshot())
-        os << name << " = " << jsonNumber(value) << "\n";
-    return os.str();
-}
-
-void
-StatsRegistry::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    for (const auto &[name, value] : snapshot())
-        w.field(name, value);
-    w.endObject();
 }
 
 std::string
@@ -212,14 +157,6 @@ csvField(const std::string &field)
     }
     out += '"';
     return out;
-}
-
-void
-writeCsv(std::ostream &os, const StatsRegistry::Snapshot &snapshot)
-{
-    os << "stat,value\n";
-    for (const auto &[name, value] : snapshot)
-        os << csvField(name) << ',' << jsonNumber(value) << '\n';
 }
 
 } // namespace arl::obs

@@ -7,8 +7,9 @@
  * accumulators — under dotted hierarchical names
  * ("ooo.lsq.forwarded_loads", "predict.arpt.accuracy_pct",
  * "cache.lvc.hits").  The registry resolves everything to a flat,
- * deterministically sorted (name, value) snapshot that the JSON/CSV
- * serializers and the interval sampler consume.
+ * deterministically sorted (name, value) snapshot, the only way its
+ * values are read: the JSON/CSV reports and the interval sampler
+ * consume it.
  *
  * Registration can reference storage the caller keeps alive (the
  * usual case: a simulator's counters) or ask the registry to own the
@@ -22,7 +23,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,9 +32,7 @@
 namespace arl::obs
 {
 
-class JsonWriter;
-
-/** Hierarchical name → value registry with deterministic dumps. */
+/** Hierarchical name → value registry with deterministic snapshots. */
 class StatsRegistry
 {
   public:
@@ -77,31 +75,13 @@ class StatsRegistry
     /** Gauge owned by the registry. */
     double &gauge(const std::string &name, const std::string &desc = "");
 
-    // ---- queries ----
-
-    /** True when @p name resolves to a leaf stat. */
-    bool has(const std::string &name) const;
-
-    /** Value of leaf stat @p name; fatal when unknown. */
-    double value(const std::string &name) const;
+    // ---- reading: every value goes through a snapshot ----
 
     /** Description given at registration ("" for expanded leaves). */
     std::string description(const std::string &name) const;
 
-    /** Registered entries (before histogram expansion). */
-    std::size_t size() const { return entries.size(); }
-
-    /** All leaf names, sorted. */
-    std::vector<std::string> names() const;
-
     /** Evaluate every leaf stat; sorted by name, deterministic. */
     Snapshot snapshot() const;
-
-    /** Plain-text "name = value" lines, sorted (debug dump). */
-    std::string dump() const;
-
-    /** Emit all leaf stats as one JSON object value. */
-    void writeJson(JsonWriter &w) const;
 
   private:
     enum class Kind : std::uint8_t
@@ -134,9 +114,6 @@ class StatsRegistry
     std::map<std::string, std::uint64_t *> ownedCounterIndex;
     std::map<std::string, double *> ownedGaugeIndex;
 };
-
-/** Serialize a snapshot as "stat,value" CSV rows (with header). */
-void writeCsv(std::ostream &os, const StatsRegistry::Snapshot &snapshot);
 
 /** Quote one CSV field when it contains separators or quotes. */
 std::string csvField(const std::string &field);

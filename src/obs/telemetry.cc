@@ -97,6 +97,11 @@ TelemetryChannel::open(const std::string &path, const TelemetryOptions &opt,
 TelemetryChannel::TelemetryChannel(int fd_, const TelemetryOptions &opt)
     : fd(fd_), opts(opt), ring(opt.ringSize ? opt.ringSize : 1)
 {
+    // Wall-clock triggering needs sub-interval checks; cap at 64Ki
+    // instructions so a slow config still beats on time.
+    checkPeriod = opts.intervalInsts ? opts.intervalInsts : 65536;
+    if (opts.intervalWallMs && checkPeriod > 65536)
+        checkPeriod = 65536;
     clock = opts.clockMs ? opts.clockMs : std::function<std::uint64_t()>(
                                               steadyMs);
     rss = opts.rssKb ? opts.rssKb : std::function<std::uint64_t()>(
@@ -335,11 +340,6 @@ TelemetryScope::TelemetryScope(TelemetryChannel *channel, int job_,
       config(std::move(config_)), rep(rep_), totalInsts(totalInsts_)
 {
     ARL_ASSERT(chan != nullptr, "telemetry scope without a channel");
-    // Wall-clock triggering needs sub-interval checks; cap at 64Ki
-    // instructions so a slow config still beats on time.
-    subInterval = chan->intervalInsts() ? chan->intervalInsts() : 65536;
-    if (chan->intervalWallMs() && subInterval > 65536)
-        subInterval = 65536;
 }
 
 void
@@ -351,13 +351,7 @@ TelemetryScope::start()
     chan->emitJobStart(job, workload, config, rep, totalInsts);
 }
 
-std::uint64_t
-TelemetryScope::firstCheckAt(std::uint64_t insts) const
-{
-    return insts + subInterval;
-}
-
-std::uint64_t
+void
 TelemetryScope::check(const TelemetryFrame &frame)
 {
     std::uint64_t now = chan->nowMs();
@@ -367,7 +361,7 @@ TelemetryScope::check(const TelemetryFrame &frame)
         // the next delta never underflows.
         last = frame;
         lastMs = now;
-        return frame.insts + subInterval;
+        return;
     }
     bool instDue = chan->intervalInsts() &&
                    frame.insts >= last.insts + chan->intervalInsts();
@@ -375,7 +369,6 @@ TelemetryScope::check(const TelemetryFrame &frame)
                    now >= lastMs + chan->intervalWallMs();
     if (instDue || wallDue)
         beat(frame, now);
-    return frame.insts + subInterval;
 }
 
 void

@@ -45,8 +45,8 @@ struct TelemetryOptions
 
     /**
      * Optional wall-clock heartbeat period in milliseconds.  When
-     * set, the scope checks the clock every min(intervalInsts, 64Ki)
-     * instructions and emits when either trigger fires.
+     * set, the clock is checked every min(intervalInsts, 64Ki)
+     * instructions and a heartbeat emitted when either trigger fires.
      */
     std::uint64_t intervalWallMs = 0;
 
@@ -134,6 +134,13 @@ class TelemetryChannel
     std::uint64_t intervalInsts() const { return opts.intervalInsts; }
     std::uint64_t intervalWallMs() const { return opts.intervalWallMs; }
 
+    /**
+     * Guest instructions between two heartbeat checks: the heartbeat
+     * period, or 64Ki when that is 0 or a wall-clock trigger needs
+     * the clock read more often.  obs::Hooks schedules every check.
+     */
+    std::uint64_t checkEvery() const { return checkPeriod; }
+
     /** Lines successfully written so far. */
     std::uint64_t recordsEmitted() const
     {
@@ -195,6 +202,7 @@ class TelemetryChannel
     std::function<std::uint64_t()> clock;
     std::function<std::uint64_t()> rss;
     std::uint64_t openedMs = 0;
+    std::uint64_t checkPeriod = 0;
 
     std::mutex emitMutex;
     std::vector<RingSlot> ring;
@@ -210,8 +218,8 @@ class TelemetryChannel
 
 /**
  * Per-job view of a channel: computes interval deltas, IPC,
- * guest-MIPS and ETA, and tells obs::Hooks when to check next.  Not
- * thread-safe; one scope per job, used by that job's thread only.
+ * guest-MIPS and ETA.  Not thread-safe; one scope per job, used by
+ * that job's thread only.
  */
 class TelemetryScope
 {
@@ -231,12 +239,8 @@ class TelemetryScope
     /**
      * Interval check from obs::Hooks::progress(): emits a heartbeat
      * when the instruction or wall-clock trigger fired.
-     * @return the committed-instruction count of the next check.
      */
-    std::uint64_t check(const TelemetryFrame &frame);
-
-    /** First check threshold for a producer starting at @p insts. */
-    std::uint64_t firstCheckAt(std::uint64_t insts) const;
+    void check(const TelemetryFrame &frame);
 
     /** Emit the job-done record. */
     void done(std::uint64_t insts, std::uint64_t cycles);
@@ -257,7 +261,6 @@ class TelemetryScope
     std::uint64_t lastMs = 0;
     TelemetryFrame last;
     std::uint64_t seq = 0;
-    std::uint64_t subInterval = 0;
 };
 
 } // namespace arl::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "isa/addr_mode.hh"
@@ -29,48 +28,6 @@ intervalOf(const sim::StepInfo &step)
 }
 
 } // namespace
-
-std::string
-OooStats::dump() const
-{
-    std::ostringstream os;
-    auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-        std::uint64_t total = hits + misses;
-        return total ? 100.0 * static_cast<double>(hits) /
-                           static_cast<double>(total)
-                     : 100.0;
-    };
-    os << "sim.config            " << configName << "\n";
-    os << "sim.cycles            " << cycles << "\n";
-    os << "sim.instructions      " << instructions << "\n";
-    os << "sim.ipc               " << ipc() << "\n";
-    os << "mem.loads             " << loads << "\n";
-    os << "mem.stores            " << stores << "\n";
-    os << "mem.refs.data         " << regionRefs[0] << "\n";
-    os << "mem.refs.heap         " << regionRefs[1] << "\n";
-    os << "mem.refs.stack        " << regionRefs[2] << "\n";
-    os << "mem.lvaq_steered      " << lvaqSteered << "\n";
-    os << "mem.region_mispred    " << regionMispredictions << "\n";
-    os << "mem.forwarded_loads   " << forwardedLoads << "\n";
-    os << "mem.fast_forwarded    " << fastForwardedLoads << "\n";
-    os << "cache.l1_hit_pct      " << rate(l1Hits, l1Misses) << "\n";
-    os << "cache.lvc_hit_pct     " << rate(lvcHits, lvcMisses) << "\n";
-    os << "cache.l2_hit_pct      " << rate(l2Hits, l2Misses) << "\n";
-    os << "tlb.misses            " << tlbMisses << "\n";
-    os << "tlb.miss_cycles       " << tlbMissCycles << "\n";
-    os << "vp.offered            " << vpOffered << "\n";
-    os << "vp.wrong              " << vpWrong << "\n";
-    os << "vp.squashes           " << vpSquashes << "\n";
-    os << "bp.branches           " << branches << "\n";
-    os << "bp.mispredicts        " << branchMispredicts << "\n";
-    os << "stall.rob_full        " << robFullStalls << "\n";
-    os << "stall.queue_full      " << queueFullStalls << "\n";
-    os << "stall.port.load.dc    " << portStallsLoad[0] << "\n";
-    os << "stall.port.load.lvc   " << portStallsLoad[1] << "\n";
-    os << "stall.port.store.dc   " << portStallsStoreCommit[0] << "\n";
-    os << "stall.port.store.lvc  " << portStallsStoreCommit[1] << "\n";
-    return os.str();
-}
 
 std::size_t
 OooCore::SlotMask::count() const
@@ -1263,6 +1220,18 @@ OooCore::warmSteps()
             branchPred.train(step.pc, step.gbh, step.branchTaken);
     }
     // Timed statistics start clean.
+    clearMemCounters();
+    // Warmup is functional (untimed, via the ideal access path); any
+    // contention state would carry bogus cycle-0 timestamps into the
+    // timed window, so the backend starts it from scratch.
+    hierarchy.resetContention();
+    phase = Phase::Idle;
+    return true;
+}
+
+void
+OooCore::clearMemCounters()
+{
     hierarchy.l1().hits = hierarchy.l1().misses = 0;
     hierarchy.l1().writebacks = 0;
     if (hierarchy.hasLvc()) {
@@ -1271,13 +1240,7 @@ OooCore::warmSteps()
     }
     hierarchy.l2().hits = hierarchy.l2().misses = 0;
     hierarchy.l2().writebacks = 0;
-    // Warmup is functional (untimed, via the ideal access path); any
-    // contention state would carry bogus cycle-0 timestamps into the
-    // timed window, so the backend starts it from scratch.
-    hierarchy.resetContention();
     tlb.hits = tlb.misses = 0;
-    phase = Phase::Idle;
-    return true;
 }
 
 void
@@ -1291,15 +1254,7 @@ OooCore::statsFence()
     // state (bank/MSHR/bus timestamps, in-flight ROB entries) is
     // deliberately left alone: carrying it into the measured window
     // is the whole point of a detailed warmup.
-    hierarchy.l1().hits = hierarchy.l1().misses = 0;
-    hierarchy.l1().writebacks = 0;
-    if (hierarchy.hasLvc()) {
-        hierarchy.lvcCache().hits = hierarchy.lvcCache().misses = 0;
-        hierarchy.lvcCache().writebacks = 0;
-    }
-    hierarchy.l2().hits = hierarchy.l2().misses = 0;
-    hierarchy.l2().writebacks = 0;
-    tlb.hits = tlb.misses = 0;
+    clearMemCounters();
 }
 
 OooStats

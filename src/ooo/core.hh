@@ -182,9 +182,6 @@ struct OooStats
                             static_cast<double>(cycles)
                       : 0.0;
     }
-
-    /** sim-outorder-style end-of-run statistics report. */
-    std::string dump() const;
 };
 
 /** The out-of-order core. */
@@ -772,6 +769,10 @@ class OooCore
      *  The boundary between a detailed warmup and its measured
      *  window. */
     void statsFence();
+
+    /** Zero the L1, LVC and L2 hit, miss and writeback counters and
+     *  the TLB's hits and misses (warmup's end and statsFence()). */
+    void clearMemCounters();
 
     Cycle now = 0;
     OooStats stats;

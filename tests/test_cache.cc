@@ -65,14 +65,6 @@ TEST(Cache, ProbeDoesNotAllocate)
     EXPECT_TRUE(cache.probe(0x2000));
 }
 
-TEST(Cache, FlushClears)
-{
-    Cache cache(CacheGeometry{"t", 1024, 32, 2});
-    cache.access(0x3000, true);
-    cache.flush();
-    EXPECT_FALSE(cache.probe(0x3000));
-}
-
 TEST(Cache, HitRateAccounting)
 {
     Cache cache(CacheGeometry{"t", 1024, 32, 2});

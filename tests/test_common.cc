@@ -73,32 +73,12 @@ TEST(RunningStat, MeanAndStddev)
     EXPECT_DOUBLE_EQ(stat.stddev(), 2.0);  // classic textbook set
 }
 
-TEST(RunningStat, MergeMatchesSequential)
-{
-    RunningStat all, a, b;
-    for (int i = 0; i < 100; ++i) {
-        double x = std::sin(i) * 10.0;
-        all.add(x);
-        (i < 37 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.stddev(), all.stddev(), 1e-12);
-}
-
-TEST(RunningStat, EmptyAndMergeEmpty)
+TEST(RunningStat, EmptyIsAllZeros)
 {
     RunningStat stat;
     EXPECT_EQ(stat.count(), 0u);
     EXPECT_EQ(stat.mean(), 0.0);
     EXPECT_EQ(stat.stddev(), 0.0);
-    RunningStat other;
-    other.add(5.0);
-    other.merge(stat);  // merging empty changes nothing
-    EXPECT_EQ(other.count(), 1u);
-    stat.merge(other);  // merging into empty copies
-    EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
 }
 
 TEST(TablePrinter, AlignsColumns)
@@ -119,7 +99,6 @@ TEST(TablePrinter, Formatters)
 {
     EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
     EXPECT_EQ(TablePrinter::meanSd(1.5, 0.25), "1.50 (0.25)");
-    EXPECT_EQ(TablePrinter::pct(99.891, 2), "99.89%");
 }
 
 TEST(Rng, DeterministicAndSeedSensitive)
@@ -151,15 +130,6 @@ TEST(Rng, ZeroSeedIsNotDegenerate)
     EXPECT_NE(rng.next(), 0u);
 }
 
-TEST(RunningStat, MergeEmptyIntoEmpty)
-{
-    RunningStat a, b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.stddev(), 0.0);
-}
-
 TEST(StatsRegistry, RegisterLookupAndKinds)
 {
     obs::StatsRegistry reg;
@@ -171,19 +141,22 @@ TEST(StatsRegistry, RegisterLookupAndKinds)
                    [&] { return 2.0 * static_cast<double>(hits); });
     reg.counter("owned.count") = 3;
 
-    EXPECT_TRUE(reg.has("cache.hits"));
-    EXPECT_FALSE(reg.has("cache.absent"));
-    EXPECT_EQ(reg.value("cache.hits"), 7.0);
-    EXPECT_EQ(reg.value("cache.rate"), 0.5);
-    EXPECT_EQ(reg.value("owned.count"), 3.0);
+    using Snapshot = obs::StatsRegistry::Snapshot;
+    EXPECT_EQ(reg.snapshot(), (Snapshot{{"cache.double_hits", 14.0},
+                                        {"cache.hits", 7.0},
+                                        {"cache.rate", 0.5},
+                                        {"owned.count", 3.0}}));
     hits = 9;  // live pointer: updates flow through
-    EXPECT_EQ(reg.value("cache.hits"), 9.0);
-    EXPECT_EQ(reg.value("cache.double_hits"), 18.0);
+    EXPECT_EQ(reg.snapshot(), (Snapshot{{"cache.double_hits", 18.0},
+                                        {"cache.hits", 9.0},
+                                        {"cache.rate", 0.5},
+                                        {"owned.count", 3.0}}));
     EXPECT_EQ(reg.description("cache.hits"), "hits");
 
     // counter() is idempotent: same name, same storage.
     reg.counter("owned.count") += 2;
-    EXPECT_EQ(reg.value("owned.count"), 5.0);
+    EXPECT_EQ(reg.snapshot().back(),
+              (Snapshot::value_type{"owned.count", 5.0}));
 }
 
 TEST(StatsRegistry, DuplicateRegistrationIsFatal)
@@ -195,7 +168,7 @@ TEST(StatsRegistry, DuplicateRegistrationIsFatal)
                 testing::ExitedWithCode(1), "duplicate stat");
 }
 
-TEST(StatsRegistry, SnapshotAndDumpAreSortedAndDeterministic)
+TEST(StatsRegistry, SnapshotIsSortedAndDeterministic)
 {
     auto build = [](obs::StatsRegistry &reg, std::uint64_t *storage) {
         // Registered out of order on purpose.
@@ -213,10 +186,7 @@ TEST(StatsRegistry, SnapshotAndDumpAreSortedAndDeterministic)
     EXPECT_EQ(snapshot[0].first, "a.first");
     EXPECT_EQ(snapshot[1].first, "m.middle");
     EXPECT_EQ(snapshot[2].first, "z.last");
-    EXPECT_EQ(first.dump(), second.dump());
-
-    auto names = first.names();
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    EXPECT_EQ(snapshot, second.snapshot());
 }
 
 TEST(Json, EscapeSpecials)
@@ -283,24 +253,26 @@ TEST(IntervalSampler, SamplesAtBoundariesWithDeltas)
     std::uint64_t work = 10;  // nonzero before baseline capture
     reg.addCounter("work", &work);
     obs::IntervalSampler sampler(reg, 100);
-    ASSERT_EQ(sampler.names().size(), 1u);
-    EXPECT_EQ(sampler.baseline()[0], 10.0);
+    const obs::IntervalReport &rows = sampler.rows();
+    EXPECT_EQ(rows.every, 100u);
+    ASSERT_EQ(rows.names.size(), 1u);
+    EXPECT_EQ(sampler.row().values[0], 10.0);  // the baseline
 
     sampler.tick(50);  // below the first boundary: no sample
-    EXPECT_TRUE(sampler.samples().empty());
+    EXPECT_TRUE(rows.samples.empty());
 
     work = 40;
     sampler.tick(100);  // first boundary
     work = 75;
     sampler.tick(199);  // still inside the second interval
     sampler.tick(230);  // crosses 200
-    ASSERT_EQ(sampler.samples().size(), 2u);
-    EXPECT_EQ(sampler.samples()[0].at, 100u);
-    EXPECT_EQ(sampler.samples()[0].values[0], 40.0);
-    EXPECT_EQ(sampler.samples()[1].at, 230u);
-    EXPECT_EQ(sampler.samples()[1].values[0], 75.0);
+    ASSERT_EQ(rows.samples.size(), 2u);
+    EXPECT_EQ(rows.samples[0].at, 100u);
+    EXPECT_EQ(rows.samples[0].values[0], 40.0);
+    EXPECT_EQ(rows.samples[1].at, 230u);
+    EXPECT_EQ(rows.samples[1].values[0], 75.0);
 
-    auto deltas = sampler.deltas();
+    const auto &deltas = rows.deltas;
     ASSERT_EQ(deltas.size(), 2u);
     EXPECT_EQ(deltas[0].values[0], 30.0);  // 40 - baseline 10
     EXPECT_EQ(deltas[1].values[0], 35.0);  // 75 - 40
@@ -315,8 +287,8 @@ TEST(IntervalSampler, IgnoresStatsRegisteredAfterConstruction)
     std::uint64_t b = 0;
     reg.addCounter("b", &b);  // not in the frozen name set
     sampler.tick(10);
-    ASSERT_EQ(sampler.samples().size(), 1u);
-    EXPECT_EQ(sampler.samples()[0].values.size(), 1u);
+    ASSERT_EQ(sampler.rows().samples.size(), 1u);
+    EXPECT_EQ(sampler.rows().samples[0].values.size(), 1u);
 }
 
 TEST(Report, JsonDocumentParsesAndCarriesSchema)

@@ -45,7 +45,7 @@ namespace
 {
 
 constexpr const char *kGoldenFile = "sweep_fig8_small.json";
-constexpr const char *kGoldenWindowFile = "sweep_fig8_v2_seekff.json";
+constexpr const char *kGoldenWindowFile = "sweep_fig8_warmup_window.json";
 constexpr const char *kGoldenContendedFile = "sweep_fig8_contended.json";
 constexpr const char *kGoldenRegionFile = "sweep_region_small.json";
 constexpr const char *kGoldenKnobFile = "sweep_ooo_knobs.json";
@@ -680,6 +680,28 @@ TEST(Golden, IdealGoldensCarryNoCpiStackKeys)
         EXPECT_EQ(text.str().find("load_to_use"), std::string::npos)
             << file;
     }
+}
+
+TEST(Golden, ContendedCarriesCpiStackAndNoneCarriesMeta)
+{
+    // The contended golden carries the full CPI stack...
+    const std::string contended =
+        readFile(goldenPath(kGoldenContendedFile));
+    EXPECT_NE(contended.find("\"ooo.cpi_stack.total\""),
+              std::string::npos);
+    // ...and goldens are written through SweepResult::toReport()
+    // directly, so the CLI's host-meta stamp never leaks into one.
+    unsigned documents = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ARL_GOLDEN_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        ++documents;
+        EXPECT_EQ(readFile(entry.path()).find("\"meta\""),
+                  std::string::npos)
+            << entry.path();
+    }
+    EXPECT_GT(documents, 0u);
 }
 
 TEST(Golden, V2TraceFixtureEncodingPinned)

@@ -39,6 +39,31 @@ runOn(const ooo::MachineConfig &config,
     return core.run(0);
 }
 
+/**
+ * Run @p prog to completion under @p config.  @return its committed
+ * count and every stat the core registers, plus the port-stall and
+ * TLB-penalty counters an ideal config leaves unregistered.
+ */
+std::pair<InstCount, obs::StatsRegistry::Snapshot>
+observedRun(const ooo::MachineConfig &config,
+            std::shared_ptr<const vm::Program> prog)
+{
+    ooo::OooCore core(config, prog);
+    obs::Hooks hooks;
+    core.attachObs(&hooks);
+    const ooo::OooStats stats = core.run(0);
+    hooks.finish(stats.instructions);
+    obs::StatsRegistry::Snapshot snapshot = hooks.finalSnapshot;
+    for (unsigned pipe = 0; pipe < 2; ++pipe) {
+        snapshot.emplace_back("port_stalls.load",
+                              stats.portStallsLoad[pipe]);
+        snapshot.emplace_back("port_stalls.store_commit",
+                              stats.portStallsStoreCommit[pipe]);
+    }
+    snapshot.emplace_back("tlb_miss_cycles", stats.tlbMissCycles);
+    return {stats.instructions, std::move(snapshot)};
+}
+
 /** N independent 1-cycle chains of given length. */
 std::shared_ptr<vm::Program>
 chainProgram(unsigned chains, unsigned length)
@@ -774,9 +799,10 @@ TEST(OooScheduler, KnobMatrixDrainsAndRepeats)
                     SCOPED_TRACE(prog->name + " " + config.name +
                                  " knobs " + std::to_string(mask) +
                                  " rob " + std::to_string(rob));
-                    const ooo::OooStats first = runOn(config, prog);
-                    EXPECT_EQ(first.instructions, functional);
-                    EXPECT_EQ(first.dump(), runOn(config, prog).dump());
+                    const auto [committed, first] =
+                        observedRun(config, prog);
+                    EXPECT_EQ(committed, functional);
+                    EXPECT_EQ(first, observedRun(config, prog).second);
                 }
     }
 }

@@ -322,12 +322,12 @@ TEST(IntervalSampler, FlushCapturesFinalPartialInterval)
         work = i;
         sampler.tick(i);
     }
-    EXPECT_EQ(sampler.samples().size(), 2u);  // at 100 and 200
+    EXPECT_EQ(sampler.rows().samples.size(), 2u);  // at 100 and 200
     sampler.flush(250);
     // ceil(250/100) = 3 rows; the tail row carries the final values.
-    ASSERT_EQ(sampler.samples().size(), 3u);
-    EXPECT_EQ(sampler.samples().back().at, 250u);
-    EXPECT_EQ(sampler.samples().back().values[0], 250.0);
+    ASSERT_EQ(sampler.rows().samples.size(), 3u);
+    EXPECT_EQ(sampler.rows().samples.back().at, 250u);
+    EXPECT_EQ(sampler.rows().samples.back().values[0], 250.0);
 }
 
 TEST(IntervalSampler, BoundaryEndWithoutFinalTickStillYieldsCeilRows)
@@ -344,11 +344,11 @@ TEST(IntervalSampler, BoundaryEndWithoutFinalTickStillYieldsCeilRows)
         work = i;
         sampler.tick(i);
     }
-    ASSERT_EQ(sampler.samples().size(), 1u);  // at 100
+    ASSERT_EQ(sampler.rows().samples.size(), 1u);  // at 100
     work = 200;
     sampler.flush(200);
-    ASSERT_EQ(sampler.samples().size(), 2u);
-    EXPECT_EQ(sampler.samples().back().at, 200u);
+    ASSERT_EQ(sampler.rows().samples.size(), 2u);
+    EXPECT_EQ(sampler.rows().samples.back().at, 200u);
 }
 
 TEST(IntervalSampler, FlushIsIdempotent)
@@ -364,10 +364,10 @@ TEST(IntervalSampler, FlushIsIdempotent)
         sampler.tick(i);
     }
     sampler.flush(150);
-    ASSERT_EQ(sampler.samples().size(), 2u);
+    ASSERT_EQ(sampler.rows().samples.size(), 2u);
     sampler.flush(150);
-    EXPECT_EQ(sampler.samples().size(), 2u);
-    EXPECT_EQ(sampler.samples().back().at, 150u);
+    EXPECT_EQ(sampler.rows().samples.size(), 2u);
+    EXPECT_EQ(sampler.rows().samples.back().at, 150u);
 }
 
 TEST(IntervalSampler, BurstCrossingEndingOnBoundaryTakesOneRow)
@@ -383,10 +383,10 @@ TEST(IntervalSampler, BurstCrossingEndingOnBoundaryTakesOneRow)
     sampler.tick(90);
     work = 300;
     sampler.tick(300);  // crosses 100, 200, and 300 at once
-    ASSERT_EQ(sampler.samples().size(), 1u);
-    EXPECT_EQ(sampler.samples().back().at, 300u);
+    ASSERT_EQ(sampler.rows().samples.size(), 1u);
+    EXPECT_EQ(sampler.rows().samples.back().at, 300u);
     sampler.flush(300);
-    EXPECT_EQ(sampler.samples().size(), 1u);
+    EXPECT_EQ(sampler.rows().samples.size(), 1u);
 }
 
 TEST(IntervalSampler, FlushIsNoOpOnExactMultipleOrNoProgress)
@@ -399,15 +399,15 @@ TEST(IntervalSampler, FlushIsNoOpOnExactMultipleOrNoProgress)
         work = i;
         sampler.tick(i);
     }
-    ASSERT_EQ(sampler.samples().size(), 2u);
+    ASSERT_EQ(sampler.rows().samples.size(), 2u);
     sampler.flush(200);  // exact multiple: row already taken
-    EXPECT_EQ(sampler.samples().size(), 2u);
+    EXPECT_EQ(sampler.rows().samples.size(), 2u);
     sampler.flush(0);  // no progress at all
-    EXPECT_EQ(sampler.samples().size(), 2u);
+    EXPECT_EQ(sampler.rows().samples.size(), 2u);
 
     // A run shorter than one interval still yields its single row.
     obs::IntervalSampler short_run(reg, 100);
     short_run.flush(42);
-    ASSERT_EQ(short_run.samples().size(), 1u);
-    EXPECT_EQ(short_run.samples()[0].at, 42u);
+    ASSERT_EQ(short_run.rows().samples.size(), 1u);
+    EXPECT_EQ(short_run.rows().samples[0].at, 42u);
 }

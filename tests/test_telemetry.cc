@@ -168,14 +168,16 @@ TEST(TelemetryScope, HeartbeatRatesAreExactWithInjectedClock)
     FakeClockChannel fx("rates", /*intervalInsts=*/1000);
     TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 10'000);
     scope.start();
-    EXPECT_EQ(scope.firstCheckAt(0), 1000u);
+    obs::Hooks hooks;
+    hooks.telemetry = &scope;
+    EXPECT_EQ(hooks.arm(0), 1000u);
 
     // 999 insts: below the interval — no heartbeat.
     fx.now = 50;
     TelemetryFrame f;
     f.insts = 999;
     f.cycles = 1500;
-    scope.check(f);
+    EXPECT_EQ(hooks.progress(f), 1000u);
     EXPECT_EQ(fx.channel->recordsEmitted(), 1u); // job start only
 
     // 2000 insts at t=100 ms: one heartbeat covering the whole span.
@@ -189,8 +191,7 @@ TEST(TelemetryScope, HeartbeatRatesAreExactWithInjectedClock)
     f.refsStack = 400;
     f.lvaqSteered = 120;
     f.contentionStalls = 77;
-    std::uint64_t next = scope.check(f);
-    EXPECT_EQ(next, 3000u);
+    EXPECT_EQ(hooks.progress(f), 3000u);
     ASSERT_EQ(fx.channel->recordsEmitted(), 2u);
 
     auto lines = readLines(fx.path);
@@ -221,7 +222,7 @@ TEST(TelemetryScope, HeartbeatRatesAreExactWithInjectedClock)
     g.insts = 3000;
     g.cycles = 5000;
     g.loads = 700;
-    scope.check(g);
+    hooks.progress(g);
     lines = readLines(fx.path);
     obs::JsonValue hb2 = parseLine(lines.back());
     EXPECT_EQ(numField(hb2, "seq"), 2);
@@ -238,31 +239,36 @@ TEST(TelemetryScope, EpochGuardRebasesOnCounterReset)
     FakeClockChannel fx("epoch", /*intervalInsts=*/1000);
     TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 0);
     scope.start();
+    obs::Hooks hooks;
+    hooks.telemetry = &scope;
+    EXPECT_EQ(hooks.arm(0), 1000u);
 
     fx.now = 10;
     TelemetryFrame f;
     f.insts = 2000;
     f.cycles = 2000;
-    scope.check(f);
+    EXPECT_EQ(hooks.progress(f), 3000u);
     ASSERT_EQ(fx.channel->recordsEmitted(), 2u);
 
-    // Stats fence: counters reset below the last frame.  No record
-    // may be emitted (an underflowed delta would be garbage), and the
-    // next threshold restarts from the new epoch.
+    // Stats fence: the producer re-arms at its new count, and the
+    // schedule restarts from the new epoch.
+    EXPECT_EQ(hooks.arm(100), 1100u);
+
+    // Counters are below the last frame at the first check.  No
+    // record may be emitted (an underflowed delta would be garbage).
     fx.now = 20;
     TelemetryFrame reset;
-    reset.insts = 100;
-    reset.cycles = 100;
-    std::uint64_t next = scope.check(reset);
-    EXPECT_EQ(next, 1100u);
+    reset.insts = 1100;
+    reset.cycles = 1100;
+    EXPECT_EQ(hooks.progress(reset), 2100u);
     EXPECT_EQ(fx.channel->recordsEmitted(), 2u);
 
     // The next beat's delta is measured from the re-based frame.
     fx.now = 30;
     TelemetryFrame g;
-    g.insts = 1200;
-    g.cycles = 1200;
-    scope.check(g);
+    g.insts = 2200;
+    g.cycles = 2200;
+    hooks.progress(g);
     ASSERT_EQ(fx.channel->recordsEmitted(), 3u);
     obs::JsonValue hb = parseLine(readLines(fx.path).back());
     EXPECT_EQ(numField(hb, "d_insts"), 1100);
@@ -275,19 +281,21 @@ TEST(TelemetryScope, WallClockTriggerBeatsWithoutInstProgress)
                         /*intervalWallMs=*/100);
     TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 0);
     scope.start();
-    // Wall-clock-only channels still need periodic checks: the scope
-    // asks the core back every 64Ki instructions.
-    EXPECT_EQ(scope.firstCheckAt(0), 65536u);
+    // Wall-clock-only channels still need periodic checks: the hooks
+    // ask the producer back every 64Ki instructions.
+    obs::Hooks hooks;
+    hooks.telemetry = &scope;
+    EXPECT_EQ(hooks.arm(0), 65536u);
 
     TelemetryFrame f;
     f.insts = 65536;
     fx.now = 50;
-    scope.check(f);
+    EXPECT_EQ(hooks.progress(f), 131072u);
     EXPECT_EQ(fx.channel->recordsEmitted(), 1u); // too soon
 
     f.insts = 131072;
     fx.now = 120;
-    scope.check(f);
+    hooks.progress(f);
     ASSERT_EQ(fx.channel->recordsEmitted(), 2u);
     obs::JsonValue hb = parseLine(readLines(fx.path).back());
     EXPECT_EQ(numField(hb, "wall_ms"), 120);
@@ -462,15 +470,15 @@ TEST(Hooks, OneThresholdSchedulesRowsAndHeartbeats)
     f.insts = 230;
     EXPECT_EQ(hooks.progress(f), 300u);  // row at 230
     EXPECT_EQ(fx.channel->recordsEmitted(), 2u);  // start + one beat
-    ASSERT_EQ(hooks.sampler->samples().size(), 2u);
-    EXPECT_EQ(hooks.sampler->samples()[1].at, 230u);
+    ASSERT_EQ(hooks.sampler->rows().samples.size(), 2u);
+    EXPECT_EQ(hooks.sampler->rows().samples[1].at, 230u);
 
     // A phase armed without beats samples rows but stays silent.
     EXPECT_EQ(hooks.arm(230, /*beats=*/false), 300u);
     f.insts = 460;
     EXPECT_EQ(hooks.progress(f), 500u);
     EXPECT_EQ(fx.channel->recordsEmitted(), 2u);
-    EXPECT_EQ(hooks.sampler->samples().size(), 3u);
+    EXPECT_EQ(hooks.sampler->rows().samples.size(), 3u);
 
     // Nothing to sample or beat: the producer never calls again.
     obs::Hooks idle;
@@ -498,8 +506,8 @@ TEST(IntervalCsv, WritesRowsAsTakenAndTheReportKeepsNone)
 
     // O(1) memory: the sink took the rows, so none are kept and the
     // report omits its intervals section.
-    EXPECT_TRUE(hooks.sampler->samples().empty());
-    EXPECT_TRUE(hooks.sampler->deltas().empty());
+    EXPECT_TRUE(hooks.sampler->rows().samples.empty());
+    EXPECT_TRUE(hooks.sampler->rows().deltas.empty());
     EXPECT_EQ(obs::RunRecord::fromHooks("w", "c", hooks).intervals.every,
               0u);
 

@@ -132,11 +132,12 @@
  *   --tlb-miss-lat <N>   cycles charged per TLB miss
  *
  * Flag parsing is strict: an unknown flag, a malformed or negative
- * numeric value, a value too large for its 32-bit field, or a stray
- * positional argument aborts with exit code 1 instead of silently
- * running with defaults.  So does a `predict` ARPT that cannot be
- * built: --entries neither 0 nor a power of two, or --gbh-bits and
- * --cid-bits that one 32-bit context word cannot hold.
+ * numeric value, an empty string value, a value too large for its
+ * 32-bit field, or a stray positional argument aborts with exit code
+ * 1 instead of silently running with defaults.  So does a `predict`
+ * ARPT that cannot be built: --entries neither 0 nor a power of two,
+ * or --gbh-bits and --cid-bits that one 32-bit context word cannot
+ * hold.
  *
  * Observability flags, each accepted only where it is honoured (the
  * report sinks on every simulating subcommand, intervals on run,
@@ -159,10 +160,9 @@
  *   --pipetrace-max <N>   cap trace at N events (0 = unlimited)
  *   --chrome-trace <file> Chrome Trace Event timeline
  *   --chrome-trace-max <N> cap at N instruction spans (0 = unlimited)
- *   --quiet               suppress info/warn output AND the human
+ *   --quiet               suppress warnings AND the human
  *                         tables/headers, so piped --stats-csv -
  *                         output is machine-clean
- *   --log-level <name>    debug | info | warn | quiet
  *
  * Host self-profiling flags, accepted by every subcommand:
  *
@@ -274,14 +274,15 @@ const std::vector<FlagSpec> kTracerFlags = {
  * Strict flag parser for everything after the positionals.
  *
  * Each subcommand declares its own flags and the shared families it
- * honours via parse(); only the logging and profiling flags are
+ * honours via parse(); only --quiet and the profiling flags are
  * accepted everywhere, so no flag is ever silently ignored.  An
  * unknown flag, a missing or malformed value (integer flags demand a
- * non-negative integer), a repeated flag, or a stray positional is a
- * usage error: message + exit 1.  Strictness is deliberate — a typo
- * must never silently run with defaults, and a duplicated flag must
- * never silently drop one of the two values the user thought they
- * set.
+ * non-negative integer, string flags a non-empty one, since an empty
+ * value would read as an absent flag), a repeated flag, or a stray
+ * positional is a usage error: message + exit 1.  Strictness is
+ * deliberate — a typo must never silently run with defaults, and a
+ * duplicated flag must never silently drop one of the two values the
+ * user thought they set.
  */
 class Args
 {
@@ -299,7 +300,6 @@ class Args
     {
         static const std::vector<FlagSpec> log_specs = {
             {"quiet", FlagKind::Bool},
-            {"log-level", FlagKind::String},
             {"profile", FlagKind::Bool},
             {"profile-json", FlagKind::String},
         };
@@ -335,6 +335,8 @@ class Args
                 !isNonNegativeInt(value))
                 badUsage("invalid value '" + value + "' for " + token +
                          " (expected a non-negative integer)");
+            if (value.empty())
+                badUsage("flag '" + token + "' needs a non-empty value");
             values_.emplace_back(spec->name, value);
         }
     }
@@ -555,26 +557,27 @@ emitReport(obs::Report &report, const ObsOptions &opts)
 }
 
 /**
- * Write a region pass's stats (the mirror its sweep row reports) as
- * @p command's one-run report, under config @p config.
+ * Write @p stats as @p command's one-run report, under @p workload
+ * and config @p config.
  */
 int
-emitRegionReport(const char *command, const sweep::RegionPoint &point,
-                 const char *config, const ObsOptions &opts)
+emitRunReport(const char *command, const std::string &workload,
+              const char *config, const obs::StatsRegistry::Snapshot &stats,
+              const ObsOptions &opts)
 {
     obs::Report report;
     report.command = command;
     obs::RunRecord record;
-    record.workload = point.workload;
+    record.workload = workload;
     record.config = config;
-    record.stats = point.snapshot;
+    record.stats = stats;
     report.runs.push_back(std::move(record));
     return emitReport(report, opts);
 }
 
-/** True when --quiet (or --log-level quiet) asked for machine-clean
- *  stdout, or a "-" sink claimed stdout for machine output: human
- *  tables, headers, and meter lines are suppressed. */
+/** True when --quiet asked for machine-clean stdout, or a "-" sink
+ *  claimed stdout for machine output: human tables, headers, and
+ *  meter lines are suppressed. */
 bool
 quietOutput()
 {
@@ -759,7 +762,9 @@ cmdProfile(const std::string &target, Args &args)
 
     if (!opts.wantsReport())
         return 0;
-    return emitRegionReport("profile", result, "figure4", opts);
+    // The region pass's stats: the mirror its sweep row reports.
+    return emitRunReport("profile", result.workload, "figure4",
+                         result.snapshot, opts);
 }
 
 int
@@ -1505,14 +1510,11 @@ cmdRecord(const std::string &target, Args &args)
 
     if (!opts.wantsReport())
         return 0;
-    obs::Hooks hooks;
-    hooks.registry.counter("trace.instructions") = n;
-    hooks.registry.counter("trace.bytes") = bytes;
-    obs::Report report;
-    report.command = "record";
-    report.runs.push_back(
-        obs::RunRecord::fromHooks(prog->name, "record", hooks));
-    return emitReport(report, opts);
+    obs::StatsRegistry registry;
+    registry.counter("trace.instructions") = n;
+    registry.counter("trace.bytes") = bytes;
+    return emitRunReport("record", prog->name, "record",
+                         registry.snapshot(), opts);
 }
 
 int
@@ -1578,7 +1580,8 @@ cmdReplay(const std::string &trace_path, Args &args)
 
     if (!opts.wantsReport())
         return 0;
-    return emitRegionReport("replay", point, "replay", opts);
+    return emitRunReport("replay", point.workload, "replay", point.snapshot,
+                         opts);
 }
 
 /** Numeric field helper for telemetry-line parsing. */
@@ -2249,7 +2252,7 @@ usage()
         "  --pipetrace F [--pipetrace-max N]\n"
         "  --chrome-trace F [--chrome-trace-max N]\n"
         "logging (any command):\n"
-        "  --quiet   --log-level debug|info|warn|quiet\n"
+        "  --quiet   silence warnings and the human tables\n"
         "telemetry (run, time, replay, sweep):\n"
         "  --telemetry F             append heartbeat JSONL records\n"
         "                            (crash-safe; 'monitor' tails it)\n"
@@ -2313,22 +2316,13 @@ finishProfile(const std::string &json_path, int rc)
     return rc;
 }
 
-/** Apply --quiet / --log-level before dispatching the subcommand. */
+/** Apply --quiet before dispatching the subcommand. */
 void
 applyLogFlags(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quiet") == 0) {
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--quiet") == 0)
             setLogLevel(LogLevel::Error);
-        } else if (std::strcmp(argv[i], "--log-level") == 0 &&
-                   i + 1 < argc) {
-            LogLevel level = LogLevel::Info;
-            if (!parseLogLevel(argv[i + 1], level))
-                badUsage(std::string("unknown log level '") + argv[i + 1] +
-                         "'");
-            setLogLevel(level);
-        }
-    }
 }
 
 } // namespace
