@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -29,8 +30,13 @@
 #include <sstream>
 #include <string>
 
+#include "assembler/assembler.hh"
 #include "builder/program_builder.hh"
+#include "common/crc32.hh"
 #include "core/experiment.hh"
+#include "isa/inst.hh"
+#include "isa/operands.hh"
+#include "isa/registers.hh"
 #include "obs/hooks.hh"
 #include "obs/report.hh"
 #include "obs/telemetry.hh"
@@ -57,6 +63,7 @@ constexpr const char *kObservedRowsFile = "observed_rows.csv";
 constexpr const char *kObservedPipeFile = "observed_pipetrace.txt";
 constexpr const char *kObservedChromeFile = "observed_chrome.json";
 constexpr const char *kObservedTelemetryFile = "observed_telemetry.jsonl";
+constexpr const char *kIsaOperandsFile = "isa_operands.txt";
 
 /** The pinned grid: two int workloads × three Fig-8 configs. */
 sweep::SweepSpec
@@ -261,6 +268,273 @@ fixtureProgram()
     b.bgtz(11, sum);
     b.exit_(0);
     return b.finish();
+}
+
+/** @p value as eight hex digits. */
+std::string
+hex8(std::uint32_t value)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08x", value);
+    return buf;
+}
+
+/** A flat dependence register by name ("-" for NoReg). */
+std::string
+flatName(isa::FlatReg reg)
+{
+    if (reg == isa::NoReg)
+        return "-";
+    return reg < isa::FprBase ? isa::gprName(reg)
+                              : isa::fprName(reg - isa::FprBase);
+}
+
+/** "sources=$a,$b dest=$c" of @p inst. */
+std::string
+depsText(const isa::DecodedInst &inst)
+{
+    const isa::SourceList sources = isa::instSources(inst);
+    std::string out = "sources=";
+    for (unsigned i = 0; i < sources.count; ++i)
+        out += (i ? "," : "") + flatName(sources.regs[i]);
+    if (sources.count == 0)
+        out += "-";
+    return out + " dest=" + flatName(isa::instDest(inst));
+}
+
+/**
+ * Assemble @p statement (labelled S, with T just past it) after a
+ * data label D, a text label L and @p before nops, with @p after
+ * nops between it and a last label E.  @return "ok" with the
+ * statement's words and their disassembly, or every diagnostic.
+ */
+std::string
+probeStatement(const std::string &statement, unsigned before = 0,
+               unsigned after = 0)
+{
+    std::string source = ".data\nD: .word 0\n.text\nL: nop\n";
+    for (unsigned i = 0; i < before; ++i)
+        source += "nop\n";
+    source += "S: " + statement + "\nT:\n";
+    for (unsigned i = 0; i < after; ++i)
+        source += "nop\n";
+    source += "E: nop\n";
+    const assembler::AsmResult result = assembler::assemble(source);
+    if (!result.ok()) {
+        std::string out;
+        for (const assembler::AsmError &error : result.errors)
+            out += (out.empty() ? "" : "; ") + error.format();
+        return out;
+    }
+    const vm::Program &program = *result.program;
+    std::string out = "ok";
+    for (Addr pc = program.symbols.at("S"); pc < program.symbols.at("T");
+         pc += 4) {
+        isa::DecodedInst inst;
+        EXPECT_TRUE(isa::decode(program.fetch(pc), inst));
+        out += " " + hex8(program.fetch(pc)) + " " +
+               isa::disassemble(inst, pc) + ";";
+    }
+    return out;
+}
+
+/** @p tokens as an assembler statement: "m a, b, c". */
+std::string
+joinStatement(const std::vector<std::string> &tokens)
+{
+    std::string out = tokens[0];
+    for (std::size_t i = 1; i < tokens.size(); ++i)
+        out += (i == 1 ? " " : ", ") + tokens[i];
+    return out;
+}
+
+/**
+ * The malformed (and boundary) variants of one statement, one line
+ * each.  The operand kinds come from the statement's own text, as
+ * the disassembler printed it, so nothing here restates an
+ * opcode's layout: "$f.." is an FPR, "$.." a GPR, "n($r)" a memory
+ * operand, "L" a label and anything else an immediate.
+ */
+void
+probeVariants(const std::vector<std::string> &tokens, bool is_branch,
+              std::ostream &os)
+{
+    auto line = [&](const std::string &tag,
+                    const std::vector<std::string> &variant,
+                    unsigned before = 0, unsigned after = 0) {
+        const std::string statement = joinStatement(variant);
+        os << "  " << tag << ": " << statement << " -> "
+           << probeStatement(statement, before, after) << "\n";
+    };
+    auto with = [&](std::size_t index, const std::string &text) {
+        std::vector<std::string> variant = tokens;
+        variant[index] = text;
+        return variant;
+    };
+    auto swap_file = [](const std::string &reg) {
+        const int fpr = isa::parseFprName(reg);
+        return fpr >= 0 ? isa::gprName(static_cast<RegIndex>(fpr))
+                        : isa::fprName(static_cast<RegIndex>(
+                              isa::parseGprName(reg)));
+    };
+    static const char *const kImmediates[] = {
+        "-32769", "-32768", "-1", "0", "31", "32", "32767", "32768",
+        "65535", "65536", "x"};
+
+    line("ok", tokens);
+    if (tokens.size() > 1)
+        line("short", std::vector<std::string>(tokens.begin(),
+                                               tokens.end() - 1));
+    std::vector<std::string> extra = tokens;
+    extra.push_back("$t0");
+    line("extra", extra);
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+        const std::string &token = tokens[i];
+        const std::string at = std::to_string(i);
+        const std::size_t open = token.find('(');
+        if (token == "L") {
+            line("undefined" + at, with(i, "nowhere"));
+            line("data" + at, with(i, "D"));
+            if (is_branch) {
+                line("forward32767", with(i, "E"), 0, 32767);
+                line("forward32768", with(i, "E"), 0, 32768);
+                line("backward32768", tokens, 32766);
+                line("backward32769", tokens, 32767);
+            }
+        } else if (open != std::string::npos) {
+            const std::string base =
+                token.substr(open + 1, token.size() - open - 2);
+            const std::string offset = token.substr(0, open);
+            for (const char *imm : kImmediates)
+                line("offset" + at + "=" + imm,
+                     with(i, imm + ("(" + base + ")")));
+            line("basefile" + at,
+                 with(i, offset + "(" + swap_file(base) + ")"));
+            line("nobase" + at, with(i, offset + "($q)"));
+            line("nooffset" + at, with(i, "(" + base + ")"));
+            line("noparen" + at, with(i, offset + " " + base));
+            line("unclosed" + at, with(i, offset + "(" + base));
+            line("reversed" + at, with(i, offset + ")" + base + "("));
+        } else if (token[0] == '$') {
+            line("file" + at, with(i, swap_file(token)));
+            line("notreg" + at, with(i, "17"));
+        } else {
+            for (const char *imm : kImmediates)
+                line("imm" + at + "=" + imm, with(i, imm));
+        }
+    }
+}
+
+/** Split "m a, b, c" into {"m", "a", "b", "c"}. */
+std::vector<std::string>
+splitStatement(const std::string &text)
+{
+    std::vector<std::string> tokens;
+    const std::size_t space = text.find(' ');
+    tokens.push_back(text.substr(0, space));
+    if (space == std::string::npos)
+        return tokens;
+    std::string rest = text.substr(space + 1);
+    for (std::size_t comma; (comma = rest.find(", ")) != std::string::npos;
+         rest = rest.substr(comma + 2))
+        tokens.push_back(rest.substr(0, comma));
+    tokens.push_back(rest);
+    return tokens;
+}
+
+/** CRC-32 of a program's symbol table as "name=addr\n" lines. */
+std::uint32_t
+symbolsCrc(const vm::Program &program)
+{
+    std::string text;
+    for (const auto &[name, addr] : program.symbols)
+        text += name + "=" + hex8(addr) + "\n";
+    return crc32(text.data(), text.size());
+}
+
+/**
+ * The ISA operand contract: for every opcode, the disassembly and
+ * dependence lists of a fixed operand pattern (and of an all-zero
+ * one), and what the assembler makes of that disassembly and of its
+ * malformed variants; the pseudo-ops' diagnostics; the CRC-32s of
+ * every corpus program as assembled; and the CRC-32 of the
+ * disassembly of every registry workload.
+ */
+std::string
+isaOperandContract()
+{
+    std::ostringstream os;
+    for (unsigned i = 0; i < isa::NumOpcodes; ++i) {
+        const auto op = static_cast<isa::Opcode>(i);
+        // Every field busy, then round-tripped through the encoding
+        // so only the fields of the opcode's format survive.
+        isa::DecodedInst busy{op, 9, 18, 27, 17, 0x123456};
+        isa::DecodedInst zero{op, 0, 0, 0, 0, 0};
+        for (isa::DecodedInst *inst : {&busy, &zero})
+            EXPECT_TRUE(isa::decode(isa::encode(*inst), *inst));
+        const Addr pc = vm::layout::TextBase;
+        const std::string text = isa::disassemble(busy, pc);
+        os << "opcode " << isa::mnemonic(op) << "\n"
+           << "  disasm: " << text << " " << depsText(busy) << "\n"
+           << "  zero: " << isa::disassemble(zero, pc) << " "
+           << depsText(zero) << "\n";
+        std::vector<std::string> tokens = splitStatement(text);
+        for (std::string &token : tokens)
+            if (token.rfind("0x", 0) == 0)
+                token = "L";
+        probeVariants(tokens, isa::opInfo(op).isBranch, os);
+    }
+
+    os << "pseudo-ops\n";
+    for (const char *statement :
+         {"li $t1, 17", "li $t1, -32768", "li $t1, 32768",
+          "li $t1, -32769", "li $t1, 2147483647", "li $t1, 2147483648",
+          "li $t1, -2147483649", "li $t1, x", "li $f1, 5", "li $t1",
+          "la $t1, L", "la $t1, D", "la $t1, nowhere", "la $f1, D",
+          "la $t1", "move $t1, $s2", "move $t1, $f2", "move $f1, $s2",
+          "move $t1", "b L", "b E", "b nowhere", "b", "b L, E", "nop",
+          "frobnicate $t1"})
+        os << "  " << statement << " -> " << probeStatement(statement)
+           << "\n";
+
+    std::vector<std::filesystem::path> sources;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ARL_CORPUS_DIR))
+        if (entry.path().extension() == ".s")
+            sources.push_back(entry.path());
+    std::sort(sources.begin(), sources.end());
+    EXPECT_EQ(sources.size(), 24u);
+    for (const auto &path : sources) {
+        const assembler::AsmResult result =
+            assembler::assemble(readFile(path.string()),
+                                path.stem().string());
+        EXPECT_TRUE(result.ok()) << path;
+        if (!result.ok())
+            continue;
+        const vm::Program &program = *result.program;
+        os << "corpus " << path.filename().string() << " text="
+           << hex8(crc32(program.text.data(), program.text.size() * 4))
+           << " data="
+           << hex8(crc32(program.data.data(), program.data.size()))
+           << " symbols=" << hex8(symbolsCrc(program))
+           << " entry=" << hex8(program.entry) << "\n";
+    }
+
+    for (const auto &info : workloads::allWorkloads()) {
+        const auto program = workloads::buildWorkload(info.name, 1);
+        std::string listing;
+        for (std::size_t i = 0; i < program->text.size(); ++i) {
+            const Addr pc = program->textBase + static_cast<Addr>(i * 4);
+            isa::DecodedInst inst;
+            EXPECT_TRUE(isa::decode(program->text[i], inst));
+            listing += isa::disassemble(inst, pc) + "\n";
+        }
+        os << "workload " << info.name << " words="
+           << program->text.size()
+           << " disasm=" << hex8(crc32(listing.data(), listing.size()))
+           << "\n";
+    }
+    return os.str();
 }
 
 } // namespace
@@ -741,4 +1015,11 @@ TEST(Golden, V2TraceFixtureEncodingPinned)
         ++decoded;
     EXPECT_EQ(decoded, n);
     EXPECT_EQ(reader.error(), "");
+}
+
+TEST(Golden, IsaOperandContract)
+{
+    // Everything that reads an opcode's operand layout (assembler,
+    // disassembler, dependence lists) pinned in one listing.
+    expectMatchesGolden(isaOperandContract(), kIsaOperandsFile);
 }
