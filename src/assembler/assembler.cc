@@ -4,12 +4,11 @@
 #include <cstring>
 #include <cstdlib>
 #include <map>
-#include <optional>
 #include <sstream>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
-#include "isa/inst.hh"
+#include "isa/operands.hh"
 #include "isa/registers.hh"
 #include "vm/layout.hh"
 
@@ -21,100 +20,6 @@ namespace
 
 using isa::DecodedInst;
 using isa::Opcode;
-
-/** Operand syntax class of a mnemonic. */
-enum class Syntax
-{
-    R3,        ///< op $rd, $rs, $rt
-    R2,        ///< op $rd, $rs           (fneg.s, fmov.s, cvt, m[tf]c1)
-    I2,        ///< op $rd, $rs, imm
-    Shift,     ///< op $rd, $rs, shamt
-    LoadStore, ///< op $rd, off($rs)
-    Lui,       ///< op $rd, imm
-    Branch2,   ///< op $ra, $rb, label
-    Branch1,   ///< op $rs, label
-    Jump,      ///< op label
-    JumpReg,   ///< op $rs
-    Jalr,      ///< op $rd, $rs
-    Bare,      ///< op                    (nop, syscall)
-    FpR3,      ///< op $fd, $fs, $ft
-    FpCmp,     ///< op $rd, $fs, $ft
-    Mtc1,      ///< op $fd, $rs
-    Mfc1,      ///< op $rd, $fs
-};
-
-struct MnemonicInfo
-{
-    Opcode op;
-    Syntax syntax;
-};
-
-const std::map<std::string, MnemonicInfo> &
-mnemonicTable()
-{
-    static const std::map<std::string, MnemonicInfo> table = {
-        {"add", {Opcode::Add, Syntax::R3}},
-        {"sub", {Opcode::Sub, Syntax::R3}},
-        {"mul", {Opcode::Mul, Syntax::R3}},
-        {"div", {Opcode::Div, Syntax::R3}},
-        {"rem", {Opcode::Rem, Syntax::R3}},
-        {"and", {Opcode::And, Syntax::R3}},
-        {"or", {Opcode::Or, Syntax::R3}},
-        {"xor", {Opcode::Xor, Syntax::R3}},
-        {"nor", {Opcode::Nor, Syntax::R3}},
-        {"sllv", {Opcode::Sllv, Syntax::R3}},
-        {"srlv", {Opcode::Srlv, Syntax::R3}},
-        {"srav", {Opcode::Srav, Syntax::R3}},
-        {"slt", {Opcode::Slt, Syntax::R3}},
-        {"sltu", {Opcode::Sltu, Syntax::R3}},
-        {"addi", {Opcode::Addi, Syntax::I2}},
-        {"andi", {Opcode::Andi, Syntax::I2}},
-        {"ori", {Opcode::Ori, Syntax::I2}},
-        {"xori", {Opcode::Xori, Syntax::I2}},
-        {"slti", {Opcode::Slti, Syntax::I2}},
-        {"sltiu", {Opcode::Sltiu, Syntax::I2}},
-        {"lui", {Opcode::Lui, Syntax::Lui}},
-        {"sll", {Opcode::Sll, Syntax::Shift}},
-        {"srl", {Opcode::Srl, Syntax::Shift}},
-        {"sra", {Opcode::Sra, Syntax::Shift}},
-        {"lw", {Opcode::Lw, Syntax::LoadStore}},
-        {"lh", {Opcode::Lh, Syntax::LoadStore}},
-        {"lhu", {Opcode::Lhu, Syntax::LoadStore}},
-        {"lb", {Opcode::Lb, Syntax::LoadStore}},
-        {"lbu", {Opcode::Lbu, Syntax::LoadStore}},
-        {"sw", {Opcode::Sw, Syntax::LoadStore}},
-        {"sh", {Opcode::Sh, Syntax::LoadStore}},
-        {"sb", {Opcode::Sb, Syntax::LoadStore}},
-        {"lwc1", {Opcode::Lwc1, Syntax::LoadStore}},
-        {"swc1", {Opcode::Swc1, Syntax::LoadStore}},
-        {"fadd.s", {Opcode::FaddS, Syntax::FpR3}},
-        {"fsub.s", {Opcode::FsubS, Syntax::FpR3}},
-        {"fmul.s", {Opcode::FmulS, Syntax::FpR3}},
-        {"fdiv.s", {Opcode::FdivS, Syntax::FpR3}},
-        {"fneg.s", {Opcode::FnegS, Syntax::R2}},
-        {"fmov.s", {Opcode::FmovS, Syntax::R2}},
-        {"cvt.s.w", {Opcode::CvtSW, Syntax::R2}},
-        {"cvt.w.s", {Opcode::CvtWS, Syntax::R2}},
-        {"feq.s", {Opcode::FeqS, Syntax::FpCmp}},
-        {"flt.s", {Opcode::FltS, Syntax::FpCmp}},
-        {"fle.s", {Opcode::FleS, Syntax::FpCmp}},
-        {"mtc1", {Opcode::Mtc1, Syntax::Mtc1}},
-        {"mfc1", {Opcode::Mfc1, Syntax::Mfc1}},
-        {"beq", {Opcode::Beq, Syntax::Branch2}},
-        {"bne", {Opcode::Bne, Syntax::Branch2}},
-        {"blez", {Opcode::Blez, Syntax::Branch1}},
-        {"bgtz", {Opcode::Bgtz, Syntax::Branch1}},
-        {"bltz", {Opcode::Bltz, Syntax::Branch1}},
-        {"bgez", {Opcode::Bgez, Syntax::Branch1}},
-        {"j", {Opcode::J, Syntax::Jump}},
-        {"jal", {Opcode::Jal, Syntax::Jump}},
-        {"jr", {Opcode::Jr, Syntax::JumpReg}},
-        {"jalr", {Opcode::Jalr, Syntax::Jalr}},
-        {"syscall", {Opcode::Syscall, Syntax::Bare}},
-        {"nop", {Opcode::Nop, Syntax::Bare}},
-    };
-    return table;
-}
 
 std::string
 trim(const std::string &text)
@@ -162,6 +67,14 @@ struct Statement
     unsigned words = 0;            ///< encoded size in words
 };
 
+/** Word offset of @p target from the statement after @p statement. */
+std::int64_t
+branchOffset(const Statement &statement, Addr target)
+{
+    return (static_cast<std::int64_t>(target) -
+            (static_cast<std::int64_t>(statement.pc) + 4)) >> 2;
+}
+
 /** Assembly state shared by the two passes. */
 class Assembler
 {
@@ -191,16 +104,18 @@ class Assembler
     /** Emit one instruction word. */
     void emit(const DecodedInst &inst) { text.push_back(inst); }
 
+    /** Parse @p token as the operand @p operand describes, into @p inst. */
+    bool parseOperand(const Statement &statement,
+                      const isa::Operand &operand, const std::string &token,
+                      DecodedInst &inst);
     bool parseReg(const Statement &statement, const std::string &token,
-                  RegIndex &out);
-    bool parseFpr(const Statement &statement, const std::string &token,
-                  RegIndex &out);
+                  RegIndex &out, isa::RegFile file = isa::RegFile::Gpr);
     bool parseImmediate(const Statement &statement,
                         const std::string &token, long min, long max,
                         std::int32_t &out);
     bool parseMemOperand(const Statement &statement,
-                         const std::string &token, std::int32_t &offset,
-                         RegIndex &base);
+                         const isa::Operand &operand,
+                         const std::string &token, DecodedInst &inst);
     bool lookupSymbol(const Statement &statement,
                       const std::string &symbol, Addr &out);
 
@@ -280,7 +195,8 @@ Assembler::statementWords(const Statement &statement)
     }
     if (m == "la")
         return 2;
-    if (m == "move" || m == "b" || mnemonicTable().count(m))
+    Opcode op;
+    if (m == "move" || m == "b" || isa::opcodeFromMnemonic(m, op))
         return 1;
     return 0;  // unknown: error in pass 2
 }
@@ -334,25 +250,14 @@ Assembler::layout()
 
 bool
 Assembler::parseReg(const Statement &statement, const std::string &token,
-                    RegIndex &out)
+                    RegIndex &out, isa::RegFile file)
 {
-    int index = isa::parseGprName(token);
+    const bool fp = file == isa::RegFile::Fpr;
+    int index = fp ? isa::parseFprName(token) : isa::parseGprName(token);
     if (index < 0) {
-        error(statement.line, "expected a register, got '" + token + "'");
-        return false;
-    }
-    out = static_cast<RegIndex>(index);
-    return true;
-}
-
-bool
-Assembler::parseFpr(const Statement &statement, const std::string &token,
-                    RegIndex &out)
-{
-    int index = isa::parseFprName(token);
-    if (index < 0) {
-        error(statement.line,
-              "expected an FP register, got '" + token + "'");
+        error(statement.line, std::string(fp ? "expected an FP register"
+                                             : "expected a register") +
+                                  ", got '" + token + "'");
         return false;
     }
     out = static_cast<RegIndex>(index);
@@ -384,8 +289,8 @@ Assembler::parseImmediate(const Statement &statement,
 
 bool
 Assembler::parseMemOperand(const Statement &statement,
-                           const std::string &token,
-                           std::int32_t &offset, RegIndex &base)
+                           const isa::Operand &operand,
+                           const std::string &token, DecodedInst &inst)
 {
     std::size_t open = token.find('(');
     std::size_t close = token.find(')');
@@ -398,11 +303,12 @@ Assembler::parseMemOperand(const Statement &statement,
     std::string off_text = trim(token.substr(0, open));
     if (off_text.empty())
         off_text = "0";
-    if (!parseImmediate(statement, off_text, -32768, 32767, offset))
+    if (!parseImmediate(statement, off_text, operand.min, operand.max,
+                        inst.imm))
         return false;
     return parseReg(statement,
                     trim(token.substr(open + 1, close - open - 1)),
-                    base);
+                    isa::regField(inst, operand.field));
 }
 
 bool
@@ -487,140 +393,64 @@ Assembler::encodeStatement(const Statement &statement)
         Addr target;
         if (!lookupSymbol(statement, operands[0], target))
             return;
-        std::int64_t delta =
-            (static_cast<std::int64_t>(target) -
-             (static_cast<std::int64_t>(statement.pc) + 4)) >> 2;
-        emit({Opcode::Beq, 0, 0, 0, static_cast<std::int32_t>(delta),
+        emit({Opcode::Beq, 0, 0, 0,
+              static_cast<std::int32_t>(branchOffset(statement, target)),
               0});
         return;
     }
 
-    auto it = mnemonicTable().find(m);
-    if (it == mnemonicTable().end())
+    Opcode op;
+    if (!isa::opcodeFromMnemonic(m, op))
         return;  // already diagnosed in pass 1
-    const MnemonicInfo &info = it->second;
+    const isa::SyntaxInfo &syntax = isa::syntaxInfo(isa::opInfo(op).syntax);
+    if (!expect(syntax.count))
+        return;
     DecodedInst inst;
-    inst.op = info.op;
+    inst.op = op;
+    for (std::size_t i = 0; i < syntax.count; ++i)
+        if (!parseOperand(statement, syntax.operand[i], operands[i], inst))
+            return;
+    emit(inst);
+}
 
-    auto branch_target = [&](const std::string &token,
-                             std::int32_t &imm_out) {
-        Addr target;
+bool
+Assembler::parseOperand(const Statement &statement,
+                        const isa::Operand &operand,
+                        const std::string &token, DecodedInst &inst)
+{
+    Addr target;
+    switch (operand.kind) {
+      case isa::OperandKind::Reg:
+        return parseReg(statement, token,
+                        isa::regField(inst, operand.field), operand.file);
+      case isa::OperandKind::Imm:
+        return parseImmediate(statement, token, operand.min, operand.max,
+                              inst.imm);
+      case isa::OperandKind::Mem:
+        return parseMemOperand(statement, operand, token, inst);
+      case isa::OperandKind::Branch: {
         if (!lookupSymbol(statement, token, target))
             return false;
-        std::int64_t delta =
-            (static_cast<std::int64_t>(target) -
-             (static_cast<std::int64_t>(statement.pc) + 4)) >> 2;
-        if (delta < -32768 || delta > 32767) {
+        std::int64_t delta = branchOffset(statement, target);
+        if (delta < operand.min || delta > operand.max) {
             error(statement.line, "branch target out of range");
             return false;
         }
-        imm_out = static_cast<std::int32_t>(delta);
+        inst.imm = static_cast<std::int32_t>(delta);
         return true;
-    };
-
-    switch (info.syntax) {
-      case Syntax::R3:
-        if (expect(3) && parseReg(statement, operands[0], inst.rd) &&
-            parseReg(statement, operands[1], inst.rs) &&
-            parseReg(statement, operands[2], inst.rt))
-            emit(inst);
-        return;
-      case Syntax::FpR3:
-        if (expect(3) && parseFpr(statement, operands[0], inst.rd) &&
-            parseFpr(statement, operands[1], inst.rs) &&
-            parseFpr(statement, operands[2], inst.rt))
-            emit(inst);
-        return;
-      case Syntax::FpCmp:
-        if (expect(3) && parseReg(statement, operands[0], inst.rd) &&
-            parseFpr(statement, operands[1], inst.rs) &&
-            parseFpr(statement, operands[2], inst.rt))
-            emit(inst);
-        return;
-      case Syntax::R2:
-        if (expect(2) && parseFpr(statement, operands[0], inst.rd) &&
-            parseFpr(statement, operands[1], inst.rs))
-            emit(inst);
-        return;
-      case Syntax::Mtc1:
-        if (expect(2) && parseFpr(statement, operands[0], inst.rd) &&
-            parseReg(statement, operands[1], inst.rs))
-            emit(inst);
-        return;
-      case Syntax::Mfc1:
-        if (expect(2) && parseReg(statement, operands[0], inst.rd) &&
-            parseFpr(statement, operands[1], inst.rs))
-            emit(inst);
-        return;
-      case Syntax::I2:
-        if (expect(3) && parseReg(statement, operands[0], inst.rd) &&
-            parseReg(statement, operands[1], inst.rs) &&
-            parseImmediate(statement, operands[2], -32768, 65535,
-                           inst.imm))
-            emit(inst);
-        return;
-      case Syntax::Shift:
-        if (expect(3) && parseReg(statement, operands[0], inst.rd) &&
-            parseReg(statement, operands[1], inst.rs) &&
-            parseImmediate(statement, operands[2], 0, 31, inst.imm))
-            emit(inst);
-        return;
-      case Syntax::Lui:
-        if (expect(2) && parseReg(statement, operands[0], inst.rd) &&
-            parseImmediate(statement, operands[1], -32768, 65535,
-                           inst.imm))
-            emit(inst);
-        return;
-      case Syntax::LoadStore: {
-        bool is_fp = (info.op == Opcode::Lwc1 || info.op == Opcode::Swc1);
-        bool reg_ok = expect(2) &&
-                      (is_fp ? parseFpr(statement, operands[0], inst.rd)
-                             : parseReg(statement, operands[0], inst.rd));
-        if (reg_ok &&
-            parseMemOperand(statement, operands[1], inst.imm, inst.rs))
-            emit(inst);
-        return;
       }
-      case Syntax::Branch2:
-        if (expect(3) && parseReg(statement, operands[0], inst.rd) &&
-            parseReg(statement, operands[1], inst.rs) &&
-            branch_target(operands[2], inst.imm))
-            emit(inst);
-        return;
-      case Syntax::Branch1:
-        if (expect(2) && parseReg(statement, operands[0], inst.rs) &&
-            branch_target(operands[1], inst.imm))
-            emit(inst);
-        return;
-      case Syntax::Jump: {
-        if (!expect(1))
-            return;
-        Addr target;
-        if (!lookupSymbol(statement, operands[0], target))
-            return;
+      case isa::OperandKind::Jump:
+        if (!lookupSymbol(statement, token, target))
+            return false;
         if ((target & 0xf0000000u) != (statement.pc & 0xf0000000u)) {
             error(statement.line, "jump target outside the current "
                                   "256MB region");
-            return;
+            return false;
         }
         inst.target = (target >> 2) & 0x03ffffffu;
-        emit(inst);
-        return;
-      }
-      case Syntax::JumpReg:
-        if (expect(1) && parseReg(statement, operands[0], inst.rs))
-            emit(inst);
-        return;
-      case Syntax::Jalr:
-        if (expect(2) && parseReg(statement, operands[0], inst.rd) &&
-            parseReg(statement, operands[1], inst.rs))
-            emit(inst);
-        return;
-      case Syntax::Bare:
-        if (expect(0))
-            emit(inst);
-        return;
+        return true;
     }
+    return false;
 }
 
 bool

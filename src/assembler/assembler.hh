@@ -18,10 +18,11 @@
  *     done:   li   $v0, 10           # exit syscall number
  *             syscall
  *
- * Pseudo-instructions: li (addi or lui+ori), la (lui+ori), move,
- * nop, b (unconditional beq $zero,$zero).  Register names accept
- * the symbolic ($sp, $t0) and numeric ($29, r29) forms; FP
- * registers are $f0..$f31.
+ * An opcode's operands are parsed by walking its syntax's operand
+ * list (isa/operands.hh).  Pseudo-instructions: li (addi or
+ * lui+ori), la (lui+ori), move (add), b (unconditional beq
+ * $zero,$zero).  Register names accept the symbolic ($sp, $t0) and
+ * numeric ($29, r29) forms; FP registers are $f0..$f31.
  *
  * Pass 1 sizes every statement and binds labels; pass 2 encodes and
  * resolves references.  A unit with no instruction at all (empty,

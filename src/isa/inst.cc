@@ -1,10 +1,10 @@
 #include "isa/inst.hh"
 
-#include <sstream>
+#include <cstdio>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
-#include "isa/registers.hh"
+#include "isa/operands.hh"
 
 namespace arl::isa
 {
@@ -86,82 +86,39 @@ std::string
 disassemble(const DecodedInst &inst, Addr pc)
 {
     const OpInfo &info = opInfo(inst.op);
-    std::ostringstream os;
-    os << info.mnemonic;
-
+    std::string out = info.mnemonic;
     auto hex = [](Addr a) {
         char buf[16];
         std::snprintf(buf, sizeof(buf), "0x%08x", a);
         return std::string(buf);
     };
-
-    switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::Syscall:
-        break;
-      case Opcode::J:
-      case Opcode::Jal:
-        os << " " << hex(jumpTarget(inst, pc));
-        break;
-      case Opcode::Jr:
-        os << " " << gprName(inst.rs);
-        break;
-      case Opcode::Jalr:
-        os << " " << gprName(inst.rd) << ", " << gprName(inst.rs);
-        break;
-      case Opcode::Beq:
-      case Opcode::Bne:
-        os << " " << gprName(inst.rd) << ", " << gprName(inst.rs)
-           << ", " << hex(branchTarget(inst, pc));
-        break;
-      case Opcode::Blez:
-      case Opcode::Bgtz:
-      case Opcode::Bltz:
-      case Opcode::Bgez:
-        os << " " << gprName(inst.rs) << ", "
-           << hex(branchTarget(inst, pc));
-        break;
-      case Opcode::Lui:
-        os << " " << gprName(inst.rd) << ", " << inst.imm;
-        break;
-      default:
-        if (info.isLoad || info.isStore) {
-            std::string target_reg = info.isFp || info.writesFpr
-                                         ? fprName(inst.rd)
-                                         : gprName(inst.rd);
-            if (inst.op == Opcode::Lwc1 || inst.op == Opcode::Swc1)
-                target_reg = fprName(inst.rd);
-            os << " " << target_reg << ", " << inst.imm << "("
-               << gprName(inst.rs) << ")";
-        } else if (info.format == InstFormat::R) {
-            auto reg_name = [&info](RegIndex r) {
-                return info.isFp ? fprName(r) : gprName(r);
-            };
-            if (inst.op == Opcode::Mtc1) {
-                os << " " << fprName(inst.rd) << ", " << gprName(inst.rs);
-            } else if (inst.op == Opcode::Mfc1) {
-                os << " " << gprName(inst.rd) << ", " << fprName(inst.rs);
-            } else if (inst.op == Opcode::FeqS || inst.op == Opcode::FltS ||
-                       inst.op == Opcode::FleS) {
-                os << " " << gprName(inst.rd) << ", " << fprName(inst.rs)
-                   << ", " << fprName(inst.rt);
-            } else if (inst.op == Opcode::FnegS ||
-                       inst.op == Opcode::FmovS ||
-                       inst.op == Opcode::CvtSW ||
-                       inst.op == Opcode::CvtWS) {
-                os << " " << reg_name(inst.rd) << ", " << reg_name(inst.rs);
-            } else {
-                os << " " << reg_name(inst.rd) << ", " << reg_name(inst.rs)
-                   << ", " << reg_name(inst.rt);
-            }
-        } else {
-            // I-format ALU.
-            os << " " << gprName(inst.rd) << ", " << gprName(inst.rs)
-               << ", " << inst.imm;
+    const char *separator = " ";
+    for (const Operand &operand : syntaxInfo(info.syntax).operands()) {
+        out += separator;
+        separator = ", ";
+        switch (operand.kind) {
+          case OperandKind::Reg: {
+            const RegIndex index = regField(inst, operand.field);
+            out += operand.file == RegFile::Fpr ? fprName(index)
+                                                : gprName(index);
+            break;
+          }
+          case OperandKind::Imm:
+            out += std::to_string(inst.imm);
+            break;
+          case OperandKind::Mem:
+            out += std::to_string(inst.imm) + "(" +
+                   gprName(regField(inst, operand.field)) + ")";
+            break;
+          case OperandKind::Branch:
+            out += hex(branchTarget(inst, pc));
+            break;
+          case OperandKind::Jump:
+            out += hex(jumpTarget(inst, pc));
+            break;
         }
-        break;
     }
-    return os.str();
+    return out;
 }
 
 } // namespace arl::isa

@@ -17,6 +17,10 @@
  * (like SimpleScalar PISA at -O3 in practice): EA = GPR[rs] + imm.
  * "Constant addressing" in the paper's static rule 1 corresponds to
  * rs == $zero.
+ *
+ * Each opcode names its operand Syntax; operands.hh lists every
+ * syntax's operands once, for the assembler, the disassembler and
+ * the dependence lists.
  */
 
 #ifndef ARL_ISA_OPCODES_HH
@@ -123,11 +127,45 @@ enum class FuClass : std::uint8_t
     None       ///< consumes no FU (nop, j, syscall in this model)
 };
 
+/**
+ * Operand syntax of an opcode: which registers, immediates and labels
+ * its assembler text names, in order ($f.. = FPR).  syntaxInfo()
+ * (operands.hh) describes each one.
+ */
+enum class Syntax : std::uint8_t
+{
+    R3,        ///< op $rd, $rs, $rt
+    I2,        ///< op $rd, $rs, imm
+    Shift,     ///< op $rd, $rs, shamt
+    Lui,       ///< op $rd, imm
+    Load,      ///< op $rd, off($rs)
+    Store,     ///< op $rd, off($rs)       (rd is the data stored)
+    FpLoad,    ///< op $fd, off($rs)
+    FpStore,   ///< op $fd, off($rs)
+    FpR3,      ///< op $fd, $fs, $ft
+    FpR2,      ///< op $fd, $fs            (fneg.s, fmov.s, cvt)
+    FpCmp,     ///< op $rd, $fs, $ft
+    Mtc1,      ///< op $fd, $rs
+    Mfc1,      ///< op $rd, $fs
+    Branch2,   ///< op $rd, $rs, label
+    Branch1,   ///< op $rs, label
+    Jump,      ///< op label
+    JumpReg,   ///< op $rs
+    Jalr,      ///< op $rd, $rs
+    Bare,      ///< op                     (nop, syscall)
+    NumSyntaxes
+};
+
+/** Number of distinct syntaxes. */
+constexpr unsigned NumSyntaxes =
+    static_cast<unsigned>(Syntax::NumSyntaxes);
+
 /** Static properties of one opcode. */
 struct OpInfo
 {
     const char *mnemonic;   ///< assembler mnemonic
     InstFormat format;      ///< encoding format
+    Syntax syntax;          ///< operands, as the assembler spells them
     FuClass fu;             ///< functional-unit class
     std::uint8_t latency;   ///< execute latency in cycles (R10000-like)
     bool isLoad;            ///< reads data memory
@@ -136,11 +174,8 @@ struct OpInfo
     bool isJump;            ///< unconditional control transfer
     bool isCall;            ///< writes a return address (jal/jalr)
     bool isReturn;          ///< jr (by convention through $ra)
-    bool isFp;              ///< operates on the FP register file
     std::uint8_t memSize;   ///< access size in bytes (0 if not memory)
     bool memSigned;         ///< sign-extend a sub-word load
-    bool writesGpr;         ///< rd is a GPR destination
-    bool writesFpr;         ///< rd is an FPR destination
 };
 
 namespace detail

@@ -1,25 +1,101 @@
 /**
  * @file
- * Register-operand extraction for dependence tracking.
+ * The operands of every syntax, declared once, and the register
+ * dependences read from them.
  *
- * The out-of-order timing model needs, for every decoded
- * instruction, the set of architectural source registers and the
- * (at most one) destination register.  GPRs and FPRs live in
- * separate spaces; we map them into a flat 64-entry space
- * (0..31 = GPR, 32..63 = FPR) so renaming tables can be simple
- * arrays.  GPR0 ($zero) is never a real dependence.
+ * syntaxInfo() lists a syntax's operands in assembler-text order with
+ * the field each occupies, its register file, whether the instruction
+ * reads or writes it, and an immediate's accepted range.  The
+ * assembler parses by walking that list, the disassembler prints by
+ * walking it, and instSources()/instDest() take their registers from
+ * it; the only operands it does not list are syscall's (it reads $v0
+ * and $a0 and returns in $v0) and jal's link register $ra.
+ *
+ * The out-of-order timing model needs, for every decoded instruction,
+ * the set of architectural source registers and the (at most one)
+ * destination register.  GPRs and FPRs live in separate spaces; we
+ * map them into a flat 64-entry space (0..31 = GPR, 32..63 = FPR) so
+ * renaming tables can be simple arrays.  GPR0 ($zero) is never a real
+ * dependence.
  */
 
 #ifndef ARL_ISA_OPERANDS_HH
 #define ARL_ISA_OPERANDS_HH
 
 #include <cstdint>
+#include <span>
 
 #include "isa/inst.hh"
 #include "isa/registers.hh"
 
 namespace arl::isa
 {
+
+/** Instruction field an operand is encoded in. */
+enum class Field : std::uint8_t { Rd, Rs, Rt, Imm, Target };
+
+/** Register file of a register operand. */
+enum class RegFile : std::uint8_t { None, Gpr, Fpr };
+
+/** How the instruction uses a register operand. */
+enum class Access : std::uint8_t { None, Read, Write };
+
+/** How an operand is spelled in assembler text. */
+enum class OperandKind : std::uint8_t
+{
+    Reg,      ///< a register name
+    Imm,      ///< an integer literal in [min, max]
+    Mem,      ///< off($base): the offset, in [min, max], is imm and
+              ///< the base GPR is `field` (rs)
+    Branch,   ///< a label, as a word offset from pc + 4 in [min, max]
+    Jump,     ///< a label in pc's 256 MB region, as a word index
+};
+
+/** One operand of a syntax. */
+struct Operand
+{
+    OperandKind kind;
+    Field field;          ///< where the value (Mem: the base) is encoded
+    RegFile file;         ///< register file (None: not a register)
+    Access access;        ///< how the register is used
+    std::int32_t min;     ///< accepted range of the immediate part
+    std::int32_t max;
+};
+
+/** The operands of one syntax, in assembler-text order. */
+struct SyntaxInfo
+{
+    std::uint8_t count;
+    Operand operand[3];
+
+    std::span<const Operand>
+    operands() const
+    {
+        return {operand, count};
+    }
+};
+
+namespace detail
+{
+/** One row per syntax, in enum order (opcodes.cc). */
+extern const SyntaxInfo syntaxTable[NumSyntaxes];
+} // namespace detail
+
+/** The operands of @p syntax. */
+inline const SyntaxInfo &
+syntaxInfo(Syntax syntax)
+{
+    return detail::syntaxTable[static_cast<unsigned>(syntax)];
+}
+
+/** Register field @p field (rd, rs or rt) of @p inst. */
+template <typename Inst>
+auto &
+regField(Inst &inst, Field field)
+{
+    return field == Field::Rd ? inst.rd
+                              : field == Field::Rs ? inst.rs : inst.rt;
+}
 
 /** Flat architectural register id: 0..31 GPR, 32..63 FPR. */
 using FlatReg = std::uint8_t;
@@ -28,6 +104,15 @@ constexpr FlatReg FprBase = 32;
 constexpr unsigned NumFlatRegs = 64;
 /** Sentinel meaning "no register". */
 constexpr FlatReg NoReg = 0xff;
+
+/** The register @p operand names in @p inst, as a flat id. */
+inline FlatReg
+flatReg(const DecodedInst &inst, const Operand &operand)
+{
+    const RegIndex index = regField(inst, operand.field);
+    return static_cast<FlatReg>(
+        operand.file == RegFile::Fpr ? FprBase + index : index);
+}
 
 /** Up to three sources. */
 struct SourceList
@@ -45,103 +130,49 @@ struct SourceList
     }
 };
 
-/** Architectural sources read by @p inst. */
+/**
+ * Architectural sources read by @p inst: a memory operand's base
+ * first (address generation needs it before a store's data), then
+ * the other registers read, in text order.
+ */
 inline SourceList
 instSources(const DecodedInst &inst)
 {
     SourceList out;
-    const OpInfo &info = inst.info();
-    auto gpr = [](RegIndex r) { return static_cast<FlatReg>(r); };
-    auto fpr = [](RegIndex r) { return static_cast<FlatReg>(FprBase + r); };
-
-    switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::J:
-      case Opcode::Jal:
-      case Opcode::Lui:
-        break;
-      case Opcode::Syscall:
+    if (inst.op == Opcode::Syscall) {
         // Syscall number and first argument.
-        out.add(gpr(reg::V0));
-        out.add(gpr(reg::A0));
-        break;
-      case Opcode::Jr:
-      case Opcode::Jalr:
-        out.add(gpr(inst.rs));
-        break;
-      case Opcode::Beq:
-      case Opcode::Bne:
-        out.add(gpr(inst.rd));
-        out.add(gpr(inst.rs));
-        break;
-      case Opcode::Blez:
-      case Opcode::Bgtz:
-      case Opcode::Bltz:
-      case Opcode::Bgez:
-        out.add(gpr(inst.rs));
-        break;
-      case Opcode::Mtc1:
-        out.add(gpr(inst.rs));
-        break;
-      case Opcode::Mfc1:
-      case Opcode::FnegS:
-      case Opcode::FmovS:
-      case Opcode::CvtSW:
-      case Opcode::CvtWS:
-        out.add(fpr(inst.rs));
-        break;
-      case Opcode::FeqS:
-      case Opcode::FltS:
-      case Opcode::FleS:
-        out.add(fpr(inst.rs));
-        out.add(fpr(inst.rt));
-        break;
-      default:
-        if (info.isLoad) {
-            out.add(gpr(inst.rs));          // base register
-        } else if (info.isStore) {
-            out.add(gpr(inst.rs));          // base register
-            // Store data source.
-            if (inst.op == Opcode::Swc1)
-                out.add(fpr(inst.rd));
-            else
-                out.add(gpr(inst.rd));
-        } else if (info.isFp) {
-            // Three-register FP arithmetic.
-            out.add(fpr(inst.rs));
-            out.add(fpr(inst.rt));
-        } else if (info.format == InstFormat::R) {
-            out.add(gpr(inst.rs));
-            out.add(gpr(inst.rt));
-        } else {
-            // I-format integer ALU.
-            out.add(gpr(inst.rs));
-        }
-        break;
+        out.add(reg::V0);
+        out.add(reg::A0);
+        return out;
     }
+    const SyntaxInfo &syntax = syntaxInfo(inst.info().syntax);
+    for (const Operand &operand : syntax.operands())
+        if (operand.kind == OperandKind::Mem)
+            out.add(flatReg(inst, operand));
+    for (const Operand &operand : syntax.operands())
+        if (operand.kind == OperandKind::Reg &&
+            operand.access == Access::Read)
+            out.add(flatReg(inst, operand));
     return out;
 }
 
 /**
- * Architectural destination written by @p inst, or NoReg.
- * jal/jalr write the link register.
+ * Architectural destination written by @p inst, or NoReg (a write to
+ * $zero is none).  jal writes the link register, syscall its result
+ * into $v0.
  */
 inline FlatReg
 instDest(const DecodedInst &inst)
 {
-    const OpInfo &info = inst.info();
     if (inst.op == Opcode::Jal)
-        return static_cast<FlatReg>(reg::Ra);
-    if (inst.op == Opcode::Jalr)
-        return inst.rd == reg::Zero ? NoReg
-                                    : static_cast<FlatReg>(inst.rd);
+        return reg::Ra;
     if (inst.op == Opcode::Syscall)
-        return static_cast<FlatReg>(reg::V0);
-    if (info.writesFpr)
-        return static_cast<FlatReg>(FprBase + inst.rd);
-    if (info.writesGpr)
-        return inst.rd == reg::Zero ? NoReg
-                                    : static_cast<FlatReg>(inst.rd);
+        return reg::V0;
+    for (const Operand &operand : syntaxInfo(inst.info().syntax).operands())
+        if (operand.access == Access::Write) {
+            const FlatReg dest = flatReg(inst, operand);
+            return dest == reg::Zero ? NoReg : dest;
+        }
     return NoReg;
 }
 

@@ -3,7 +3,7 @@
 #include <deque>
 
 #include "common/logging.hh"
-#include "isa/registers.hh"
+#include "isa/operands.hh"
 #include "sim/syscalls.hh"
 #include "vm/layout.hh"
 
@@ -89,7 +89,6 @@ StaticClassifier::RegState
 StaticClassifier::transfer(std::size_t index, const RegState &in) const
 {
     const DecodedInst &inst = text[index];
-    const isa::OpInfo &info = inst.info();
     RegState out = in;
 
     auto set = [&out](RegIndex rd, Provenance p,
@@ -211,13 +210,10 @@ StaticClassifier::transfer(std::size_t index, const RegState &in) const
         break;
 
       default:
-        if (info.isLoad && info.writesGpr) {
-            // A loaded value could be any pointer (Figure 6's
-            // point_to_unknown case).
-            set(inst.rd, Provenance::Unknown);
-        } else if (info.writesGpr) {
-            set(inst.rd, Provenance::Unknown);
-        }
+        // Any other GPR result is unknown: a loaded value could be
+        // any pointer (Figure 6's point_to_unknown case).
+        if (isa::FlatReg dest = isa::instDest(inst); dest < isa::FprBase)
+            set(dest, Provenance::Unknown);
         break;
     }
     return out;

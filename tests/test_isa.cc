@@ -55,6 +55,37 @@ TEST(Opcodes, TableConsistency)
         }
         EXPECT_FALSE(info.isLoad && info.isStore) << info.mnemonic;
         EXPECT_GE(info.latency, 1u) << info.mnemonic;
+        // The operand syntax agrees with the memory and control flags.
+        const Syntax syntax = info.syntax;
+        EXPECT_EQ(info.isLoad,
+                  syntax == Syntax::Load || syntax == Syntax::FpLoad)
+            << info.mnemonic;
+        EXPECT_EQ(info.isStore,
+                  syntax == Syntax::Store || syntax == Syntax::FpStore)
+            << info.mnemonic;
+        EXPECT_EQ(info.isBranch, syntax == Syntax::Branch1 ||
+                                     syntax == Syntax::Branch2)
+            << info.mnemonic;
+        EXPECT_EQ(info.isJump, syntax == Syntax::Jump ||
+                                   syntax == Syntax::JumpReg ||
+                                   syntax == Syntax::Jalr)
+            << info.mnemonic;
+        // Every operand lives in a field of the opcode's format, and
+        // at most one register is written.
+        unsigned writes = 0;
+        for (const Operand &operand : syntaxInfo(syntax).operands()) {
+            const bool fits =
+                info.format == InstFormat::R
+                    ? operand.field != Field::Imm &&
+                          operand.field != Field::Target
+                    : info.format == InstFormat::I
+                          ? operand.field != Field::Rt &&
+                                operand.field != Field::Target
+                          : operand.field == Field::Target;
+            EXPECT_TRUE(fits) << info.mnemonic;
+            writes += operand.access == Access::Write;
+        }
+        EXPECT_LE(writes, 1u) << info.mnemonic;
     }
     Opcode dummy;
     EXPECT_FALSE(opcodeFromMnemonic("not_an_op", dummy));
