@@ -428,8 +428,9 @@ TEST(Differential, StreamedRegionEqualsReplayedRegion)
             const sweep::WorkloadSpec &w = streamed.workloads[wi];
             SCOPED_TRACE(w.name);
             expectRegionEqual(live.region[wi], replayed.region[wi]);
-            if (w.studyInsts)
+            if (w.studyInsts) {
                 EXPECT_LE(live.region[wi].instructions, w.studyInsts);
+            }
             // Hints resolve references only when the schemes ask.
             EXPECT_EQ(live.region[wi].schemes.back().second
                               .hintResolvedPct() > 0.0,

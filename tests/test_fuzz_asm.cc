@@ -410,11 +410,12 @@ assembleRoundTripAndRun(const std::string &source,
         << round << "\nfirst error: "
         << (again.errors.empty() ? "?" : again.errors[0].format());
     if (again.ok() &&
-        again.program->text.size() == result.program->text.size())
+        again.program->text.size() == result.program->text.size()) {
         for (std::size_t i = 0; i < result.program->text.size(); ++i)
             EXPECT_EQ(again.program->text[i],
                       result.program->text[i])
                 << "word " << i << " in:\n" << round;
+    }
 
     return runAndFingerprint(result.program, 1000000);
 }

@@ -615,8 +615,9 @@ TEST(TelemetrySweep, StreamedRegionRowsEmitValidStream)
                                 numField(v, "d_refs_heap") +
                                 numField(v, "d_refs_stack"))
             << line;
-        if (totals[job] == 0)
+        if (totals[job] == 0) {
             EXPECT_EQ(numField(v, "eta_s"), -1.0);
+        }
     }
     EXPECT_EQ(state.size(), 2u);
     for (const auto &[job, s] : state)

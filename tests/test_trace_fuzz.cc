@@ -399,8 +399,9 @@ TEST(TraceFuzzCodec, GarbagePayloadNeverCrashesTheDecoder)
                                          payload.size(),
                                          1 + rng.nextBounded(500),
                                          ctx, out, err);
-        if (!ok)
+        if (!ok) {
             EXPECT_FALSE(err.empty());
+        }
     }
 }
 
