@@ -388,14 +388,18 @@ Assembler::encodeStatement(const Statement &statement)
         return;
     }
     if (m == "b") {
+        // beq $zero, $zero, label: the label goes through beq's own
+        // Branch operand, range check included.
         if (!expect(1))
             return;
-        Addr target;
-        if (!lookupSymbol(statement, operands[0], target))
-            return;
-        emit({Opcode::Beq, 0, 0, 0,
-              static_cast<std::int32_t>(branchOffset(statement, target)),
-              0});
+        DecodedInst inst;
+        inst.op = Opcode::Beq;
+        const isa::SyntaxInfo &beq =
+            isa::syntaxInfo(isa::opInfo(Opcode::Beq).syntax);
+        for (const isa::Operand &operand : beq.operands())
+            if (operand.kind == isa::OperandKind::Branch &&
+                parseOperand(statement, operand, operands[0], inst))
+                emit(inst);
         return;
     }
 

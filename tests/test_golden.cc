@@ -492,10 +492,16 @@ isaOperandContract()
           "li $t1, -2147483649", "li $t1, x", "li $f1, 5", "li $t1",
           "la $t1, L", "la $t1, D", "la $t1, nowhere", "la $f1, D",
           "la $t1", "move $t1, $s2", "move $t1, $f2", "move $f1, $s2",
-          "move $t1", "b L", "b E", "b nowhere", "b", "b L, E", "nop",
-          "frobnicate $t1"})
+          "move $t1", "b L", "b E", "b D", "b nowhere", "b", "b L, E",
+          "nop", "frobnicate $t1"})
         os << "  " << statement << " -> " << probeStatement(statement)
            << "\n";
+    // b is beq $zero, $zero, label: beq's branch range.
+    os << "  forward32767: b E -> " << probeStatement("b E", 0, 32767)
+       << "\n  forward32768: b E -> " << probeStatement("b E", 0, 32768)
+       << "\n  backward32768: b L -> " << probeStatement("b L", 32766)
+       << "\n  backward32769: b L -> " << probeStatement("b L", 32767)
+       << "\n";
 
     std::vector<std::filesystem::path> sources;
     for (const auto &entry :
