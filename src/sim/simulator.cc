@@ -106,7 +106,11 @@ Simulator::step(StepInfo &out)
     const isa::DecodedInst &inst = decoded[(pc - textBase) >> 2];
     const isa::OpInfo &info = inst.info();
 
-    out = StepInfo{};
+    // Copied from a blank rather than value-initialised in place: a
+    // temporary built with byte stores and copied out with wide loads
+    // stalls store forwarding on every step.
+    static constexpr StepInfo kBlank{};
+    out = kBlank;
     out.pc = pc;
     out.seq = icount;
     out.inst = inst;
