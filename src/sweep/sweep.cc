@@ -237,10 +237,12 @@ struct RowReader
  * A group's instruction stream, produced once for all its cores.
  * The producer — a functional simulator for a live row, else a
  * decoder over the row's recording — appends one block per round to
- * a ring, and each core reads the ring through its own View.  A core
- * pauses once fewer than its issue width of records are left unread
- * (OooCore's pause contract), so a ring of one block plus the widest
- * issue width never overwrites a record a core has yet to read.
+ * a ring, filling in each record's producer distances once for all
+ * the cores, and each core reads the ring through its own View.  A
+ * core pauses once fewer than its issue width of records are left
+ * unread (OooCore's pause contract), so a ring of one block plus the
+ * widest issue width never overwrites a record a core has yet to
+ * read.
  */
 class GroupStream
 {
@@ -270,6 +272,7 @@ class GroupStream
         for (; n; --n) {
             if (!producer.source->next(ring[tail]))
                 break;
+            writers.fill(ring[tail]);
             if (++tail == ring.size())
                 tail = 0;
             ++end;
@@ -326,6 +329,8 @@ class GroupStream
 
   private:
     RowReader producer;
+    /** Starts at `begin`, so it knows no writer before a seek. */
+    sim::LastWriters writers;
     std::vector<sim::StepInfo> ring;
     std::size_t tail = 0;
     InstCount limit;
