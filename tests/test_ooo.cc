@@ -718,6 +718,16 @@ TEST(OooConfig, NameShowsEveryNonDefaultL1Latency)
     EXPECT_EQ(names, fig8);
 }
 
+TEST(OooConfig, RejectsRobBeyondProducerDistance)
+{
+    // A record names its producers at most LastWriters::MaxDist
+    // records back, so no ROB may hold more than that in flight.
+    ooo::MachineConfig config = ooo::MachineConfig::nPlusM(2, 0);
+    config.robSize = sim::LastWriters::MaxDist + 1;
+    EXPECT_EXIT(ooo::OooCore(config, chainProgram(1, 4)),
+                ::testing::ExitedWithCode(1), "65536-entry ROB exceeds");
+}
+
 TEST(OooScheduler, DeferredLoadKeepsSpeculativeInputMark)
 {
     // Each iteration's load L reads through a pointer bump P that the
