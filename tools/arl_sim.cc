@@ -2214,8 +2214,9 @@ usage()
         "    [--config \"(N+M)\"] [--l1-lat N] [--all-configs]\n"
         "    [--no-vp] [--no-ff]\n"
         "  sweep <w[,w...]|all|none> [flags] parallel experiment sweep\n"
-        "    [--jobs N] [--trace-cache DIR] [--configs fig8|\"(N+M),..\"]\n"
-        "    [--schemes fig4] [--study-insts N] [--timing-json F]\n"
+        "    [--jobs N] [--trace-cache DIR]\n"
+        "    [--configs fig8|\"(N+M),..\"|none]\n"
+        "    [--schemes fig4|none] [--study-insts N] [--timing-json F]\n"
         "  figure <name|all> [--scale N] [--insts N] [--jobs N]\n"
         "                               a paper table/figure and its\n"
         "                               checked claims (exit 2 on FAIL)\n"
