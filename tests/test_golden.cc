@@ -32,6 +32,7 @@
 
 #include "assembler/assembler.hh"
 #include "builder/program_builder.hh"
+#include "common/bits.hh"
 #include "common/crc32.hh"
 #include "core/experiment.hh"
 #include "isa/inst.hh"
@@ -64,6 +65,7 @@ constexpr const char *kObservedPipeFile = "observed_pipetrace.txt";
 constexpr const char *kObservedChromeFile = "observed_chrome.json";
 constexpr const char *kObservedTelemetryFile = "observed_telemetry.jsonl";
 constexpr const char *kIsaOperandsFile = "isa_operands.txt";
+constexpr const char *kRegionPassFile = "region_pass.txt";
 
 /** The pinned grid: two int workloads × three Fig-8 configs. */
 sweep::SweepSpec
@@ -121,6 +123,123 @@ goldenRegionSpec()
     limited.config.arpt.context.cidBits = 5;
     spec.schemes.push_back(std::move(limited));
     return spec;
+}
+
+/**
+ * 1BIT-HYBRID at @p entries (0 = unlimited, 8 GBH + 24 CID bits; a
+ * limited table takes 8 GBH bits and sizes its CID bits to the index),
+ * optionally behind profile hints.
+ */
+sweep::SchemeSpec
+contractHybrid(std::uint32_t entries, bool hints)
+{
+    sweep::SchemeSpec scheme;
+    scheme.name = "1BIT-HYBRID" +
+                  (entries ? "-" + std::to_string(entries / 1024) + "K"
+                           : std::string()) +
+                  (hints ? "+hints" : "");
+    scheme.config.useArpt = true;
+    scheme.config.useCompilerHints = hints;
+    scheme.config.arpt.entries = entries;
+    scheme.config.arpt.counterBits = 1;
+    scheme.config.arpt.context.kind = predict::ContextKind::Hybrid;
+    scheme.config.arpt.context.gbhBits = 8;
+    scheme.config.arpt.context.cidBits =
+        entries ? floorLog2(entries) - 8 : 24;
+    return scheme;
+}
+
+/**
+ * The pinned region-pass contract grid: go_like and li_like capped at
+ * 150K instructions, tomcatv_like in full and two corpus programs,
+ * through Figure 4's five schemes, the two 2-bit schemes, limited
+ * 1BIT-HYBRID tables at 8K and 32K entries, and profile-hinted
+ * 1BIT-HYBRID at 32K and unlimited.
+ */
+sweep::SweepSpec
+regionContractSpec()
+{
+    sweep::SweepSpec spec;
+    for (const char *name : {"go_like", "li_like", "tomcatv_like"}) {
+        sweep::WorkloadSpec w;
+        w.name = name;
+        w.scale = 1;
+        if (w.name != "tomcatv_like")
+            w.studyInsts = 150000;
+        spec.workloads.push_back(std::move(w));
+    }
+    for (const char *name : {"ptr_list_sum", "rec_fib"}) {
+        sweep::WorkloadSpec w;
+        w.name = name;
+        w.sourcePath = std::string(ARL_CORPUS_DIR) + "/" + name + ".s";
+        spec.workloads.push_back(std::move(w));
+    }
+    spec.schemes = core::toSweepSchemes(core::figure4Schemes());
+    for (const sweep::SchemeSpec &scheme :
+         core::toSweepSchemes(core::twoBitSchemes()))
+        spec.schemes.push_back(scheme);
+    spec.schemes.push_back(contractHybrid(8 * 1024, false));
+    spec.schemes.push_back(contractHybrid(32 * 1024, false));
+    spec.schemes.push_back(contractHybrid(32 * 1024, true));
+    spec.schemes.push_back(contractHybrid(0, true));
+    spec.jobs = 2;
+    return spec;
+}
+
+/** @p value with all 17 significant digits. */
+std::string
+exact(double value)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+/**
+ * Every field of @p point, one fact a line: the profile's counts, both
+ * windows' mean, σ and samples, and each scheme's tallies and ARPT
+ * occupancy.
+ */
+std::string
+regionPointText(const sweep::RegionPoint &point)
+{
+    std::ostringstream os;
+    const profile::RegionProfile &p = point.profile;
+    os << "workload " << point.workload << "\n"
+       << "  instructions " << point.instructions << "\n"
+       << "  total_instructions " << p.totalInstructions << "\n"
+       << "  loads " << p.dynamicLoads << "\n"
+       << "  stores " << p.dynamicStores << "\n";
+    for (unsigned r = 0; r < vm::NumDataRegions; ++r)
+        os << "  refs " << vm::regionName(static_cast<vm::Region>(r))
+           << " " << p.regionRefs[r] << "\n";
+    for (unsigned c = 0; c < profile::NumRegionClasses; ++c)
+        os << "  class "
+           << profile::regionClassName(static_cast<profile::RegionClass>(c))
+           << " static " << p.staticCounts[c] << " dynamic "
+           << p.dynamicCounts[c] << "\n";
+    for (const profile::WindowStats *window :
+         {&point.window32, &point.window64}) {
+        os << "  window" << window->windowSize << " samples "
+           << window->samples << "\n";
+        for (unsigned r = 0; r < vm::NumDataRegions; ++r)
+            os << "  window" << window->windowSize << " "
+               << vm::regionName(static_cast<vm::Region>(r)) << " mean "
+               << exact(window->mean[r]) << " stddev "
+               << exact(window->stddev[r]) << "\n";
+    }
+    for (const auto &[name, report] : point.schemes) {
+        os << "  scheme " << name << " total " << report.total
+           << " correct " << report.correct << " occupancy "
+           << report.arptOccupancy << "\n";
+        for (unsigned s = 0; s < predict::NumPredictionSources; ++s)
+            os << "  scheme " << name << " "
+               << predict::predictionSourceName(
+                      static_cast<predict::PredictionSource>(s))
+               << " total " << report.totalBySource[s] << " correct "
+               << report.correctBySource[s] << "\n";
+    }
+    return os.str();
 }
 
 /**
@@ -841,6 +960,20 @@ TEST(Golden, RegionStudySweepReport)
     EXPECT_EQ(serial.str(), parallel.str())
         << "region sweep output depends on worker count";
     expectMatchesGolden(serial.str(), kGoldenRegionFile);
+}
+
+TEST(Golden, RegionPassContract)
+{
+    // Every RegionPoint field of the region pass, at full precision:
+    // the profile's per-class counts, both windows' σ (Table 2's
+    // bursty marks read it), and the 2-bit, limited and hinted
+    // schemes' per-source tallies, which no report key pins.
+    const sweep::SweepResult result = sweep::runSweep(regionContractSpec());
+    std::string actual =
+        "# Region-pass contract: every RegionPoint field per workload\n";
+    for (const sweep::RegionPoint &point : result.region)
+        actual += regionPointText(point);
+    expectMatchesGolden(actual, kRegionPassFile);
 }
 
 TEST(Golden, SampledSweepReport)
