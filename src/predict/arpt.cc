@@ -50,6 +50,25 @@ Arpt::update(Addr pc, Word gbh, Word cid, bool actual_stack)
     counter = trainCounter(counter, actual_stack);
 }
 
+bool
+Arpt::predictAndUpdate(Addr pc, Word gbh, Word cid, bool actual_stack)
+{
+    std::uint8_t *counter;
+    if (config.entries) {
+        std::uint32_t index = tableIndex(pc, gbh, cid);
+        counter = &table[index];
+        if (!touched[index]) {
+            touched[index] = true;
+            ++touchedCount;
+        }
+    } else {
+        counter = &map[mapKey(pc, gbh, cid)];
+    }
+    bool predicted = counterSaysStack(*counter);
+    *counter = trainCounter(*counter, actual_stack);
+    return predicted;
+}
+
 std::size_t
 Arpt::occupiedEntries() const
 {
