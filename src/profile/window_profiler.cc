@@ -1,5 +1,7 @@
 #include "profile/window_profiler.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 
 namespace arl::profile
@@ -16,11 +18,14 @@ WindowProfiler::stats_summary() const
 {
     WindowStats out;
     out.windowSize = windowSize();
+    if (samples == 0.0)
+        return out;
     for (unsigned r = 0; r < vm::NumDataRegions; ++r) {
-        out.mean[r] = stats[r].mean();
-        out.stddev[r] = stats[r].stddev();
+        out.mean[r] = mean[r];
+        // Population standard deviation.
+        out.stddev[r] = std::sqrt(m2[r] / samples);
     }
-    out.samples = stats[0].count();
+    out.samples = static_cast<std::uint64_t>(samples);
     return out;
 }
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "sim/step_info.hh"
 #include "vm/layout.hh"
 
@@ -63,7 +62,8 @@ class WindowProfiler
         ring[head] = code;
         if (code)
             ++counts[code - 1];
-        head = (head + 1) % ring.size();
+        if (++head == ring.size())
+            head = 0;
 
         // Sample once the window is full, once per instruction.
         if (filled < ring.size()) {
@@ -71,8 +71,14 @@ class WindowProfiler
             if (filled < ring.size())
                 return;
         }
-        for (unsigned r = 0; r < vm::NumDataRegions; ++r)
-            stats[r].add(static_cast<double>(counts[r]));
+        // Welford's recurrence per region, over one shared count.
+        samples += 1.0;
+        for (unsigned r = 0; r < vm::NumDataRegions; ++r) {
+            double x = static_cast<double>(counts[r]);
+            double delta = x - mean[r];
+            mean[r] += delta / samples;
+            m2[r] += delta * (x - mean[r]);
+        }
     }
 
     /** Aggregate results. */
@@ -86,7 +92,13 @@ class WindowProfiler
     std::size_t head = 0;
     std::size_t filled = 0;
     std::array<std::uint32_t, vm::NumDataRegions> counts{};
-    std::array<RunningStat, vm::NumDataRegions> stats;
+    /**
+     * Samples taken.  A double is exact below 2^53, so delta /
+     * samples is the same division as by an integer count.
+     */
+    double samples = 0.0;
+    std::array<double, vm::NumDataRegions> mean{};
+    std::array<double, vm::NumDataRegions> m2{};
 };
 
 } // namespace arl::profile

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <deque>
+
+#include "common/random.hh"
 #include "profile/region_profiler.hh"
 #include "profile/window_profiler.hh"
 
@@ -161,4 +165,91 @@ TEST(WindowProfiler, NoSamplesBeforeWindowFills)
     EXPECT_EQ(profiler.stats_summary().samples, 0u);
     profiler.observe(aluStep(31));
     EXPECT_EQ(profiler.stats_summary().samples, 1u);
+}
+
+TEST(WindowProfiler, EmptyIsAllZeros)
+{
+    // No sample yet: every mean and σ reads 0, not 0/0.
+    WindowProfiler profiler(4);
+    for (int i = 0; i < 3; ++i)
+        profiler.observe(memStep(static_cast<Addr>(i * 4),
+                                 vm::Region::Stack));
+    WindowStats stats = profiler.stats_summary();
+    EXPECT_EQ(stats.samples, 0u);
+    for (unsigned r = 0; r < vm::NumDataRegions; ++r) {
+        EXPECT_EQ(stats.mean[r], 0.0);
+        EXPECT_EQ(stats.stddev[r], 0.0);
+    }
+}
+
+TEST(WindowProfiler, MeanAndPopulationStddev)
+{
+    // A one-instruction window samples each record's own region: D D
+    // S - D D - -.  Data reads 1,1,0,0,1,1,0,0 (mean 1/2, σ 1/2) and
+    // stack 0,0,1,0,0,0,0,0 (mean 1/8, σ √7/8).
+    WindowProfiler profiler(1);
+    for (int round = 0; round < 2; ++round) {
+        profiler.observe(memStep(0, vm::Region::Data));
+        profiler.observe(memStep(4, vm::Region::Data));
+        if (round == 0)
+            profiler.observe(memStep(8, vm::Region::Stack));
+        else
+            profiler.observe(aluStep(8));
+        profiler.observe(aluStep(12));
+    }
+    WindowStats stats = profiler.stats_summary();
+    EXPECT_EQ(stats.samples, 8u);
+    EXPECT_DOUBLE_EQ(stats.mean[0], 0.5);
+    EXPECT_DOUBLE_EQ(stats.stddev[0], 0.5);
+    EXPECT_DOUBLE_EQ(stats.mean[2], 0.125);
+    EXPECT_DOUBLE_EQ(stats.stddev[2], std::sqrt(7.0) / 8.0);
+}
+
+TEST(WindowProfiler, MatchesScalarWelfordBitForBit)
+{
+    // Over a seeded stream, each window's mean and σ must equal, to
+    // the bit, Welford's recurrence with an integer count run per
+    // region on counts taken from an explicit window.
+    for (unsigned size : {1u, 4u, 32u, 64u}) {
+        WindowProfiler profiler(size);
+        std::deque<int> window;  // region index, -1 = no reference
+        std::uint64_t n = 0;
+        std::array<double, vm::NumDataRegions> mean{}, m2{};
+        Rng rng(1234 + size);
+        for (int i = 0; i < 20000; ++i) {
+            // Bursts: a region keeps its share for a stretch.
+            int region = static_cast<int>(rng.nextBounded(5)) - 2;
+            if (i % 500 < 100)
+                region = region < 0 ? 2 : region;
+            const Addr pc = static_cast<Addr>(4 * (i % 64));
+            if (region < 0)
+                profiler.observe(aluStep(pc));
+            else
+                profiler.observe(
+                    memStep(pc, static_cast<vm::Region>(region)));
+            window.push_back(region);
+            if (window.size() > size)
+                window.pop_front();
+            if (window.size() < size)
+                continue;
+            ++n;
+            for (unsigned r = 0; r < vm::NumDataRegions; ++r) {
+                double x = 0.0;
+                for (int w : window)
+                    x += w == static_cast<int>(r);
+                double delta = x - mean[r];
+                mean[r] += delta / static_cast<double>(n);
+                m2[r] += delta * (x - mean[r]);
+            }
+        }
+        WindowStats stats = profiler.stats_summary();
+        EXPECT_EQ(stats.samples, n) << "window " << size;
+        for (unsigned r = 0; r < vm::NumDataRegions; ++r) {
+            EXPECT_EQ(stats.mean[r], mean[r])
+                << "window " << size << " region " << r;
+            EXPECT_EQ(stats.stddev[r],
+                      std::sqrt(m2[r] / static_cast<double>(n)))
+                << "window " << size << " region " << r;
+        }
+    }
 }
