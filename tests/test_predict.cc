@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "predict/arpt.hh"
 #include "predict/compiler_hints.hh"
 #include "predict/context.hh"
@@ -132,6 +133,49 @@ TEST(Arpt, UnlimitedOccupancyCountsPairs)
     EXPECT_EQ(arpt.occupiedEntries(), 10u);
     arpt.reset();
     EXPECT_EQ(arpt.occupiedEntries(), 0u);
+}
+
+TEST(Arpt, FusedProbeMatchesPredictThenUpdate)
+{
+    // predictAndUpdate() must return what predictStack() would have
+    // said before update(), and leave the same occupancy, for 1- and
+    // 2-bit entries, limited (aliasing) and unlimited tables, and
+    // every context.
+    const ContextKind kinds[] = {ContextKind::None, ContextKind::Gbh,
+                                 ContextKind::Cid, ContextKind::Hybrid};
+    for (unsigned bits : {1u, 2u}) {
+        for (std::uint32_t entries : {0u, 64u, 32u * 1024}) {
+            for (ContextKind kind : kinds) {
+                ArptConfig config;
+                config.entries = entries;
+                config.counterBits = bits;
+                config.context = {kind, 8, entries ? 7u : 24u};
+                Arpt separate(config);
+                Arpt fused(config);
+                Rng rng(bits * 1000 + entries + static_cast<unsigned>(kind));
+                for (int i = 0; i < 5000; ++i) {
+                    const Addr pc =
+                        0x00400000 + 4 * static_cast<Addr>(rng.nextBounded(300));
+                    const Word gbh = rng.next32();
+                    const Word cid = 0x00400800 +
+                                     4 * static_cast<Word>(rng.nextBounded(40));
+                    // Mostly one region per PC, with noise.
+                    const bool stack = ((pc >> 2) % 3 == 0) !=
+                                       (rng.nextBounded(10) == 0);
+                    const bool want = separate.predictStack(pc, gbh, cid);
+                    separate.update(pc, gbh, cid, stack);
+                    ASSERT_EQ(fused.predictAndUpdate(pc, gbh, cid, stack),
+                              want)
+                        << "bits " << bits << " entries " << entries
+                        << " context " << contextKindName(kind)
+                        << " step " << i;
+                }
+                EXPECT_EQ(fused.occupiedEntries(),
+                          separate.occupiedEntries());
+                EXPECT_GT(fused.occupiedEntries(), 0u);
+            }
+        }
+    }
 }
 
 TEST(Arpt, StorageBytes)
