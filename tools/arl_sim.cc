@@ -138,8 +138,9 @@
  * 32-bit field, or a stray positional argument aborts with exit code
  * 1 instead of silently running with defaults.  So does a `predict`
  * ARPT that cannot be built: --entries neither 0 nor a power of two,
- * or --gbh-bits and --cid-bits that one 32-bit context word cannot
- * hold.
+ * or above 2^24 (256 times Figure 5's largest table; checked before
+ * anything is allocated), or --gbh-bits and --cid-bits that one
+ * 32-bit context word cannot hold.
  *
  * Observability flags, each accepted only where it is honoured (the
  * report sinks on every simulating subcommand, intervals on run,
@@ -778,6 +779,9 @@ cmdProfile(const std::string &target, Args &args)
                          result.snapshot, opts);
 }
 
+/** Largest limited ARPT `predict` builds: 256x Figure 5's 64K. */
+constexpr std::uint32_t kMaxArptEntries = 1u << 24;
+
 int
 cmdPredict(const std::string &target, Args &args)
 {
@@ -796,6 +800,8 @@ cmdPredict(const std::string &target, Args &args)
     config.arpt.entries = args.flagU32("entries", 32 * 1024);
     if (config.arpt.entries && !isPowerOf2(config.arpt.entries))
         badUsage("--entries must be 0 (unlimited) or a power of two");
+    if (config.arpt.entries > kMaxArptEntries)
+        badUsage("--entries must be at most 16777216 (2^24)");
     config.arpt.counterBits = args.has("two-bit") ? 2 : 1;
     std::string context = args.flag("context", "hybrid");
     if (context == "none")
@@ -2210,6 +2216,8 @@ usage()
         "  run <target>                 execute functionally\n"
         "  profile <target>             §3 characterisation\n"
         "  predict <target> [flags]     one predictor config\n"
+        "    [--entries N]  0 = unlimited, else a power of two\n"
+        "                   of at most 16777216 (2^24)\n"
         "  time <workload> [flags]      §4 timing study\n"
         "    [--config \"(N+M)\"] [--l1-lat N] [--all-configs]\n"
         "    [--no-vp] [--no-ff]\n"
