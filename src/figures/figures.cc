@@ -490,6 +490,27 @@ fig5(const Options &, const sweep::SweepResult &result, Page &page)
     page.claim("with hints, every table size matches the unlimited table "
                "on every program",
                gap == 0.0, format("largest gap %.3f points", gap));
+    // A deviation, pinned with its margin: the paper's >=99.9 % at 32K
+    // entries without hints holds for the FP average only, since two
+    // integer programs fall short.
+    std::string below;
+    for (const auto &info : programs()) {
+        const double accuracy = page.at(info.name, "32K");
+        if (accuracy < 99.9)
+            below += (below.empty() ? "" : ", ") + info.name + " " +
+                     TablePrinter::num(accuracy, 3) + " %";
+    }
+    const std::string int_avg =
+        TablePrinter::num(page.note("32K.int", page.mean("32K", 0)), 3);
+    const std::string fp_avg =
+        TablePrinter::num(page.note("32K.fp", page.mean("32K", 1)), 3);
+    page.claim("deviation: at 32K entries without hints exactly ijpeg_like "
+               "and perl_like fall below the paper's 99.9 %, so the "
+               "integer average misses it and the FP average meets it",
+               below == "ijpeg_like 97.711 %, perl_like 99.359 %" &&
+                   int_avg == "99.634" && fp_avg == "99.999",
+               "below 99.9 %: " + below + "; averages: integer " +
+                   int_avg + " %, FP " + fp_avg + " %");
 }
 
 void

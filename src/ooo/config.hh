@@ -96,7 +96,7 @@ struct MachineConfig
      * free-TLB-miss behaviour — preserves the committed goldens.
      */
     unsigned tlbMissLatency = 0;
-    /** Data-TLB entries (fully associative). */
+    /** Data-TLB entries (direct-mapped, a power of two). */
     unsigned tlbEntries = 64;
     /** LVAQ offset-based fast forwarding (§4.2). */
     bool fastForwarding = true;

@@ -14,8 +14,9 @@
  *
  * The split of labour with the sweep engine: buildPlan() here is
  * pure planning (records in, representative windows out), the sweep
- * runs each representative as an independent job (byte-identical
- * across --jobs values, like every other grid job), and
+ * runs each representative's window as one timing window of its row,
+ * one job per config (byte-identical across --jobs values, like every
+ * other grid job), and
  * extrapolate() folds the measurements back into one estimate with a
  * dispersion-based confidence interval.  Everything is deterministic
  * in (trace bytes, config).

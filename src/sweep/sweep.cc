@@ -130,12 +130,13 @@ struct Prepared
 };
 
 /**
- * One timing job of the grid.  In exact mode every grid point is a
- * single job (rep == Exact); in sampled mode a grid point fans out
- * into one job per cluster representative plus an optional
- * full-population verify job, merged deterministically by the
- * coordinator afterwards.  A job's index in the job list is its
- * telemetry job id; phase 2 runs jobs in groups (runGroup).
+ * One timing job of the grid: one config over one timing window of
+ * its row.  In exact mode every grid point is a single job (rep ==
+ * Exact); in sampled mode a grid point fans out into one job per
+ * cluster representative plus an optional full-population verify job,
+ * merged deterministically by the coordinator afterwards.  A job's
+ * index in the job list is its telemetry job id and its result slot;
+ * phase 2 runs jobs in groups (runGroup).
  */
 struct TimingJob
 {
@@ -144,8 +145,6 @@ struct TimingJob
     std::size_t wi = 0;
     std::size_t ci = 0;
     std::ptrdiff_t rep = Exact;
-    /** Result slot: rep jobs index repRuns, verify jobs verifyRuns. */
-    std::size_t slot = 0;
 };
 
 /**
@@ -307,21 +306,20 @@ class GroupStream
 };
 
 /**
- * Run timing jobs @p jobs of row @p row in lock-step over one shared
- * stream (GroupStream).  The jobs read the same window of the stream,
- * so each round produces the next block once and then advances every
+ * Run timing jobs [@p first, @p end) of row @p row, configs of one
+ * timing window, in lock-step over one shared stream (GroupStream).
+ * Each round produces the next block once and then advances every
  * unfinished job's core until it pauses or finishes.  Each job walks
- * the sequence a lone core would: warm, time, finish its Hooks.
- * Results do not depend on how jobs are grouped.
- *
- * @return one JobRun per entry of @p jobs.
+ * the sequence a lone core would: warm, time, finish its Hooks, and
+ * writes its own slot of @p runs.  Results do not depend on how jobs
+ * are grouped.
  */
-std::vector<JobRun>
+void
 runGroup(const SweepSpec &spec, const Prepared &row,
-         const std::vector<TimingJob> &tjobs,
-         const std::vector<std::size_t> &jobs)
+         const std::vector<TimingJob> &tjobs, std::size_t first,
+         std::size_t end, std::vector<JobRun> &runs)
 {
-    const TimingJob &lead = tjobs[jobs.front()];
+    const TimingJob &lead = tjobs[first];
     const WorkloadSpec &w = spec.workloads[lead.wi];
     const bool sample = lead.rep >= 0;
     obs::ProfScope prof(sample                          ? "sweep/sample"
@@ -353,7 +351,7 @@ runGroup(const SweepSpec &spec, const Prepared &row,
         timed = rep.length;
     }
     unsigned widest = 0;
-    for (std::size_t job : jobs)
+    for (std::size_t job = first; job < end; ++job)
         widest = std::max(widest, spec.configs[tjobs[job].ci].issueWidth);
     // A live row streams what a recording of it would hold.
     GroupStream stream(row, seek,
@@ -378,8 +376,8 @@ runGroup(const SweepSpec &spec, const Prepared &row,
         bool done = false;
     };
     std::vector<std::unique_ptr<Member>> members;
-    members.reserve(jobs.size());
-    for (std::size_t job : jobs) {
+    members.reserve(end - first);
+    for (std::size_t job = first; job < end; ++job) {
         const TimingJob &tj = tjobs[job];
         ooo::MachineConfig config = spec.configs[tj.ci];
         if (spec.cpiStack)
@@ -409,7 +407,6 @@ runGroup(const SweepSpec &spec, const Prepared &row,
         members.push_back(std::move(m));
     }
 
-    std::vector<JobRun> runs(jobs.size());
     // Run member @p i until it pauses (false) or finishes (true).
     auto advance = [&](std::size_t i) {
         Member &m = *members[i];
@@ -426,7 +423,7 @@ runGroup(const SweepSpec &spec, const Prepared &row,
                     m.core.beginRun(timed);
                 continue;
             }
-            JobRun &out = runs[i];
+            JobRun &out = runs[first + i];
             out.stats = m.core.result();
             if (m.tscope)
                 m.tscope->done(out.stats.instructions, out.stats.cycles);
@@ -435,7 +432,7 @@ runGroup(const SweepSpec &spec, const Prepared &row,
             // dies with the group: freeze the values while it lives.
             m.hooks->finish(out.stats.instructions,
                             w.name + " " +
-                                spec.configs[tjobs[jobs[i]].ci].name);
+                                spec.configs[tjobs[first + i].ci].name);
             out.snapshot = m.hooks->finalSnapshot;
             out.delivered = m.core.delivered();
             prof.addGuestInsts(warm + detail + out.stats.instructions);
@@ -455,7 +452,7 @@ runGroup(const SweepSpec &spec, const Prepared &row,
             if (!members[i]->done)
                 ARL_ASSERT(stream.produced() -
                                    members[i]->core.delivered() <
-                               spec.configs[tjobs[jobs[i]].ci].issueWidth,
+                               spec.configs[tjobs[first + i].ci].issueWidth,
                            "paused core too far behind the stream");
 #endif
         stream.produce();
@@ -466,7 +463,6 @@ runGroup(const SweepSpec &spec, const Prepared &row,
             }
         }
     }
-    return runs;
 }
 
 /** Insert @p name into the sorted snapshot @p snapshot. */
@@ -685,68 +681,50 @@ runSweep(const SweepSpec &spec)
             ++result.traceCacheMisses;
     }
 
-    // ---- Phase 2: shard the grid.  Exact mode: one job per timing
-    // point.  Sampled mode: each point fans out into one job per
-    // cluster representative plus an optional full-population verify
-    // job; the coordinator folds them back together afterwards, in
-    // declaration order, so sampled reports keep the byte-identity
-    // guarantee across --jobs values.
+    // ---- Phase 2: shard the grid.  A row's timing windows are its
+    // exact window or, sampled, each cluster representative's window
+    // and an optional full-population verify run; each window holds
+    // one job per config.  Jobs are listed window-major, so the job of
+    // window v and config ci sits at row_first[wi] + v * nc + ci.  The
+    // coordinator folds a sampled point's jobs back together
+    // afterwards, in declaration order, so sampled reports keep the
+    // byte-identity guarantee across --jobs values.
     //
-    // Jobs run in groups, one work item each (runGroup): a row's
-    // exact points or verify runs split into contiguous config
-    // ranges, and each representative is a group of one.  A row gets
-    // as many groups as keep every worker busy and no more, since
-    // each group produces its stream once.  Region passes ride at the
-    // end, one work item per row.
+    // Jobs run in groups, one work item each (runGroup): each window's
+    // configs split into the same contiguous ranges, as many as keep
+    // every worker busy and no more, since each group produces (or
+    // seeks) its stream once.  Region passes ride at the end, one work
+    // item per row.
     const std::size_t row_groups =
         std::min<std::size_t>(nc, (jobs + nw - 1) / nw);
     std::vector<TimingJob> tjobs;
-    std::vector<std::vector<std::size_t>> groups;
+    std::vector<std::size_t> row_first(nw);
+    // Each group's job range [first, end).
+    std::vector<std::pair<std::size_t, std::size_t>> groups;
     // The row of each work item: the groups, then the region passes.
     std::vector<std::size_t> item_row;
-    auto addGroups = [&](std::size_t wi,
-                         const std::vector<std::size_t> &row_jobs) {
-        const std::size_t n = row_jobs.size();
-        for (std::size_t g = 0; g < row_groups; ++g) {
-            std::vector<std::size_t> members(
-                row_jobs.begin() + g * n / row_groups,
-                row_jobs.begin() + (g + 1) * n / row_groups);
-            if (members.empty())
-                continue;
-            groups.push_back(std::move(members));
-            item_row.push_back(wi);
-        }
-    };
-    std::vector<sampling::RepMeasurement> rep_meas;
-    std::vector<sampling::RepMeasurement> verify_meas;
     for (std::size_t wi = 0; wi < nw; ++wi) {
-        std::vector<std::size_t> row_jobs;
-        for (std::size_t ci = 0; ci < nc; ++ci) {
-            if (!sampled) {
-                row_jobs.push_back(tjobs.size());
-                tjobs.push_back({wi, ci, TimingJob::Exact, 0});
-                continue;
-            }
-            for (std::size_t r = 0; r < prep[wi].plan.reps.size();
-                 ++r) {
-                groups.push_back({tjobs.size()});
+        row_first[wi] = tjobs.size();
+        std::vector<std::ptrdiff_t> windows;
+        if (sampled) {
+            for (std::size_t r = 0; r < prep[wi].plan.reps.size(); ++r)
+                windows.push_back(static_cast<std::ptrdiff_t>(r));
+            if (spec.samplingVerify)
+                windows.push_back(TimingJob::Verify);
+        } else {
+            windows.push_back(TimingJob::Exact);
+        }
+        for (std::ptrdiff_t rep : windows) {
+            const std::size_t first = tjobs.size();
+            for (std::size_t ci = 0; ci < nc; ++ci)
+                tjobs.push_back({wi, ci, rep});
+            for (std::size_t g = 0; g < row_groups; ++g) {
+                groups.emplace_back(first + g * nc / row_groups,
+                                    first + (g + 1) * nc / row_groups);
                 item_row.push_back(wi);
-                tjobs.push_back({wi, ci,
-                                 static_cast<std::ptrdiff_t>(r),
-                                 rep_meas.size()});
-                rep_meas.emplace_back();
-            }
-            if (spec.samplingVerify) {
-                row_jobs.push_back(tjobs.size());
-                tjobs.push_back(
-                    {wi, ci, TimingJob::Verify, verify_meas.size()});
-                verify_meas.emplace_back();
             }
         }
-        addGroups(wi, row_jobs);
     }
-    std::vector<obs::StatsRegistry::Snapshot> rep_snaps(
-        rep_meas.size());
     const std::size_t timing_jobs = tjobs.size();
     const std::size_t total_jobs =
         timing_jobs + (region_grid ? nw : 0);
@@ -754,12 +732,11 @@ runSweep(const SweepSpec &spec)
         for (std::size_t wi = 0; wi < nw; ++wi)
             item_row.push_back(wi);
     const std::size_t items = item_row.size();
+    std::vector<JobRun> runs(timing_jobs);
     result.timing.resize(nw * nc);
     if (region_grid)
         result.region.resize(nw);
     std::vector<double> item_seconds(items, 0.0);
-    // Instructions each work item of a live row streamed.
-    std::vector<std::uint64_t> item_streamed(items, 0);
 
     // Traces are dropped as soon as every work item of their
     // workload is done, bounding peak memory below "all traces live
@@ -819,33 +796,8 @@ runSweep(const SweepSpec &spec)
         const Prepared &row = prep[wi];
 
         if (timing) {
-            const std::vector<std::size_t> &members = groups[item];
-            std::vector<JobRun> runs = runGroup(spec, row, tjobs, members);
-            for (std::size_t i = 0; i < members.size(); ++i) {
-                const TimingJob &tj = tjobs[members[i]];
-                JobRun &run = runs[i];
-                item_streamed[item] =
-                    std::max<std::uint64_t>(item_streamed[item],
-                                            run.delivered);
-                if (tj.rep == TimingJob::Exact) {
-                    TimingPoint &point = result.timing[tj.wi * nc + tj.ci];
-                    point.workload = w.name;
-                    point.config = spec.configs[tj.ci].name;
-                    point.stats = std::move(run.stats);
-                    point.snapshot = std::move(run.snapshot);
-                } else if (tj.rep >= 0) {
-                    rep_meas[tj.slot] = {run.stats.cycles,
-                                         run.stats.instructions};
-                    rep_snaps[tj.slot] = std::move(run.snapshot);
-                } else {
-                    // Verify: the exact flow an unsampled timing
-                    // point runs, so the measured error compares the
-                    // estimate against the number the sampled run
-                    // replaces.
-                    verify_meas[tj.slot] = {run.stats.cycles,
-                                            run.stats.instructions};
-                }
-            }
+            runGroup(spec, row, tjobs, groups[item].first,
+                     groups[item].second, runs);
         } else {
             obs::ProfScope prof("sweep/regionstudy",
                                 obs::ProfScope::Mode::Absolute);
@@ -881,7 +833,6 @@ runSweep(const SweepSpec &spec)
             if (tscope)
                 tscope->done(point.instructions, 0);
             prof.addGuestInsts(point.instructions);
-            item_streamed[item] = point.instructions;
             result.region[wi] = std::move(point);
         }
 
@@ -898,69 +849,78 @@ runSweep(const SweepSpec &spec)
         obs::ProfScope prof_merge("merge");
         for (double s : item_seconds)
             result.serialSecondsEstimate += s;
-        // A live row counts what a recording of it would hold: the
-        // longest stretch any of its readers streamed.
-        std::vector<std::uint64_t> row_streamed(nw, 0);
-        for (std::size_t item = 0; item < items; ++item)
-            row_streamed[item_row[item]] = std::max(
-                row_streamed[item_row[item]], item_streamed[item]);
-        for (std::size_t wi = 0; wi < nw; ++wi)
-            if (!record_rows)
-                result.traceInstructions += row_streamed[wi];
-        if (sampled) {
-            // Fold per-representative measurements back into one
-            // extrapolated point per grid cell.  Cursor order here
-            // mirrors the job-construction loop exactly, so merged
-            // output depends only on the spec.
-            std::size_t rep_cursor = 0, verify_cursor = 0;
-            for (std::size_t wi = 0; wi < nw; ++wi) {
-                const sampling::SamplingPlan &plan = prep[wi].plan;
-                const std::size_t nreps = plan.reps.size();
-                for (std::size_t ci = 0; ci < nc; ++ci) {
-                    std::vector<sampling::RepMeasurement> meas(
-                        rep_meas.begin() + rep_cursor,
-                        rep_meas.begin() + rep_cursor + nreps);
-                    std::vector<obs::StatsRegistry::Snapshot> snaps(
-                        rep_snaps.begin() + rep_cursor,
-                        rep_snaps.begin() + rep_cursor + nreps);
-                    rep_cursor += nreps;
-                    sampling::SampledEstimate est =
-                        sampling::extrapolate(plan, meas);
-                    TimingPoint point;
-                    point.workload = spec.workloads[wi].name;
-                    point.config = spec.configs[ci].name;
-                    point.stats.configName = spec.configs[ci].name;
-                    point.stats.cycles = static_cast<Cycle>(
-                        std::llround(est.cycles));
-                    point.stats.instructions = plan.totalInsts;
-                    point.snapshot = sampling::mergeSnapshots(
-                        plan, est, meas, snaps);
-                    point.sampling = est.report;
-                    if (spec.samplingVerify) {
-                        const sampling::RepMeasurement &full =
-                            verify_meas[verify_cursor++];
-                        double full_cpi =
-                            full.instructions
-                                ? static_cast<double>(full.cycles) /
-                                      full.instructions
-                                : 0.0;
-                        double err =
-                            full_cpi > 0.0
-                                ? 100.0 *
-                                      std::abs(est.cpi - full_cpi) /
-                                      full_cpi
-                                : 0.0;
-                        point.sampling.measuredErrorPct = err;
-                        insertStat(point.snapshot,
-                                   "sampling.full_cycles",
-                                   static_cast<double>(full.cycles));
-                        insertStat(point.snapshot,
-                                   "sampling.full_cpi", full_cpi);
-                        insertStat(point.snapshot,
-                                   "sampling.measured_error_pct",
-                                   err);
-                    }
-                    result.timing[wi * nc + ci] = std::move(point);
+        if (!record_rows) {
+            // A live row counts what a recording of it would hold:
+            // the longest stretch any of its readers streamed.
+            std::vector<std::uint64_t> row_streamed(nw, 0);
+            for (std::size_t job = 0; job < timing_jobs; ++job)
+                row_streamed[tjobs[job].wi] = std::max<std::uint64_t>(
+                    row_streamed[tjobs[job].wi], runs[job].delivered);
+            for (std::size_t wi = 0; wi < result.region.size(); ++wi)
+                row_streamed[wi] = std::max<std::uint64_t>(
+                    row_streamed[wi], result.region[wi].instructions);
+            for (std::uint64_t streamed : row_streamed)
+                result.traceInstructions += streamed;
+        }
+        // Fold each grid point's jobs into its result in declaration
+        // order, so merged output depends only on the spec: an exact
+        // point takes its one job's, a sampled point extrapolates its
+        // representatives' measurements.
+        for (std::size_t wi = 0; wi < nw; ++wi) {
+            const sampling::SamplingPlan &plan = prep[wi].plan;
+            const std::size_t nreps = plan.reps.size();
+            for (std::size_t ci = 0; ci < nc; ++ci) {
+                // This point's job in window v of the row.
+                auto job = [&](std::size_t v) -> JobRun & {
+                    return runs[row_first[wi] + v * nc + ci];
+                };
+                TimingPoint &point = result.timing[wi * nc + ci];
+                point.workload = spec.workloads[wi].name;
+                point.config = spec.configs[ci].name;
+                if (!sampled) {
+                    point.stats = std::move(job(0).stats);
+                    point.snapshot = std::move(job(0).snapshot);
+                    continue;
+                }
+                std::vector<sampling::RepMeasurement> meas;
+                std::vector<obs::StatsRegistry::Snapshot> snaps;
+                for (std::size_t r = 0; r < nreps; ++r) {
+                    meas.push_back({job(r).stats.cycles,
+                                    job(r).stats.instructions});
+                    snaps.push_back(std::move(job(r).snapshot));
+                }
+                sampling::SampledEstimate est =
+                    sampling::extrapolate(plan, meas);
+                point.stats.configName = spec.configs[ci].name;
+                point.stats.cycles =
+                    static_cast<Cycle>(std::llround(est.cycles));
+                point.stats.instructions = plan.totalInsts;
+                point.snapshot =
+                    sampling::mergeSnapshots(plan, est, meas, snaps);
+                point.sampling = est.report;
+                if (spec.samplingVerify) {
+                    // The verify run is the exact flow an unsampled
+                    // timing point runs, so the measured error compares
+                    // the estimate against the number the sampled run
+                    // replaces.
+                    const ooo::OooStats &full = job(nreps).stats;
+                    double full_cpi =
+                        full.instructions
+                            ? static_cast<double>(full.cycles) /
+                                  full.instructions
+                            : 0.0;
+                    double err =
+                        full_cpi > 0.0
+                            ? 100.0 * std::abs(est.cpi - full_cpi) /
+                                  full_cpi
+                            : 0.0;
+                    point.sampling.measuredErrorPct = err;
+                    insertStat(point.snapshot, "sampling.full_cycles",
+                               static_cast<double>(full.cycles));
+                    insertStat(point.snapshot, "sampling.full_cpi",
+                               full_cpi);
+                    insertStat(point.snapshot,
+                               "sampling.measured_error_pct", err);
                 }
             }
         }

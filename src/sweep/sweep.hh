@@ -15,16 +15,18 @@
  *     a v2 trace file in an on-disk cache) — every other row is a
  *     *live row* and records nothing — then
  *  2. shards the grid across a thread pool in *groups*: a group is
- *     one row plus a contiguous range of its configs, whose OooCores
- *     (each with its own obs::StatsRegistry) advance in lock-step
- *     over one shared instruction stream.  The group produces the
- *     stream once, a block at a time into a small ring — from a
- *     functional simulator of its own on a live row, else by decoding
- *     the row's recording — and each core reads the ring, pausing
- *     when it runs short (ooo/core.hh).  A row's region pass streams
- *     on its own the same two ways.  No decoded trace is ever held:
- *     past the recorded rows' encodings, memory grows neither with
- *     trace length nor with the number of rows — and
+ *     one timing window of a row (its exact window, or a sampled
+ *     representative's window or verify run) plus a contiguous range
+ *     of its configs, whose OooCores (each with its own
+ *     obs::StatsRegistry) advance in lock-step over one shared
+ *     instruction stream.  The group produces the stream once, a
+ *     block at a time into a small ring — from a functional simulator
+ *     of its own on a live row, else by decoding the row's recording
+ *     from the window's first record — and each core reads the ring,
+ *     pausing when it runs short (ooo/core.hh).  A row's region pass
+ *     streams on its own the same two ways.  No decoded trace is ever
+ *     held: past the recorded rows' encodings, memory grows neither
+ *     with trace length nor with the number of rows — and
  *  3. merges results in declaration (workload-major, config-minor)
  *     order, so the output is byte-identical no matter how many
  *     worker threads ran — `--jobs 1` and `--jobs N` produce the
@@ -129,10 +131,11 @@ struct SweepSpec
     std::vector<SchemeSpec> schemes;
     /**
      * Worker threads; 0 = hardware concurrency, 1 = serial.  Each
-     * row's configs split into min(configs, ceil(jobs / workloads))
-     * groups — enough to keep every worker busy, and no more, since
-     * each group produces its stream once.  Results never depend on
-     * the split.
+     * timing window of a row (the exact window, or each sampled
+     * representative's window and the verify run) splits its configs
+     * into min(configs, ceil(jobs / workloads)) groups — enough to
+     * keep every worker busy, and no more, since each group produces
+     * (and seeks) its stream once.  Results never depend on the split.
      */
     unsigned jobs = 1;
     /**

@@ -147,7 +147,7 @@ buildCompressLike(unsigned scale)
     b.beginFunction("main", 1, {r::S0, r::S1});
     b.jal("init_input");
     b.li(r::S0, 0);
-    b.li(r::S1, static_cast<std::int32_t>(2 * scale));
+    b.li(r::S1, scaledCount(2, scale));
     Label passes = b.label();
     Label done = b.label();
     b.bind(passes);

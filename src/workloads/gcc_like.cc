@@ -220,7 +220,7 @@ buildGccLike(unsigned scale)
         b.addi(r::T1, r::T1, -1);
         b.bgtz(r::T1, seed);
 
-        b.li(r::S0, static_cast<std::int32_t>(60 * scale));
+        b.li(r::S0, scaledCount(60, scale));
         b.li(r::S1, 0);                    // checksum
         Label loop = b.label();
         Label done = b.label();

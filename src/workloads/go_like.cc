@@ -160,7 +160,7 @@ buildGoLike(unsigned scale)
     b.addi(r::S0, r::S0, -1);
     b.bgtz(r::S0, seed);
 
-    b.li(r::S1, static_cast<std::int32_t>(12 * scale));
+    b.li(r::S1, scaledCount(12, scale));
     b.li(r::S2, 0);                         // running checksum
     Label games = b.label();
     Label done = b.label();

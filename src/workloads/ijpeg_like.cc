@@ -178,7 +178,7 @@ buildIjpegLike(unsigned scale)
         b.bgtz(r::T1, qfill);
 
         // Passes over all 8x8 blocks of the plane.
-        b.li(r::S0, static_cast<std::int32_t>(14 * scale));  // passes
+        b.li(r::S0, scaledCount(14, scale));  // passes
         b.li(r::S3, 0);                            // checksum
         Label pass = b.label();
         Label pass_done = b.label();

@@ -165,7 +165,7 @@ buildLiLike(unsigned scale)
     {
         Label loop = b.label();
         Label done = b.label();
-        b.li(r::S0, static_cast<std::int32_t>(2 * scale));
+        b.li(r::S0, scaledCount(2, scale));
         b.li(r::S1, 0);
         b.bind(loop);
         b.blez(r::S0, done);

@@ -225,7 +225,7 @@ buildM88ksimLike(unsigned scale)
         b.laFunc(r::T0, "h_branch");
         b.sw(r::T0, 12, r::T1);
 
-        b.li(r::A0, static_cast<std::int32_t>(120000 * scale));
+        b.li(r::A0, scaledCount(120000, scale));
         b.jal("simulate");
         b.move(r::A0, r::V0);
         b.li(r::V0, 1);

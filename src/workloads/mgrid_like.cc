@@ -149,7 +149,7 @@ buildMgridLike(unsigned scale)
         b.addi(r::T2, r::T2, -1);
         b.bgtz(r::T2, fill);
 
-        b.li(r::S0, static_cast<std::int32_t>(24 * scale));
+        b.li(r::S0, scaledCount(24, scale));
         b.li(r::S1, 0);
         Label steps = b.label();
         Label done = b.label();

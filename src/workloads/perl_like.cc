@@ -212,7 +212,7 @@ buildPerlLike(unsigned scale)
 
         Label loop = b.label();
         Label done = b.label();
-        b.li(r::S0, static_cast<std::int32_t>(9000 * scale));
+        b.li(r::S0, scaledCount(9000, scale));
         b.li(r::S1, 0);
         b.bind(loop);
         b.blez(r::S0, done);

@@ -39,7 +39,7 @@ workloadByName(const std::string &name)
 std::shared_ptr<vm::Program>
 buildWorkload(const std::string &name, unsigned scale)
 {
-    return workloadByName(name).build(scale ? scale : 1);
+    return workloadByName(name).build(scale);
 }
 
 } // namespace arl::workloads

@@ -185,7 +185,7 @@ buildSu2corLike(unsigned scale)
         b.addi(r::T2, r::T2, -1);
         b.bgtz(r::T2, fill);
 
-        b.li(r::S0, static_cast<std::int32_t>(40 * scale));
+        b.li(r::S0, scaledCount(40, scale));
         b.li(r::S1, 0);
         Label steps = b.label();
         Label done = b.label();

@@ -150,7 +150,7 @@ buildSwimLike(unsigned scale)
         b.addi(r::T2, r::T2, -1);
         b.bgtz(r::T2, fill);
 
-        b.li(r::S0, static_cast<std::int32_t>(10 * scale));
+        b.li(r::S0, scaledCount(10, scale));
         b.li(r::S1, 0);
         Label steps = b.label();
         Label done = b.label();

@@ -188,7 +188,7 @@ buildTomcatvLike(unsigned scale)
         b.addi(r::T2, r::T2, -1);
         b.bgtz(r::T2, fill);
 
-        b.li(r::S0, static_cast<std::int32_t>(14 * scale));  // iters
+        b.li(r::S0, scaledCount(14, scale));  // iters
         b.li(r::S2, 0);
         Label iters = b.label();
         Label iters_done = b.label();

@@ -1,11 +1,25 @@
 #include "workloads/util.hh"
 
+#include "common/logging.hh"
+
 namespace arl::workloads
 {
 
 namespace r = isa::reg;
 using builder::Label;
 using builder::ProgramBuilder;
+
+std::int32_t
+scaledCount(std::int64_t per_scale, unsigned scale)
+{
+    if (per_scale > MaxCountPerScale)
+        fatal("workload loop count %lld per scale unit exceeds %lld",
+              static_cast<long long>(per_scale),
+              static_cast<long long>(MaxCountPerScale));
+    if (scale == 0 || scale > MaxScale)
+        fatal("workload scale %u is outside 1..%u", scale, MaxScale);
+    return static_cast<std::int32_t>(per_scale * scale);
+}
 
 void
 emitLcgStep(ProgramBuilder &b, RegIndex rd, RegIndex rstate, RegIndex rtmp)

@@ -16,10 +16,20 @@
 #ifndef ARL_WORKLOADS_UTIL_HH
 #define ARL_WORKLOADS_UTIL_HH
 
+#include <cstdint>
+
 #include "builder/program_builder.hh"
+#include "workloads/workloads.hh"
 
 namespace arl::workloads
 {
+
+/**
+ * The loop count @p per_scale × @p scale as an `li` immediate.  Fatal
+ * when @p per_scale exceeds MaxCountPerScale or @p scale lies outside
+ * 1..MaxScale, so no count wraps into a short or negative loop.
+ */
+std::int32_t scaledCount(std::int64_t per_scale, unsigned scale);
 
 /**
  * Emit one step of the classic LCG (state = state*1103515245+12345)

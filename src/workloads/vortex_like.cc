@@ -179,7 +179,7 @@ buildVortexLike(unsigned scale)
         b.addi(r::S0, r::S0, -1);
         b.bgtz(r::S0, alloc);
 
-        b.li(r::S0, static_cast<std::int32_t>(5000 * scale));
+        b.li(r::S0, scaledCount(5000, scale));
         b.li(r::S2, 0);
         Label txn = b.label();
         Label done = b.label();

@@ -13,12 +13,14 @@
  * roughly 1–5 M dynamic instructions per program (the paper ran
  * 220–684 M on real SPEC inputs; we document this reduction in
  * DESIGN.md — region behaviour is phase-stable, so shorter runs
- * preserve the distributions).
+ * preserve the distributions).  Every count is a 32-bit immediate, so
+ * a scale runs from 1 to MaxScale.
  */
 
 #ifndef ARL_WORKLOADS_WORKLOADS_HH
 #define ARL_WORKLOADS_WORKLOADS_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +30,17 @@
 
 namespace arl::workloads
 {
+
+/**
+ * The most iterations any workload runs per scale unit (m88ksim_like's
+ * simulated instructions); every loop count is at most this times the
+ * scale, emitted through scaledCount (util.hh).
+ */
+constexpr std::int64_t MaxCountPerScale = 120000;
+
+/** The largest scale whose loop counts all fit a 32-bit immediate. */
+constexpr unsigned MaxScale =
+    static_cast<unsigned>(INT32_MAX / MaxCountPerScale);
 
 /** Descriptor of one substitute workload. */
 struct WorkloadInfo
@@ -41,7 +54,8 @@ struct WorkloadInfo
      * this point so the measured window is the steady-state kernel.
      */
     InstCount warmupInsts;
-    /** Build the program at the given scale (>=1). */
+    /** Build the program at the given scale (1..MaxScale; fatal
+     *  outside it). */
     std::function<std::shared_ptr<vm::Program>(unsigned scale)> build;
 };
 

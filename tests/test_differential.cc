@@ -505,16 +505,20 @@ pointJson(const sweep::SweepResult &result, std::size_t wi,
 
 TEST(Differential, GroupedRowsMatchAcrossGroupings)
 {
-    // A sweep runs each row's configs in lock-step groups over one
-    // shared stream: at --jobs 1 the two-config grid runs one group
-    // per row, at --jobs 8 one group per config.  Every grouping must
-    // give the same points, from cold and warm caches, with either
-    // grouping reading entries the other one wrote; so must the
-    // one-config grid's (3+3) points and, unsampled, the uncached
-    // grids, whose rows are live and record nothing.  The window case
-    // warms only from the last 2048 fast-forward records, so its
-    // live, cold-cache and warm-cache rows must agree on a bounded
-    // warming too.
+    // A sweep runs each timing window's configs in lock-step groups
+    // over one shared stream: at --jobs 1 the two-config grid runs one
+    // group per window, at --jobs 8 one group per window and config.
+    // Every grouping must give the same points, from cold and warm
+    // caches, with either grouping reading entries the other one
+    // wrote; so must the one-config grid's (3+3) points and,
+    // unsampled, the uncached grids, whose rows are live and record
+    // nothing.  In the sampled cases the windows are each
+    // representative's and the verify run's, so a representative whose
+    // two cores share one seek into the recording (--jobs 1) must
+    // match the same representative run as two groups (--jobs 8) and
+    // as the one-config grid's lone core.  The window case warms only
+    // from the last 2048 fast-forward records, so its live, cold-cache
+    // and warm-cache rows must agree on a bounded warming too.
     struct Case
     {
         const char *name;

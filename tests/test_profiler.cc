@@ -167,6 +167,43 @@ TEST(Profiler, MergesPerThreadLogsFromParallelSweep)
     EXPECT_GE(report.phaseSeconds(), 0.95 * report.totalSeconds);
 }
 
+TEST(Profiler, SampledSweepStreamsEachRepresentativeWindowOnce)
+{
+    // A representative's window is one timing window of its row, so at
+    // --jobs 1 both configs share one group over one stream: one
+    // sample scope per representative window, not per window and
+    // config, and one seek per window that starts past record 0.
+    sweep::SweepSpec spec = smallSweepSpec(1);
+    spec.sampling = true;
+    spec.samplingInterval = 5000;
+    spec.samplingClusters = 3;
+    for (auto &w : spec.workloads)
+        w.timed = 60000;
+    obs::Profiler::instance().enable();
+    ProfilerOff off;
+    sweep::SweepResult result = sweep::runSweep(spec);
+    obs::Profiler::Report report = obs::Profiler::instance().report();
+
+    std::uint64_t windows = 0, seeks = 0;
+    for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+        for (const auto &rep : result.at(wi, 0).sampling.representatives) {
+            ++windows;
+            seeks += rep.start > rep.warmup;
+        }
+    }
+    ASSERT_GT(seeks, 0u);
+    const obs::Profiler::Node *sweep_node =
+        findChild(report.phases, "sweep");
+    ASSERT_NE(sweep_node, nullptr);
+    const obs::Profiler::Node *sample =
+        findChild(sweep_node->children, "sample");
+    ASSERT_NE(sample, nullptr);
+    EXPECT_EQ(sample->calls, windows);
+    const obs::Profiler::Node *seek = findChild(sample->children, "seek");
+    ASSERT_NE(seek, nullptr);
+    EXPECT_EQ(seek->calls, seeks);
+}
+
 TEST(Profiler, ProfilingDoesNotPerturbSweepReports)
 {
     obs::Profiler::instance().disable();

@@ -149,6 +149,18 @@ TEST_P(WorkloadTest, ScaleGrowsWork)
     EXPECT_TRUE(s2.halted());
 }
 
+TEST_P(WorkloadTest, RunsPastItsWarmupAtTheLargestScale)
+{
+    // At MaxScale every loop count still fits its 32-bit immediate, so
+    // the program keeps running past its initialisation instead of
+    // wrapping into a short pass that halts.
+    const WorkloadInfo &info = GetParam();
+    sim::Simulator simulator(info.build(workloads::MaxScale));
+    const InstCount budget = info.warmupInsts + 1'000'000;
+    EXPECT_EQ(simulator.run(budget), budget) << info.name;
+    EXPECT_FALSE(simulator.halted()) << info.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllTwelve, WorkloadTest,
     ::testing::ValuesIn(workloads::allWorkloads()),
@@ -172,4 +184,14 @@ TEST(WorkloadRegistryDeath, UnknownNameIsFatal)
 {
     EXPECT_DEATH(workloads::workloadByName("no_such_thing"),
                  "unknown workload");
+}
+
+TEST(WorkloadRegistryDeath, ScaleOutsideItsRangeIsFatal)
+{
+    EXPECT_EQ(workloads::MaxScale, 17895u);
+    EXPECT_DEATH(workloads::buildWorkload("m88ksim_like",
+                                          workloads::MaxScale + 1),
+                 "outside 1..17895");
+    EXPECT_DEATH(workloads::buildWorkload("tomcatv_like", 0),
+                 "outside 1..17895");
 }

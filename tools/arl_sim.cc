@@ -111,7 +111,7 @@
  * Grid flags, accepted by time and sweep with one meaning each:
  *
  *   --insts <N>          timed window per point (default 400000)
- *   --scale <N>          registry workload scale (default 1)
+ *   --scale <N>          registry workload scale, 1..17895 (default 1)
  *   --warmup-window <N>  warm microarchitectural state only from the
  *                        last N fast-forward instructions (0 = all),
  *                        sampled or not; a bounded window changes
@@ -615,6 +615,23 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
+/**
+ * --scale, read here alone: the registry workloads' loop-count
+ * multiplier.  0, and any scale past workloads::MaxScale (where some
+ * workload's 32-bit loop count would wrap into a short run), is a
+ * usage error before anything is built.
+ */
+unsigned
+scaleFlag(const Args &args)
+{
+    const std::uint32_t scale = args.flagU32("scale", 1);
+    if (scale == 0 || scale > workloads::MaxScale)
+        badUsage("--scale must be 1.." +
+                 std::to_string(workloads::MaxScale) + ", got " +
+                 std::to_string(scale));
+    return scale;
+}
+
 /** Load a target: registered workload name or an assembly file. */
 std::shared_ptr<const vm::Program>
 loadTarget(const std::string &target, unsigned scale)
@@ -658,7 +675,7 @@ cmdRun(const std::string &target, Args &args)
     args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}},
                {&kReportFlags, &kIntervalFlags, &kTelemetryFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    auto prog = loadTarget(target, args.flagU32("scale", 1));
+    auto prog = loadTarget(target, scaleFlag(args));
     sim::Simulator simulator(prog);
 
     obs::Hooks hooks;
@@ -735,7 +752,7 @@ cmdProfile(const std::string &target, Args &args)
     args.parse({{"scale", FlagKind::Int}, {"max-insts", FlagKind::Int}},
                {&kReportFlags});
     ObsOptions opts = ObsOptions::parse(args);
-    auto prog = loadTarget(target, args.flagU32("scale", 1));
+    auto prog = loadTarget(target, scaleFlag(args));
     sim::Simulator simulator(prog);
     sim::SimulatorSource source(simulator);
     sweep::RegionPoint result = sweep::runRegionPass(
@@ -820,7 +837,7 @@ cmdPredict(const std::string &target, Args &args)
         badUsage("--gbh-bits and --cid-bits must each be at most 32, "
                  "and a hybrid context's must sum to at most 32 with "
                  "--cid-bits at most 31");
-    auto prog = loadTarget(target, args.flagU32("scale", 1));
+    auto prog = loadTarget(target, scaleFlag(args));
 
     std::string hints_kind = args.flag("hints", "none");
     predict::CompilerHints profile_hints;
@@ -1012,7 +1029,7 @@ splitList(const char *what, const std::string &text)
 std::vector<sweep::WorkloadSpec>
 gridRows(const Args &args, const std::vector<std::string> &names)
 {
-    const unsigned scale = args.flagU32("scale", 1);
+    const unsigned scale = scaleFlag(args);
     std::vector<sweep::WorkloadSpec> rows;
     for (const std::string &name : names) {
         const auto &info = workloads::workloadByName(name);
@@ -1367,7 +1384,7 @@ cmdFigure(const std::string &target, Args &args)
         badUsage("unknown figure '" + target + "' (want all or one of:" +
                  known + ")");
     figures::Options fopts;
-    fopts.scale = args.flagU32("scale", 1);
+    fopts.scale = scaleFlag(args);
     fopts.insts = static_cast<InstCount>(args.flagInt("insts", 400000));
     fopts.jobs = args.flagU32("jobs", 1);
 
@@ -1511,7 +1528,7 @@ cmdRecord(const std::string &target, Args &args)
         block_records > static_cast<long>(trace::v2::MaxBlockRecords))
         badUsage("--block-records must be 1.." +
                  std::to_string(trace::v2::MaxBlockRecords));
-    auto prog = loadTarget(target, args.flagU32("scale", 1));
+    auto prog = loadTarget(target, scaleFlag(args));
     InstCount n = 0;
     std::uint64_t bytes = 0;
     if (!trace::recordTrace(
@@ -2244,7 +2261,7 @@ usage()
         "  disasm <file.s|workload>     disassemble\n"
         "targets: a registered workload name or an .s assembly file\n"
         "grid (time and sweep):\n"
-        "  --insts N   --scale N   --warmup-window N\n"
+        "  --insts N   --scale N (1..17895)   --warmup-window N\n"
         "  --workload-dir DIR   corpus .s programs: time's target names\n"
         "                       one, sweep adds them all as rows\n"
         "                       (target 'none' = corpus only)\n"
